@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 (release build + full test suite) plus the
-# instrumentation determinism goldens, the parallel-runner golden, and the
-# paper-claims self-check. Run from anywhere; always executes against the
+# instrumentation determinism goldens, the parallel-runner golden, the
+# paper-claims self-check and a fresh `reproduce --full` diffed against the
+# committed results/. Run from anywhere; always executes against the
 # repo root. The workspace has no external dependencies, so this needs no
 # network access.
 set -euo pipefail
@@ -44,6 +45,13 @@ test -s "$metrics_dir/pingpong.trace.json"
 # Fails on unknown or missing keys anywhere in the emitted JSON.
 cargo run --release -p tc-bench --bin reproduce -- \
     --validate-metrics "$metrics_dir/pingpong.metrics.json"
+
+echo "== committed results/ match a fresh reproduce --full (byte for byte) =="
+fresh="$metrics_dir/results"
+mkdir -p "$fresh"
+cargo run --release -p tc-bench --bin reproduce -- \
+    --full --jobs 2 --out "$fresh" > "$fresh/full_results.txt"
+diff -r results "$fresh"
 
 echo "== causal profile (latency attribution sums + tc-timeseries-v1) =="
 # Exits 1 if any attribution claim reports [FAIL] (sum-vs-measured off by
