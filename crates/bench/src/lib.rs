@@ -1015,15 +1015,18 @@ pub fn run_all_with(
     knobs: &WorkloadKnobs,
 ) -> (Vec<ExperimentOutput>, PoolStats) {
     let mut tasks: Vec<Task> = Vec::new();
+    let mut labels = Vec::new();
     let mut renders: Vec<Box<dyn FnOnce() -> ExperimentOutput + Send>> = Vec::new();
     for id in ids {
         let ExperimentPlan {
             tasks: t, render, ..
         } = plan_with(id, scale, knobs);
+        labels.extend((0..t.len()).map(|i| format!("{id}[{i}]")));
         tasks.extend(t);
         renders.push(render);
     }
-    let stats = pool.run_tasks(tasks);
+    let mut stats = pool.run_tasks(tasks);
+    stats.task_labels = labels;
     (renders.into_iter().map(|r| r()).collect(), stats)
 }
 

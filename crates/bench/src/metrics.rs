@@ -560,7 +560,7 @@ mod tests {
             busy_ns: 3_600_000,
             queue_wait_ns: 40_000,
             max_task_ns: 700_000,
-            per_worker: Vec::new(),
+            ..Default::default()
         }
     }
 

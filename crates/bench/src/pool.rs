@@ -44,6 +44,11 @@ pub struct PoolStats {
     /// Per-worker breakdown of the batch, indexed by worker. Feeds the
     /// `--verbose` summary only; the metrics JSON schema stays untouched.
     pub per_worker: Vec<WorkerStats>,
+    /// Execution time of each task, nanoseconds, in submission order.
+    pub task_ns: Vec<u64>,
+    /// What each task ran, in submission order (`id[point]`), when the
+    /// caller labelled them; the `--verbose` ledger names the slowest.
+    pub task_labels: Vec<String>,
 }
 
 /// One worker's slice of a batch: how many tasks it claimed off the
@@ -86,6 +91,21 @@ impl PoolStats {
             mine.tasks += theirs.tasks;
             mine.busy_ns = mine.busy_ns.saturating_add(theirs.busy_ns);
         }
+        self.task_ns.extend(&other.task_ns);
+        self.task_labels.extend(other.task_labels.iter().cloned());
+    }
+
+    /// The `n` slowest labelled tasks, slowest first: `(label, ns)`.
+    pub fn slowest(&self, n: usize) -> Vec<(&str, u64)> {
+        let mut v: Vec<(&str, u64)> = self
+            .task_labels
+            .iter()
+            .zip(&self.task_ns)
+            .map(|(l, &ns)| (l.as_str(), ns))
+            .collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        v.truncate(n);
+        v
     }
 
     /// The `--verbose` end-of-run summary block.
@@ -113,6 +133,9 @@ impl PoolStats {
                     ms(ws.busy_ns),
                 ));
             }
+        }
+        for (label, ns) in self.slowest(5) {
+            out.push_str(&format!("\n#   slowest    {:>10.1} ms  {label}", ms(ns)));
         }
         out
     }
@@ -161,7 +184,8 @@ impl Pool {
         let busy = AtomicU64::new(0);
         let wait = AtomicU64::new(0);
         let max_task = AtomicU64::new(0);
-        let run_one = |t: Task| -> u64 {
+        let task_ns: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let run_one = |(i, t): (usize, Task)| -> u64 {
             let claimed = t0.elapsed().as_nanos() as u64;
             let started = Instant::now();
             t();
@@ -169,19 +193,20 @@ impl Pool {
             busy.fetch_add(took, Ordering::Relaxed);
             wait.fetch_add(claimed, Ordering::Relaxed);
             max_task.fetch_max(took, Ordering::Relaxed);
+            task_ns[i].store(took, Ordering::Relaxed);
             took
         };
         let per_worker: Vec<WorkerStats>;
         if self.jobs == 1 || n <= 1 {
             let mut me = WorkerStats::default();
-            for t in tasks {
+            for t in tasks.into_iter().enumerate() {
                 me.busy_ns = me.busy_ns.saturating_add(run_one(t));
                 me.tasks += 1;
             }
             per_worker = if n == 0 { Vec::new() } else { vec![me] };
         } else {
             let workers = self.jobs.min(n);
-            let queue = Mutex::new(tasks.into_iter());
+            let queue = Mutex::new(tasks.into_iter().enumerate());
             let slots: Vec<Mutex<WorkerStats>> = (0..workers)
                 .map(|_| Mutex::new(WorkerStats::default()))
                 .collect();
@@ -216,6 +241,8 @@ impl Pool {
             queue_wait_ns: wait.into_inner(),
             max_task_ns: max_task.into_inner(),
             per_worker,
+            task_ns: task_ns.into_iter().map(AtomicU64::into_inner).collect(),
+            task_labels: Vec::new(),
         }
     }
 
@@ -330,6 +357,10 @@ mod tests {
                 tasks: 3,
                 busy_ns: 150,
             }],
+            task_ns: vec![80, 50, 20],
+            task_labels: ["fig1a[0]", "fig1a[1]", "fig1a[2]"]
+                .map(String::from)
+                .to_vec(),
         };
         let b = PoolStats {
             jobs: 4,
@@ -348,6 +379,8 @@ mod tests {
                     busy_ns: 0,
                 },
             ],
+            task_ns: vec![60],
+            task_labels: vec!["fig3[0]".into()],
         };
         a.merge(&b);
         assert_eq!(a.tasks, 4);
@@ -371,6 +404,12 @@ mod tests {
         let s = a.summary();
         assert!(s.contains("4 task(s)") && s.contains("utilization"), "{s}");
         assert!(s.contains("worker 0") && s.contains("worker 1"), "{s}");
+        // The ledger names the slowest tasks, slowest first.
+        assert_eq!(a.slowest(2), vec![("fig1a[0]", 80), ("fig3[0]", 60)], "{s}");
+        assert!(
+            s.contains("fig1a[0]") && !s.contains("max task        fig"),
+            "{s}"
+        );
     }
 
     #[test]

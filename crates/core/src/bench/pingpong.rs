@@ -8,7 +8,7 @@ use tc_desim::time::{self, Time};
 use tc_gpu::CounterSnapshot;
 use tc_ib::{BufLoc, IbvContext, SendOpcode, SendWr};
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, PutGetEndpoint, QueueLoc};
@@ -57,18 +57,24 @@ pub(crate) async fn write_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u
 
 /// Spin until the marker at the tail of `buf` reaches `v`.
 pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u64) {
-    loop {
-        let cur = if size >= 8 {
-            p.ld_u64(buf + size - 8).await
-        } else {
-            p.ld_u32(buf + size.max(4) - 4).await as u64
-        };
-        // Compare, branch, recompute the volatile pointer.
-        p.instr(4).await;
-        if cur == v {
-            return;
+    let marker = if size >= 8 {
+        ProbeLoad {
+            addr: buf + size - 8,
+            kind: LoadKind::U64,
         }
-    }
+    } else {
+        ProbeLoad {
+            addr: buf + size.max(4) - 4,
+            kind: LoadKind::U32,
+        }
+    };
+    // Compare, branch, recompute the volatile pointer: 4 instructions.
+    let probe = Probe {
+        loads: &[marker],
+        instr: 4,
+        spins: None,
+    };
+    p.spin_until(&probe, |b| le(b) == v).await;
 }
 
 struct Timing {

@@ -273,13 +273,7 @@ async fn pp_initiator<P: Processor>(
         t.fence().await;
         ep.put(t, layout.tag_out(), layout.tag_in(), 8, false).await;
         ep.quiet(t).await.unwrap();
-        loop {
-            let tag = t.ld_u64(buf + layout.tag_in()).await;
-            t.instr(4).await;
-            if tag >= e {
-                break;
-            }
-        }
+        crate::collectives::wait_tag(t, buf + layout.tag_in(), e).await;
     }
 }
 
@@ -291,13 +285,7 @@ async fn pp_responder<P: Processor>(
     rounds: u32,
 ) {
     for e in 1..=rounds as u64 {
-        loop {
-            let tag = t.ld_u64(buf + layout.tag_in()).await;
-            t.instr(4).await;
-            if tag >= e {
-                break;
-            }
-        }
+        crate::collectives::wait_tag(t, buf + layout.tag_in(), e).await;
         t.st_u64(buf + layout.tag_out(), e).await;
         t.fence().await;
         ep.put(t, layout.tag_out(), layout.tag_in(), 8, false).await;

@@ -11,7 +11,7 @@
 //! space past `data_len` for staging and synchronization tags.
 
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
 use crate::api::PutGetEndpoint;
 
@@ -42,6 +42,21 @@ fn layout(data_len: u64) -> Layout {
     }
 }
 
+/// Spin until the 64-bit tag at `tag` reaches `epoch`: one load, then
+/// compare, branch and pointer bookkeeping (4 instructions) per probe.
+pub(crate) async fn wait_tag<P: Processor>(p: &P, tag: Addr, epoch: u64) {
+    let load = [ProbeLoad {
+        addr: tag,
+        kind: LoadKind::U64,
+    }];
+    let probe = Probe {
+        loads: &load,
+        instr: 4,
+        spins: None,
+    };
+    p.spin_until(&probe, |b| le(b) >= epoch).await;
+}
+
 /// Exchange `data_len` bytes with the peer: my `[0, data_len)` lands in the
 /// peer's staging area and vice versa. Returns once the peer's data has
 /// arrived locally. `epoch` must increase across calls on the same buffer.
@@ -65,13 +80,7 @@ pub async fn exchange<P: Processor>(
     ep.put(p, l.tag_out, l.tag_in, 8, false).await;
     ep.quiet(p).await.unwrap();
     ep.quiet(p).await.unwrap();
-    loop {
-        let tag = p.ld_u64(local_base + l.tag_in).await;
-        p.instr(4).await;
-        if tag >= epoch {
-            return;
-        }
-    }
+    wait_tag(p, local_base + l.tag_in, epoch).await;
 }
 
 /// Two-node barrier: returns once both ranks have entered epoch `epoch`.
@@ -82,13 +91,7 @@ pub async fn barrier<P: Processor>(p: &P, ep: &PutGetEndpoint, local_base: Addr,
     p.fence().await;
     ep.put(p, l.tag_out, l.tag_in, 8, false).await;
     ep.quiet(p).await.unwrap();
-    loop {
-        let tag = p.ld_u64(local_base + l.tag_in).await;
-        p.instr(4).await;
-        if tag >= epoch {
-            return;
-        }
-    }
+    wait_tag(p, local_base + l.tag_in, epoch).await;
 }
 
 /// Broadcast from rank 0: after the call, both buffers hold rank 0's
@@ -111,13 +114,7 @@ pub async fn broadcast<P: Processor>(
         ep.quiet(p).await.unwrap();
         ep.quiet(p).await.unwrap();
     } else {
-        loop {
-            let tag = p.ld_u64(local_base + l.tag_in).await;
-            p.instr(4).await;
-            if tag >= epoch {
-                return;
-            }
-        }
+        wait_tag(p, local_base + l.tag_in, epoch).await;
     }
 }
 

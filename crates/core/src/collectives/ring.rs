@@ -183,13 +183,7 @@ async fn ring_step<P: Processor>(
     ep.put(t, layout.tag_out(), layout.tag_in(), 8, false).await;
     ep.quiet(t).await.unwrap();
     ep.quiet(t).await.unwrap();
-    loop {
-        let tag = t.ld_u64(my_buf + layout.tag_in()).await;
-        t.instr(4).await;
-        if tag >= epoch {
-            return;
-        }
-    }
+    super::wait_tag(t, my_buf + layout.tag_in(), epoch).await;
 }
 
 /// Rank `rank`'s side of a ring all-reduce (u64 sum). Every rank must call

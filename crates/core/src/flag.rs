@@ -11,7 +11,7 @@
 //! control.
 
 use tc_mem::Addr;
-use tc_pcie::Processor;
+use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
 /// Flag protocol states.
 pub const IDLE: u64 = 0;
@@ -51,13 +51,16 @@ impl AssistChannel {
     /// Requester side: spin until the flag reaches `state`, then reset it
     /// to [`IDLE`]. Returns the argument word.
     pub async fn wait_state<P: Processor>(&self, p: &P, state: u64) -> u64 {
-        loop {
-            let v = p.ld_u64(self.flag).await;
-            p.instr(2).await;
-            if v == state {
-                break;
-            }
-        }
+        let flag = [ProbeLoad {
+            addr: self.flag,
+            kind: LoadKind::U64,
+        }];
+        let probe = Probe {
+            loads: &flag,
+            instr: 2,
+            spins: None,
+        };
+        p.spin_until(&probe, |b| le(b) == state).await;
         let arg = p.ld_u64(self.arg).await;
         p.st_u64(self.flag, IDLE).await;
         arg

@@ -15,7 +15,8 @@
 //! the choice is invisible to simulation results.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -24,6 +25,7 @@ use std::task::{Context, Poll, Waker};
 use tc_trace::causal::{CausalDump, CausalLog, Cause, NodeId};
 use tc_trace::{Recorder, Registry};
 
+use crate::ffwd::Skipped;
 use crate::intern::{NameId, NameTable};
 use crate::queue::{QueueKind, TimerId, TimerQueue, TimerRef};
 use crate::sync::{Signal, WaitCells, WaitToken};
@@ -116,6 +118,79 @@ struct Shared {
     /// shard coordinator's deliver callback just before it replays an
     /// envelope, consumed by [`Sim::spawn`]).
     import_stage: Cell<Option<(u32, u64)>>,
+    /// Processes parked by spin fast-forward (see [`crate::ffwd`]).
+    parked: RefCell<Parking>,
+}
+
+#[derive(Default)]
+struct Parking {
+    next_id: u64,
+    entries: BTreeMap<u64, ParkEntry>,
+    /// `(at, seq, id)` of each parked process's pending step, earliest
+    /// first. Entries of resumed processes and run steps go stale and are
+    /// dropped when they surface.
+    due: BinaryHeap<Reverse<(Time, u64, u64)>>,
+    /// Processes that ran a step in the current batch.
+    ran: Vec<u64>,
+}
+
+struct ParkEntry {
+    pid: ProcId,
+    spin: Rc<dyn Skipped>,
+    /// Sequence number of the pending step's (skipped) timer.
+    seq: u64,
+    /// Ran a step in the current batch (see `Sim::run_skipped`).
+    ran: bool,
+    /// The resume timer, once [`Sim::resume_parked`] scheduled it.
+    timer: Rc<RefCell<Option<TimerRef>>>,
+}
+
+impl Parking {
+    /// Run the earliest pending skipped step if it comes before `bound`;
+    /// `seq` numbers the timer it skips inserting. Returns its instant.
+    fn step(&mut self, seq: &mut u64, bound: (Time, u64)) -> Option<Time> {
+        let (at, s, id) = self.next()?;
+        if (at, s) >= bound {
+            return None;
+        }
+        self.due.pop();
+        let e = self.entries.get_mut(&id).expect("a valid due entry");
+        let next = e.spin.advance();
+        e.seq = *seq;
+        *seq += 1;
+        if !e.ran {
+            e.ran = true;
+            self.ran.push(id);
+        }
+        self.due.push(Reverse((next, e.seq, id)));
+        Some(at)
+    }
+
+    /// The period every parked process repeats with, if they share one.
+    fn common_period(&self) -> Option<Time> {
+        let mut periods = self.entries.values().map(|e| e.spin.period().0);
+        let first = periods.next()?;
+        periods.all(|p| p == first).then_some(first)
+    }
+
+    /// `(id, next step instant, pending seq)` of every parked process.
+    fn shape(&self) -> Vec<(u64, Time, u64)> {
+        self.entries
+            .iter()
+            .map(|(&id, e)| (id, e.spin.next_at(), e.seq))
+            .collect()
+    }
+
+    /// The earliest pending skipped step, `(at, seq, id)`.
+    fn next(&mut self) -> Option<(Time, u64, u64)> {
+        while let Some(&Reverse((at, seq, id))) = self.due.peek() {
+            if self.entries.get(&id).is_some_and(|e| e.seq == seq) {
+                return Some((at, seq, id));
+            }
+            self.due.pop();
+        }
+        None
+    }
 }
 
 /// Handle to a simulation. Cheap to clone (one reference-count bump); all
@@ -167,6 +242,7 @@ impl Sim {
                 recorder: Recorder::new(),
                 causal: CausalLog::new(),
                 import_stage: Cell::new(None),
+                parked: RefCell::new(Parking::default()),
             }),
         }
     }
@@ -209,9 +285,15 @@ impl Sim {
     /// already fired, so the deadline-bounded peek takes its exact,
     /// non-destructive path and the wheel cursor is left untouched —
     /// timers earlier than the reported deadline can still be inserted.
+    /// A parked process's next skipped step counts as pending.
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.shared.now.get();
-        self.shared.inner.borrow_mut().queue.next_at(now)
+        let queued = self.shared.inner.borrow_mut().queue.next_at(now);
+        let skipped = self.shared.parked.borrow_mut().next().map(|(at, ..)| at);
+        match (queued, skipped) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Number of processes that have been spawned and not yet finished.
@@ -437,7 +519,29 @@ impl Sim {
             // return a conservative bound when the true next event is past
             // the deadline; either way `at > deadline` means "stop here".
             let mut inner = self.shared.inner.borrow_mut();
-            match inner.queue.next_at(deadline) {
+            // Skipped steps of parked processes interleave by `(at, seq)`.
+            // Never peek the queue past the earliest one: a process resumed
+            // there needs the wheel cursor at or before its step.
+            let skipped = self.shared.parked.borrow_mut().next();
+            let limit = skipped.map_or(deadline, |(at, ..)| at.min(deadline));
+            let next = inner.queue.next_at(limit);
+            if let Some((at, seq, _)) = skipped {
+                let bound = match next {
+                    Some(t) if t <= limit => Some((t, inner.queue.peek_seq())),
+                    // The plain loop would spin forever: nothing real is left.
+                    None if deadline == Time::MAX => None,
+                    later => Some((
+                        later.unwrap_or(Time::MAX).min(deadline.saturating_add(1)),
+                        0,
+                    )),
+                };
+                if let Some(bound) = bound.filter(|&b| (at, seq) < b) {
+                    drop(inner);
+                    self.run_skipped(bound);
+                    continue;
+                }
+            }
+            match next {
                 Some(at) if at > deadline => {
                     self.shared.now.set(deadline);
                     return deadline;
@@ -454,9 +558,143 @@ impl Sim {
                         inner.make_runnable(pid);
                     }
                 }
-                None => return self.shared.now.get(),
+                None => {
+                    // A parked spinner still has steps past the deadline.
+                    if deadline != Time::MAX && self.shared.parked.borrow_mut().next().is_some() {
+                        self.shared.now.set(deadline);
+                        return deadline;
+                    }
+                    return self.shared.now.get();
+                }
             }
         }
+    }
+
+    /// Run, in `(at, seq)` order, every skipped step of the parked
+    /// processes that comes before `bound` (the next real timer, or the
+    /// first instant past the run's deadline).
+    fn run_skipped(&self, bound: (Time, u64)) {
+        if self.shared.recorder.on() || self.shared.causal.on() {
+            // Recorded runs take the real path.
+            let spins: Vec<_> = (self.shared.parked.borrow().entries.values())
+                .map(|e| e.spin.clone())
+                .collect();
+            for spin in spins {
+                spin.resume();
+            }
+            return;
+        }
+        let first = self.shared.inner.borrow().queue.next_seq();
+        let mut seq = first;
+        let mut last = self.shared.now.get();
+        let mut p = self.shared.parked.borrow_mut();
+        let p = &mut *p;
+        let head = p
+            .next()
+            .map(|(at, _, id)| (at, p.entries[&id].spin.period().0));
+        let far = head.filter(|&(at, period)| bound.0 - at > 4 * period);
+        if let Some((base, period)) = far.filter(|&(_, period)| p.common_period() == Some(period)) {
+            // Two periods by hand (the first settles the interleaving);
+            // if the second reproduced the state shifted by a period,
+            // jump the whole periods left before `bound`.
+            while let Some(at) = p.step(&mut seq, (base + period, 0)) {
+                last = at;
+            }
+            let (before, mid) = (p.shape(), seq);
+            while let Some(at) = p.step(&mut seq, (base + 2 * period, 0)) {
+                last = at;
+            }
+            let step_seqs = seq - mid;
+            let repeats = p
+                .shape()
+                .iter()
+                .zip(&before)
+                .all(|(a, b)| a.0 == b.0 && a.1 == b.1 + period && a.2 == b.2 + step_seqs);
+            let k = (bound.0 - base) / period - 2;
+            if repeats && k > 1 {
+                let jump = k - 1;
+                for (&id, e) in p.entries.iter_mut() {
+                    e.spin.advance_by(jump * e.spin.period().1);
+                    e.seq += jump * step_seqs;
+                    if !e.ran {
+                        e.ran = true;
+                        p.ran.push(id);
+                    }
+                }
+                seq += jump * step_seqs;
+                last += jump * period;
+                p.due = p
+                    .entries
+                    .iter()
+                    .map(|(&id, e)| Reverse((e.spin.next_at(), e.seq, id)))
+                    .collect();
+            }
+        }
+        while let Some(at) = p.step(&mut seq, bound) {
+            last = at;
+        }
+        let mut ran: Vec<Rc<dyn Skipped>> = Vec::new();
+        for id in std::mem::take(&mut p.ran) {
+            if let Some(e) = p.entries.get_mut(&id) {
+                e.ran = false;
+                ran.push(e.spin.clone());
+            }
+        }
+        self.shared.inner.borrow_mut().queue.take_seqs(seq - first);
+        for spin in ran {
+            spin.settle();
+        }
+        self.shared.now.set(last);
+        self.shared.last_event.set(last);
+    }
+
+    /// Park the current process: it keeps no timer, and `spin` runs its
+    /// skipped steps (see [`crate::ffwd`]) until [`Sim::resume_parked`].
+    /// Call it where the process would schedule the timer of
+    /// `spin.next_at()`, and await the returned future.
+    pub fn park(&self, spin: Rc<dyn Skipped>) -> Parked {
+        let seq = self.shared.inner.borrow_mut().queue.take_seqs(1);
+        let timer = Rc::new(RefCell::new(None));
+        let mut p = self.shared.parked.borrow_mut();
+        let id = p.next_id;
+        p.next_id += 1;
+        p.due.push(Reverse((spin.next_at(), seq, id)));
+        p.entries.insert(
+            id,
+            ParkEntry {
+                pid: self.current_proc(),
+                spin,
+                seq,
+                ran: false,
+                timer: timer.clone(),
+            },
+        );
+        Parked {
+            sim: self.clone(),
+            id,
+            timer,
+        }
+    }
+
+    /// Resume parked process `id`: a real timer takes its pending step's
+    /// place (same instant, same sequence number).
+    pub fn resume_parked(&self, id: u64) {
+        let entry = self
+            .shared
+            .parked
+            .borrow_mut()
+            .entries
+            .remove(&id)
+            .expect("resuming a process that is not parked");
+        let at = entry.spin.next_at();
+        debug_assert!(at >= self.shared.now.get(), "resuming into the past");
+        let t = self
+            .shared
+            .inner
+            .borrow_mut()
+            .queue
+            .schedule_seq(at, entry.pid, entry.seq);
+        *entry.timer.borrow_mut() = Some(t);
     }
 
     /// A future that completes `dur` picoseconds after it is first polled.
@@ -538,15 +776,25 @@ impl Sim {
     }
 
     /// Names of processes that are still alive (useful to diagnose
-    /// deadlocks after [`Sim::run`] returns with live processes).
+    /// deadlocks after [`Sim::run`] returns with live processes). A process
+    /// parked by spin fast-forward also says what it spins on.
     pub fn stuck_processes(&self) -> Vec<String> {
         let inner = self.shared.inner.borrow();
         inner
             .procs
             .iter()
-            .flatten()
-            .map(|s| inner.names.get(s.name).to_string())
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
+            .map(|(i, s)| self.live_label(i, inner.names.get(s.name)))
             .collect()
+    }
+
+    fn live_label(&self, idx: usize, name: &str) -> String {
+        let p = self.shared.parked.borrow();
+        match p.entries.values().find(|e| e.pid.0 == idx) {
+            Some(e) => format!("{name} (parked: {})", e.spin.describe()),
+            None => name.to_string(),
+        }
     }
 
     /// A human-readable report of every live process for quiescence
@@ -564,8 +812,13 @@ impl Sim {
             inner.live,
             self.shared.now.get()
         );
-        for slot in inner.procs.iter().flatten() {
-            let name = inner.names.get(slot.name);
+        for (idx, slot) in inner
+            .procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
+        {
+            let name = self.live_label(idx, inner.names.get(slot.name));
             let _ = write!(out, "  {name}");
             if causal.on() {
                 if let Some(n) = slot.last_node.and_then(|id| causal.node(id)) {
@@ -703,6 +956,47 @@ impl Future for Delay {
 impl Drop for Delay {
     fn drop(&mut self) {
         if let Some(TimerRef::Wheel(id)) = self.timer.take() {
+            if let Ok(mut inner) = self.sim.shared.inner.try_borrow_mut() {
+                inner.queue.cancel(id);
+            }
+        }
+    }
+}
+
+/// Future returned by [`Sim::park`]: pending until the process is resumed
+/// and its resume timer fires.
+pub struct Parked {
+    sim: Sim,
+    id: u64,
+    timer: Rc<RefCell<Option<TimerRef>>>,
+}
+
+impl Parked {
+    /// The handle [`Sim::resume_parked`] takes.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
+impl Future for Parked {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        match &*self.timer.borrow() {
+            Some(TimerRef::Wheel(id)) if !self.sim.timer_pending(*id) => Poll::Ready(()),
+            Some(TimerRef::Heap(t)) if t.fired.get() => Poll::Ready(()),
+            _ => Poll::Pending,
+        }
+    }
+}
+
+impl Drop for Parked {
+    fn drop(&mut self) {
+        // A process dropped while parked leaves no entry or timer behind.
+        if let Ok(mut p) = self.sim.shared.parked.try_borrow_mut() {
+            p.entries.remove(&self.id);
+        }
+        if let Some(TimerRef::Wheel(id)) = self.timer.borrow_mut().take() {
             if let Ok(mut inner) = self.sim.shared.inner.try_borrow_mut() {
                 inner.queue.cancel(id);
             }

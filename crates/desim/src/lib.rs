@@ -44,13 +44,14 @@
 //! ```
 
 pub mod executor;
+pub mod ffwd;
 mod intern;
 mod queue;
 pub mod shard;
 pub mod sync;
 pub mod time;
 
-pub use executor::{ProcId, Sim};
+pub use executor::{Parked, ProcId, Sim};
 pub use queue::QueueKind;
 pub use shard::{run_sharded, Envelope, Outgoing, ShardHandle, WindowStat};
 pub use time::{Freq, Time};

@@ -171,8 +171,8 @@ impl Wheel {
 
     fn insert(&mut self, at: Time, seq: u64, waiter: ProcId) -> TimerId {
         debug_assert!(
-            at > self.elapsed,
-            "timer at {at} not after wheel cursor {}",
+            at >= self.elapsed,
+            "timer at {at} before wheel cursor {}",
             self.elapsed
         );
         let idx = match self.free.pop() {
@@ -195,7 +195,19 @@ impl Wheel {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.link(idx, at);
+        if at == self.elapsed {
+            // Due at the cursor: only a resumed parked process's timer
+            // joins the instant being fired, slotted in by `seq`.
+            self.slab[idx as usize].level = LEVEL_BUFFER;
+            let Wheel {
+                buf, slab, buf_pos, ..
+            } = self;
+            let pos = *buf_pos + buf[*buf_pos..].partition_point(|&i| slab[i as usize].seq < seq);
+            buf.insert(pos, idx);
+            self.buf_at = at;
+        } else {
+            self.link(idx, at);
+        }
         self.len += 1;
         TimerId {
             idx,
@@ -453,8 +465,35 @@ impl TimerQueue {
     }
 
     pub(crate) fn schedule(&mut self, at: Time, waiter: ProcId) -> TimerRef {
+        let seq = self.take_seqs(1);
+        self.schedule_seq(at, waiter, seq)
+    }
+
+    /// The sequence number the next timer gets.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Consume `n` schedule sequence numbers (for timers a parked process
+    /// skipped); returns the first.
+    pub(crate) fn take_seqs(&mut self, n: u64) -> u64 {
         let seq = self.seq;
-        self.seq += 1;
+        self.seq += n;
+        seq
+    }
+
+    /// The sequence number of the timer [`Self::pop`] fires next (which
+    /// [`Self::next_at`] must have reported as due).
+    pub(crate) fn peek_seq(&self) -> u64 {
+        match &self.imp {
+            Imp::Wheel(w) => w.slab[w.buf[w.buf_pos] as usize].seq,
+            Imp::Heap(h) => h.queue.peek().expect("a due timer").0.seq,
+        }
+    }
+
+    /// Schedule a timer under a sequence number taken earlier (a resumed
+    /// parked process's pending step, possibly due at the current instant).
+    pub(crate) fn schedule_seq(&mut self, at: Time, waiter: ProcId, seq: u64) -> TimerRef {
         match &mut self.imp {
             Imp::Wheel(w) => TimerRef::Wheel(w.insert(at, seq, waiter)),
             Imp::Heap(h) => {
@@ -663,6 +702,21 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn a_timer_due_at_the_cursor_joins_the_fire_buffer_by_seq() {
+        let mut q = TimerQueue::new(QueueKind::Wheel);
+        q.schedule(100, ProcId(0));
+        let skipped = q.take_seqs(1);
+        q.schedule(100, ProcId(2));
+        assert_eq!(q.next_at(Time::MAX), Some(100));
+        assert_eq!(q.peek_seq(), 0);
+        assert_eq!(q.pop(), Some((100, Some(ProcId(0)))));
+        q.schedule_seq(100, ProcId(1), skipped);
+        assert_eq!(q.peek_seq(), skipped);
+        assert_eq!(q.pop(), Some((100, Some(ProcId(1)))));
+        assert_eq!(q.pop(), Some((100, Some(ProcId(2)))));
     }
 
     #[test]

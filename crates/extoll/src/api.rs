@@ -5,7 +5,7 @@
 use std::cell::Cell;
 
 use tc_mem::{layout, Addr, RegionKind};
-use tc_pcie::Processor;
+use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
 use crate::engine::ExtollNic;
 use crate::notif::{NotifQueueLayout, Notification};
@@ -51,11 +51,25 @@ impl NotifConsumer {
 
     /// Spin until a record is pending, then return it (still not freed).
     pub async fn wait<P: Processor>(&self, p: &P) -> Notification {
-        loop {
-            if let Some(n) = self.try_poll(p).await {
-                return n;
-            }
-        }
+        // The probe of `try_poll`: two 64-bit loads, then the library call.
+        let slot = self.layout.ring.slot(self.rp.get());
+        let loads = [
+            ProbeLoad {
+                addr: slot,
+                kind: LoadKind::U64,
+            },
+            ProbeLoad {
+                addr: slot + 8,
+                kind: LoadKind::U64,
+            },
+        ];
+        let probe = Probe {
+            loads: &loads,
+            instr: 40,
+            spins: Some(&self.poll_spins),
+        };
+        let got = p.spin_until(&probe, |b| record(b).is_some()).await;
+        record(&got.bytes).expect("the accepted probe holds a record")
     }
 
     /// Free the record at the head: zero it (so the slot polls as free
@@ -78,6 +92,11 @@ impl NotifConsumer {
     pub fn consumed(&self) -> u64 {
         self.rp.get()
     }
+}
+
+/// Decode a probed 128-bit queue record.
+fn record(b: &[u8]) -> Option<Notification> {
+    Notification::decode([le(&b[..8]), le(&b[8..])])
 }
 
 /// An open VELO port: a send page plus this port's receive mailbox.

@@ -9,16 +9,23 @@
 //! L2 (they do on Kepler — this is exactly why polling device memory is
 //! cheap, §V-A.3).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
+use std::rc::Rc;
 
 use tc_mem::Addr;
+
+/// One line watch: `(id, first line, last line, callback)`.
+type LineWatch = (u64, u64, u64, Rc<dyn Fn()>);
 
 /// L2 residency model.
 pub struct L2Model {
     line_bytes: u64,
     capacity_lines: usize,
     state: RefCell<L2State>,
+    /// Polled lines of parked spinners.
+    watches: RefCell<Vec<LineWatch>>,
+    next_watch: Cell<u64>,
 }
 
 struct L2State {
@@ -37,6 +44,8 @@ impl L2Model {
                 resident: HashSet::new(),
                 fifo: VecDeque::new(),
             }),
+            watches: RefCell::new(Vec::new()),
+            next_watch: Cell::new(0),
         }
     }
 
@@ -45,15 +54,52 @@ impl L2Model {
         addr / self.line_bytes
     }
 
-    fn insert(&self, line: u64, st: &mut L2State) {
+    /// Make `line` resident; returns the line it evicted, if any.
+    fn insert(&self, line: u64, st: &mut L2State) -> Option<u64> {
         if st.resident.insert(line) {
             st.fifo.push_back(line);
             if st.fifo.len() > self.capacity_lines {
                 if let Some(evict) = st.fifo.pop_front() {
                     st.resident.remove(&evict);
+                    return Some(evict);
                 }
             }
         }
+        None
+    }
+
+    /// Run the callbacks of the watches covering any of `lines`.
+    fn evicted(&self, lines: &[u64]) {
+        let hit: Vec<Rc<dyn Fn()>> = self
+            .watches
+            .borrow()
+            .iter()
+            .filter(|w| lines.iter().any(|&l| w.1 <= l && l <= w.2))
+            .map(|w| w.3.clone())
+            .collect();
+        for f in hit {
+            f();
+        }
+    }
+
+    /// Call `f` when a line of the `len` bytes at `addr` is evicted, until
+    /// [`L2Model::unwatch`]. Returns the watch's handle.
+    pub fn watch(&self, addr: Addr, len: u64, f: Rc<dyn Fn()>) -> u64 {
+        let id = self.next_watch.get();
+        self.next_watch.set(id + 1);
+        let (first, last) = (self.line(addr), self.line(addr + len.max(1) - 1));
+        self.watches.borrow_mut().push((id, first, last, f));
+        id
+    }
+
+    /// Drop watch `id` (no-op if it is gone already).
+    pub fn unwatch(&self, id: u64) {
+        self.watches.borrow_mut().retain(|w| w.0 != id);
+    }
+
+    /// Lines the `len` bytes at `addr` span.
+    pub fn lines(&self, addr: Addr, len: u64) -> u64 {
+        self.line(addr + len.max(1) - 1) - self.line(addr) + 1
     }
 
     /// Access `len` bytes at `addr` for read; returns `(hit_lines,
@@ -63,13 +109,18 @@ impl L2Model {
         let first = self.line(addr);
         let last = self.line(addr + len.max(1) - 1);
         let (mut hits, mut misses) = (0, 0);
+        let mut evicted = Vec::new();
         for line in first..=last {
             if st.resident.contains(&line) {
                 hits += 1;
             } else {
                 misses += 1;
-                self.insert(line, &mut st);
+                evicted.extend(self.insert(line, &mut st));
             }
+        }
+        drop(st);
+        if !evicted.is_empty() {
+            self.evicted(&evicted);
         }
         (hits, misses)
     }
@@ -79,8 +130,13 @@ impl L2Model {
         let mut st = self.state.borrow_mut();
         let first = self.line(addr);
         let last = self.line(addr + len.max(1) - 1);
+        let mut evicted = Vec::new();
         for line in first..=last {
-            self.insert(line, &mut st);
+            evicted.extend(self.insert(line, &mut st));
+        }
+        drop(st);
+        if !evicted.is_empty() {
+            self.evicted(&evicted);
         }
     }
 
@@ -97,8 +153,10 @@ impl L2Model {
     /// Drop all lines.
     pub fn flush(&self) {
         let mut st = self.state.borrow_mut();
+        let lines: Vec<u64> = st.fifo.drain(..).collect();
         st.resident.clear();
-        st.fifo.clear();
+        drop(st);
+        self.evicted(&lines);
     }
 }
 
@@ -141,6 +199,23 @@ mod tests {
         // 512 bytes spanning 5 lines when misaligned.
         assert_eq!(l2.read(64, 512), (0, 5));
         assert_eq!(l2.read(64, 512), (5, 0));
+    }
+
+    #[test]
+    fn evicting_a_watched_line_calls_back() {
+        let l2 = L2Model::new(2 * 128, 128);
+        l2.read(0, 8);
+        let hits = Rc::new(Cell::new(0));
+        let h = hits.clone();
+        let id = l2.watch(0, 8, Rc::new(move || h.set(h.get() + 1)));
+        l2.read(128, 8); // fills the second line: nothing evicted
+        assert_eq!(hits.get(), 0);
+        l2.read(256, 8); // evicts line 0
+        assert_eq!(hits.get(), 1);
+        l2.unwatch(id);
+        l2.flush();
+        assert_eq!(hits.get(), 1);
+        assert_eq!(l2.lines(64, 128), 2);
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod config;
 pub mod counters;
 pub mod kernel;
 pub mod l2;
+mod spin;
 pub mod thread;
 
 pub use config::GpuConfig;

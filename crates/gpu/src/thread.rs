@@ -8,13 +8,24 @@
 
 use std::rc::Rc;
 
+use tc_desim::Time;
 use tc_mem::{Addr, RegionKind};
+use tc_trace::Counter;
 
 use crate::counters::GpuCounters;
 use crate::Gpu;
 
 /// Granularity of sysmem transactions in the nvprof counters the paper uses.
 const SYSMEM_TX_BYTES: u64 = 32;
+
+/// How a load proceeds after its issue step (see [`GpuThread::load_issue`]).
+pub(crate) enum Issued {
+    /// Device memory: the data is there after `delay`; `hit` if every line
+    /// hit the L2.
+    Device { delay: Time, hit: bool },
+    /// System memory: the PCIe read goes out after `sysmem_read_extra`.
+    Sysmem,
+}
 
 /// One GPU thread's execution context.
 #[derive(Clone)]
@@ -76,7 +87,7 @@ impl GpuThread {
         self.record_exec_span(t0, "instr", n);
     }
 
-    fn record_exec_span(&self, t0: tc_desim::Time, name: &'static str, n: u64) {
+    pub(crate) fn record_exec_span(&self, t0: Time, name: &'static str, n: u64) {
         let rec = self.gpu.sim().recorder();
         if rec.on() {
             rec.span(
@@ -90,46 +101,103 @@ impl GpuThread {
         }
     }
 
+    /// Whether a load from `addr` crosses PCIe (host memory or MMIO)
+    /// instead of reaching this GPU's device memory through the L2.
+    pub(crate) fn crosses_pcie(&self, addr: Addr) -> bool {
+        match self.gpu.bus().classify(addr) {
+            RegionKind::GpuDram { node } | RegionKind::GpuBar { node } => {
+                assert_eq!(node, self.gpu.node(), "GPU load from remote device memory");
+                false
+            }
+            RegionKind::HostDram { .. } | RegionKind::Mmio { .. } => true,
+        }
+    }
+
+    /// The counters a load of `len` bytes charges when it issues: across
+    /// PCIe (`sys`), or through the L2 with `hits`/`misses` lines.
+    pub(crate) fn issue_charges(
+        &self,
+        sys: bool,
+        len: u64,
+        hits: u64,
+        misses: u64,
+    ) -> [(&Counter, u64); 6] {
+        let c = self.counters();
+        if sys {
+            let sectors = Self::sectors(len);
+            [
+                (&c.instructions, 1),
+                (&c.mem_accesses, 1),
+                (&c.sysmem_reads, sectors),
+                (&c.l2_read_requests, sectors),
+                (&c.l2_read_misses, sectors),
+                (&c.l2_read_hits, 0),
+            ]
+        } else {
+            [
+                (&c.instructions, 1),
+                (&c.mem_accesses, 1),
+                (&c.globmem64_reads, len.div_ceil(8)),
+                (&c.l2_read_requests, hits + misses),
+                (&c.l2_read_hits, hits),
+                (&c.l2_read_misses, misses),
+            ]
+        }
+    }
+
+    /// A load's issue step: charge its counters (and the L2 lookup for
+    /// device memory).
+    pub(crate) fn load_issue(&self, addr: Addr, len: u64) -> Issued {
+        let sys = self.crosses_pcie(addr);
+        let (hits, misses) = if sys {
+            (0, 0)
+        } else {
+            self.gpu.l2().read(addr, len)
+        };
+        for (c, n) in self.issue_charges(sys, len, hits, misses) {
+            GpuCounters::bump(c, n);
+        }
+        if sys {
+            return Issued::Sysmem;
+        }
+        let cfg = self.gpu.config();
+        let lat = if misses > 0 {
+            cfg.dram_time()
+        } else {
+            cfg.l2_hit_time()
+        };
+        // Additional lines stream behind the first one.
+        let extra = (hits + misses).saturating_sub(1) * tc_desim::time::ns(4);
+        Issued::Device {
+            delay: lat + extra,
+            hit: misses == 0,
+        }
+    }
+
     async fn load(&self, addr: Addr, buf: &mut [u8]) {
         let gpu = &self.gpu;
-        let cfg = gpu.config();
-        let c = self.counters();
-        let len = buf.len() as u64;
         let t0 = gpu.sim().now();
-        GpuCounters::bump(&c.instructions, 1);
-        GpuCounters::bump(&c.mem_accesses, 1);
-        match gpu.bus().classify(addr) {
-            RegionKind::GpuDram { node } | RegionKind::GpuBar { node } => {
-                assert_eq!(node, gpu.node(), "GPU load from remote device memory");
-                GpuCounters::bump(&c.globmem64_reads, len.div_ceil(8));
-                let (hits, misses) = gpu.l2().read(addr, len);
-                GpuCounters::bump(&c.l2_read_requests, hits + misses);
-                GpuCounters::bump(&c.l2_read_hits, hits);
-                GpuCounters::bump(&c.l2_read_misses, misses);
-                let lat = if misses > 0 {
-                    cfg.dram_time()
-                } else {
-                    cfg.l2_hit_time()
-                };
-                // Additional lines stream behind the first one.
-                let extra = (hits + misses).saturating_sub(1) * tc_desim::time::ns(4);
-                gpu.sim().delay(lat + extra).await;
+        match self.load_issue(addr, buf.len() as u64) {
+            Issued::Device { delay, .. } => {
+                gpu.sim().delay(delay).await;
                 gpu.bus().read(addr, buf);
             }
-            RegionKind::HostDram { .. } | RegionKind::Mmio { .. } => {
-                let sectors = Self::sectors(len);
-                GpuCounters::bump(&c.sysmem_reads, sectors);
-                GpuCounters::bump(&c.l2_read_requests, sectors);
-                GpuCounters::bump(&c.l2_read_misses, sectors);
-                gpu.sim().delay(cfg.sysmem_read_extra).await;
+            Issued::Sysmem => {
+                gpu.sim().delay(gpu.config().sysmem_read_extra).await;
                 gpu.endpoint().read(addr, buf).await;
             }
         }
-        let rec = gpu.sim().recorder();
+        self.load_span(t0, addr, buf.len() as u64);
+    }
+
+    /// The recorder span of a load issued at `t0` and complete now.
+    pub(crate) fn load_span(&self, t0: Time, addr: Addr, len: u64) {
+        let sim = self.gpu.sim();
+        let rec = sim.recorder();
         if rec.on() {
             rec.span(
                 t0,
-                gpu.sim().now(),
+                sim.now(),
                 "gpu",
                 self.track.to_string(),
                 "warp_ld",
@@ -276,6 +344,14 @@ impl tc_pcie::Processor for GpuThread {
 
     async fn fence(&self) {
         self.fence_system().await;
+    }
+
+    async fn spin_until(
+        &self,
+        probe: &tc_pcie::Probe<'_>,
+        done: impl FnMut(&[u8]) -> bool,
+    ) -> tc_pcie::Spun {
+        crate::spin::spin_until(self, probe, done).await
     }
 }
 

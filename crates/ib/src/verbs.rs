@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use tc_gpu::Gpu;
 use tc_mem::{layout, Addr, Heap, RegionKind, Ring};
-use tc_pcie::Processor;
+use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
 use crate::hca::IbHca;
 use crate::mr::{Access, MemoryRegion};
@@ -273,6 +273,11 @@ impl IbvCq {
             self.hca.inner.stats.cq_poll_spins.inc();
             return None;
         };
+        Some(self.complete(p, ci, slot, cqe).await)
+    }
+
+    /// The rest of a successful poll of the CQE at consumer index `ci`.
+    async fn complete<P: Processor>(&self, p: &P, ci: u32, slot: Addr, cqe: Cqe) -> WorkCompletion {
         // Field conversion from big-endian.
         p.instr(46).await;
         // "The associated QP has to be picked out of the list of QPs":
@@ -298,23 +303,52 @@ impl IbvCq {
         p.st_u32(self.ci_db_record, ci.wrapping_add(1)).await;
         // Consumer-index arithmetic, lock/unlock bookkeeping.
         p.instr(120).await;
-        Some(WorkCompletion {
+        WorkCompletion {
             qpn: cqe.qpn,
             opcode: cqe.opcode,
             status: cqe.status,
             byte_count: cqe.byte_count,
             imm: cqe.imm,
             wqe_index: cqe.wqe_index,
-        })
+        }
     }
 
-    /// Spin on [`IbvCq::poll`] until a completion arrives.
+    /// Spin on [`IbvCq::poll`]'s probe until a completion arrives.
     pub async fn wait<P: Processor>(&self, p: &P) -> WorkCompletion {
-        loop {
-            if let Some(wc) = self.poll(p).await {
-                return wc;
-            }
-        }
+        // Only this CQ's poller writes its consumer index, so every probe
+        // of one wait loads the same slot.
+        let mut b = [0u8; 8];
+        self.hca.inner.bus.peek(self.state, &mut b);
+        let ci = u64::from_le_bytes(b) as u32;
+        let slot = self.ring.slot(ci as u64);
+        let loads = [
+            ProbeLoad {
+                addr: self.state,
+                kind: LoadKind::State,
+            },
+            ProbeLoad {
+                addr: slot,
+                kind: LoadKind::Bytes(CQ_STRIDE as usize),
+            },
+        ];
+        let probe = Probe {
+            loads: &loads,
+            instr: 14,
+            spins: Some(&self.hca.inner.stats.cq_poll_spins),
+        };
+        let got = p
+            .spin_until(&probe, |b| {
+                le(&b[..8]) as u32 != ci || Cqe::decode(&b[8..]).is_some()
+            })
+            .await;
+        assert_eq!(
+            le(&got.bytes[..8]) as u32,
+            ci,
+            "CQ {} consumer index moved under its poller",
+            self.cqn
+        );
+        let cqe = Cqe::decode(&got.bytes[8..]).expect("the accepted probe holds a CQE");
+        self.complete(p, ci, slot, cqe).await
     }
 }
 

@@ -1,7 +1,8 @@
 //! The fabric bus: routes reads/writes by address to RAM windows, MMIO
 //! devices, or alias windows (e.g. the GPUDirect BAR aperture).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::sparse::SparseMem;
@@ -114,6 +115,41 @@ pub trait BusWatch {
     fn load(&self, addr: Addr);
 }
 
+/// One range watch: `(id, end, callback)`, filed under its first byte.
+type RangeWatch = (u64, Addr, Rc<dyn Fn()>);
+
+/// RAM byte ranges somebody must hear about before a write lands in them
+/// (see [`Bus::watch`]).
+#[derive(Default)]
+struct RangeWatches {
+    next: Cell<u64>,
+    /// Watches by first byte (resolved RAM address).
+    by_start: RefCell<BTreeMap<Addr, Vec<RangeWatch>>>,
+    /// Longest watched range: bounds the overlap search.
+    max_len: Cell<u64>,
+}
+
+impl RangeWatches {
+    /// Run the callback of every watch overlapping `len` bytes at `addr`.
+    fn fire(&self, addr: Addr, len: u64) {
+        let hit: Vec<Rc<dyn Fn()>> = {
+            let by_start = self.by_start.borrow();
+            if by_start.is_empty() || len == 0 {
+                return;
+            }
+            by_start
+                .range(addr.saturating_sub(self.max_len.get())..addr + len)
+                .flat_map(|(_, ws)| ws)
+                .filter(|w| addr < w.1)
+                .map(|w| w.2.clone())
+                .collect()
+        };
+        for f in hit {
+            f();
+        }
+    }
+}
+
 /// The fabric bus. Cheap to clone (shared).
 #[derive(Clone, Default)]
 pub struct Bus {
@@ -122,6 +158,8 @@ pub struct Bus {
     /// every holder of the bus. `None` (the default) costs one borrow and
     /// branch per RAM access.
     watch: Rc<RefCell<Option<Rc<dyn BusWatch>>>>,
+    /// Byte-range watches of parked spinners.
+    ranges: Rc<RangeWatches>,
 }
 
 impl Bus {
@@ -211,8 +249,69 @@ impl Bus {
             .any(|r| addr >= r.base() && addr < r.base() + r.len())
     }
 
+    /// Resolve `addr` through alias windows to the RAM address it names;
+    /// `None` for MMIO, whose reads a watch cannot predict.
+    pub fn resolve(&self, addr: Addr) -> Option<Addr> {
+        enum Hop {
+            Ram,
+            Mmio,
+            Alias(Addr),
+        }
+        match self.with_region(addr, |r| match r {
+            Region::Ram { .. } => Hop::Ram,
+            Region::Mmio { .. } => Hop::Mmio,
+            Region::Alias { base, target, .. } => Hop::Alias(target + (addr - base)),
+        }) {
+            Hop::Ram => Some(addr),
+            Hop::Mmio => None,
+            Hop::Alias(t) => self.resolve(t),
+        }
+    }
+
+    /// Call `f` just before any write overlapping the `len` bytes at `addr`
+    /// (through any alias) lands, until [`Bus::unwatch`]. Returns the
+    /// watch's handle. Panics if the range is MMIO.
+    pub fn watch(&self, addr: Addr, len: u64, f: Rc<dyn Fn()>) -> u64 {
+        let lo = self.resolve(addr).expect("a watched range must be RAM");
+        let r = &self.ranges;
+        let id = r.next.get();
+        r.next.set(id + 1);
+        r.max_len.set(r.max_len.get().max(len));
+        r.by_start
+            .borrow_mut()
+            .entry(lo)
+            .or_default()
+            .push((id, lo + len, f));
+        id
+    }
+
+    /// Drop watch `id` on the range starting at `addr` (no-op if it is
+    /// gone already).
+    pub fn unwatch(&self, addr: Addr, id: u64) {
+        let Some(lo) = self.resolve(addr) else {
+            return;
+        };
+        let mut by_start = self.ranges.by_start.borrow_mut();
+        if let Some(ws) = by_start.get_mut(&lo) {
+            ws.retain(|w| w.0 != id);
+            if ws.is_empty() {
+                by_start.remove(&lo);
+            }
+        }
+    }
+
     /// Data-plane read. Instantaneous; timing is charged by the caller.
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
+        self.read_as(addr, buf, true);
+    }
+
+    /// A read of RAM that the [`BusWatch`] does not see: model
+    /// bookkeeping, not a simulated access.
+    pub fn peek(&self, addr: Addr, buf: &mut [u8]) {
+        self.read_as(addr, buf, false);
+    }
+
+    fn read_as(&self, addr: Addr, buf: &mut [u8], observed: bool) {
         enum Act {
             Done,
             Redirect(Addr),
@@ -222,7 +321,7 @@ impl Bus {
                 mem.read(addr, buf);
                 // Only word-sized reads are dependency-relevant (poll
                 // loops); bulk DMA reads must not consume pending stores.
-                if buf.len() <= 8 {
+                if observed && buf.len() <= 8 {
                     if let Some(w) = &*self.watch.borrow() {
                         w.load(addr & !7);
                     }
@@ -236,7 +335,7 @@ impl Bus {
             Region::Alias { base, target, .. } => Act::Redirect(target + (addr - base)),
         });
         if let Act::Redirect(t) = act {
-            self.read(t, buf);
+            self.read_as(t, buf, observed);
         }
     }
 
@@ -248,6 +347,7 @@ impl Bus {
         }
         let act = self.with_region(addr, |r| match r {
             Region::Ram { mem, .. } => {
+                self.ranges.fire(addr, data.len() as u64);
                 mem.write(addr, data);
                 if !data.is_empty() {
                     if let Some(w) = &*self.watch.borrow() {
@@ -448,6 +548,34 @@ mod tests {
         bus.set_watch(None);
         bus.write_u64(base + 0x10, 3);
         assert_eq!(w.ops.borrow().len(), 6);
+    }
+
+    #[test]
+    fn range_watch_fires_on_overlapping_writes_through_aliases() {
+        let bus = bus_with_ram();
+        bus.add_alias(
+            layout::gpu_bar(0),
+            1 << 20,
+            layout::gpu_dram(0),
+            RegionKind::GpuBar { node: 0 },
+        );
+        let hits = Rc::new(Cell::new(0));
+        let h = hits.clone();
+        let id = bus.watch(
+            layout::gpu_dram(0) + 0x40,
+            8,
+            Rc::new(move || h.set(h.get() + 1)),
+        );
+        bus.write_u64(layout::gpu_dram(0) + 0x48, 1); // adjacent: no overlap
+        bus.write(layout::gpu_bar(0) + 0x3c, &[0u8; 8]); // overlaps via the BAR
+        assert_eq!(hits.get(), 1);
+        assert_eq!(
+            bus.resolve(layout::gpu_bar(0) + 0x40),
+            Some(layout::gpu_dram(0) + 0x40)
+        );
+        bus.unwatch(layout::gpu_dram(0) + 0x40, id);
+        bus.write_u64(layout::gpu_dram(0) + 0x40, 2);
+        assert_eq!(hits.get(), 1);
     }
 
     #[test]

@@ -101,18 +101,30 @@ impl Endpoint {
     /// Issue a small **non-posted read**: stalls the caller for a full PCIe
     /// round trip; data is sampled at completion time.
     pub async fn read(&self, addr: Addr, buf: &mut [u8]) {
-        PcieStats::bump(&self.stats.reads, 1);
-        PcieStats::bump(&self.stats.read_bytes, buf.len() as u64);
-        let wire = self.cfg.wire_time(buf.len() as u64, self.cfg.dma_bw);
-        let end = self.link.reserve(wire) + self.cfg.read_rtt;
         let now = self.sim.now();
+        let end = self.read_issue(buf.len() as u64);
         self.sim.delay(end - now).await;
+        self.read_complete(now, addr, buf);
+    }
+
+    /// Send a non-posted read of `len` bytes: count it and reserve the
+    /// link. Returns the instant the data arrives. [`Endpoint::read`] is
+    /// this, a delay until then, and [`Endpoint::read_complete`].
+    pub fn read_issue(&self, len: u64) -> Time {
+        PcieStats::bump(&self.stats.reads, 1);
+        PcieStats::bump(&self.stats.read_bytes, len);
+        let wire = self.cfg.wire_time(len, self.cfg.dma_bw);
+        self.link.reserve(wire) + self.cfg.read_rtt
+    }
+
+    /// Complete a read issued at `issued`: the data is sampled now.
+    pub fn read_complete(&self, issued: Time, addr: Addr, buf: &mut [u8]) {
         self.bus.read(addr, buf);
-        self.stats.np_read_ps.record(self.sim.now() - now);
+        self.stats.np_read_ps.record(self.sim.now() - issued);
         let rec = self.sim.recorder();
         if rec.on() {
             rec.span(
-                now,
+                issued,
                 self.sim.now(),
                 "pcie",
                 self.track.to_string(),
@@ -120,6 +132,21 @@ impl Endpoint {
                 vec![("addr", addr.into()), ("bytes", (buf.len() as u64).into())],
             );
         }
+    }
+
+    /// Charge `n` reads of `len` bytes that a parked spinner skipped: the
+    /// counters and link occupancy of [`Endpoint::read_issue`], the last
+    /// read issued at `last_issue` on an idle link.
+    pub fn charge_skipped_reads(&self, n: u64, len: u64, last_issue: Time) {
+        PcieStats::bump(&self.stats.reads, n);
+        PcieStats::bump(&self.stats.read_bytes, n * len);
+        let wire = self.cfg.wire_time(len, self.cfg.dma_bw);
+        self.link.skip(n * wire, last_issue + wire);
+    }
+
+    /// Charge `n` skipped read completions of latency `lat`.
+    pub fn charge_skipped_completions(&self, n: u64, lat: Time) {
+        self.stats.np_read_ps.record_n(lat, n);
     }
 
     /// Read a little-endian `u64` with a non-posted read.

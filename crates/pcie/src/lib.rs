@@ -36,7 +36,7 @@ pub mod stats;
 pub use config::PcieConfig;
 pub use endpoint::Endpoint;
 pub use link::Link;
-pub use proc::{CpuConfig, CpuThread, Processor};
+pub use proc::{le, CpuConfig, CpuThread, LoadKind, Probe, ProbeLoad, Processor, Spun};
 pub use stats::PcieStats;
 
 use std::rc::Rc;

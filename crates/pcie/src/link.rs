@@ -1,6 +1,6 @@
 //! Link occupancy tracking.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tc_desim::{time::Time, Sim};
@@ -14,10 +14,16 @@ pub struct Link {
     inner: Rc<LinkInner>,
 }
 
+/// One watch on a link: `(id, callback)`.
+type LinkWatch = (u64, Rc<dyn Fn()>);
+
 struct LinkInner {
     sim: Sim,
     busy_until: Cell<Time>,
     total_busy: Cell<Time>,
+    /// Parked spinners whose skipped reads occupy this link.
+    watches: RefCell<Vec<LinkWatch>>,
+    next_watch: Cell<u64>,
 }
 
 impl Link {
@@ -28,6 +34,8 @@ impl Link {
                 sim,
                 busy_until: Cell::new(0),
                 total_busy: Cell::new(0),
+                watches: RefCell::new(Vec::new()),
+                next_watch: Cell::new(0),
             }),
         }
     }
@@ -35,6 +43,7 @@ impl Link {
     /// Reserve the link for `dur`; returns the completion time. Does not
     /// block the caller — combine with `Sim::delay` to wait.
     pub fn reserve(&self, dur: Time) -> Time {
+        self.notify();
         let now = self.inner.sim.now();
         let start = now.max(self.inner.busy_until.get());
         let end = start + dur;
@@ -52,12 +61,51 @@ impl Link {
 
     /// Time at which the link next becomes idle.
     pub fn busy_until(&self) -> Time {
+        self.notify();
         self.inner.busy_until.get()
     }
 
     /// Cumulative reserved time (for utilization accounting).
     pub fn total_busy(&self) -> Time {
+        self.notify();
         self.inner.total_busy.get()
+    }
+
+    /// Call `f` before the next reservation or occupancy read of this link,
+    /// until [`Link::unwatch`]. Returns the watch's handle.
+    pub fn watch(&self, f: Rc<dyn Fn()>) -> u64 {
+        let id = self.inner.next_watch.get();
+        self.inner.next_watch.set(id + 1);
+        self.inner.watches.borrow_mut().push((id, f));
+        id
+    }
+
+    /// Drop watch `id` (no-op if it is gone already).
+    pub fn unwatch(&self, id: u64) {
+        self.inner.watches.borrow_mut().retain(|w| w.0 != id);
+    }
+
+    /// Account reservations that were skipped instead of made: `busy` of
+    /// occupancy, the last of which keeps the link busy until `until`.
+    pub fn skip(&self, busy: Time, until: Time) {
+        let i = &self.inner;
+        i.total_busy.set(i.total_busy.get() + busy);
+        if until > i.busy_until.get() {
+            i.busy_until.set(until);
+        }
+    }
+
+    fn notify(&self) {
+        let hit: Vec<Rc<dyn Fn()>> = {
+            let w = self.inner.watches.borrow();
+            if w.is_empty() {
+                return;
+            }
+            w.iter().map(|(_, f)| f.clone()).collect()
+        };
+        for f in hit {
+            f();
+        }
     }
 }
 

@@ -17,6 +17,75 @@ use tc_trace::Counter;
 
 use crate::endpoint::Endpoint;
 
+/// How a spin [`Probe`] loads one value: the [`Processor`] method it calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoadKind {
+    /// [`Processor::ld_u32`].
+    U32,
+    /// [`Processor::ld_u64`].
+    U64,
+    /// [`Processor::ld_state`] (8 bytes).
+    State,
+    /// [`Processor::ld_bytes`] of this many bytes.
+    Bytes(usize),
+}
+
+/// One load of a spin [`Probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeLoad {
+    /// Address loaded.
+    pub addr: Addr,
+    /// How it is loaded.
+    pub kind: LoadKind,
+}
+
+impl ProbeLoad {
+    /// Bytes this load returns.
+    pub fn bytes(&self) -> usize {
+        match self.kind {
+            LoadKind::U32 => 4,
+            LoadKind::U64 | LoadKind::State => 8,
+            LoadKind::Bytes(n) => n,
+        }
+    }
+}
+
+/// A spin-wait probe: `loads` in order, then `instr` dependent
+/// instructions, then a predicate over the loaded bytes (concatenated in
+/// load order, little-endian). Each rejected probe bumps `spins`.
+#[derive(Clone, Copy)]
+pub struct Probe<'a> {
+    /// The loads, issued one after another.
+    pub loads: &'a [ProbeLoad],
+    /// Instructions after the loads (compare, branch, bookkeeping).
+    pub instr: u64,
+    /// Counter bumped once per failed probe, when it fails.
+    pub spins: Option<&'a Counter>,
+}
+
+impl Probe<'_> {
+    /// Bytes one probe loads.
+    pub fn bytes(&self) -> usize {
+        self.loads.iter().map(ProbeLoad::bytes).sum()
+    }
+}
+
+/// What [`Processor::spin_until`] returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Spun {
+    /// The accepted probe's bytes.
+    pub bytes: Vec<u8>,
+    /// Probes that failed before it.
+    pub failed: u64,
+}
+
+/// The little-endian value of up to 8 loaded bytes.
+pub fn le(bytes: &[u8]) -> u64 {
+    let mut b = [0u8; 8];
+    b[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(b)
+}
+
 /// A processor that can execute API code against simulated memory.
 ///
 /// Implementations charge their own timing and performance counters.
@@ -51,6 +120,42 @@ pub trait Processor {
     /// Store to a cache-hot software-structure word. Default: plain store.
     async fn st_state(&self, addr: Addr, v: u64) {
         self.st_u64(addr, v).await;
+    }
+
+    /// Spin until `done` accepts a probe: run `probe`'s loads and
+    /// instructions, hand the loaded bytes to `done`, and bump
+    /// `probe.spins` on every rejection. Returns the accepted bytes and
+    /// the number of failed probes.
+    ///
+    /// This default is the plain loop, one simulated probe after another.
+    /// It is the reference an override must match exactly: `GpuThread`
+    /// fast-forwards probes that provably change nothing.
+    async fn spin_until(&self, probe: &Probe<'_>, mut done: impl FnMut(&[u8]) -> bool) -> Spun {
+        let mut bytes = vec![0u8; probe.bytes()];
+        let mut failed = 0;
+        loop {
+            let mut off = 0;
+            for l in probe.loads {
+                let dst = &mut bytes[off..off + l.bytes()];
+                off += dst.len();
+                match l.kind {
+                    LoadKind::U32 => dst.copy_from_slice(&self.ld_u32(l.addr).await.to_le_bytes()),
+                    LoadKind::U64 => dst.copy_from_slice(&self.ld_u64(l.addr).await.to_le_bytes()),
+                    LoadKind::State => {
+                        dst.copy_from_slice(&self.ld_state(l.addr).await.to_le_bytes())
+                    }
+                    LoadKind::Bytes(_) => self.ld_bytes(l.addr, dst).await,
+                }
+            }
+            self.instr(probe.instr).await;
+            if done(&bytes) {
+                return Spun { bytes, failed };
+            }
+            failed += 1;
+            if let Some(c) = probe.spins {
+                c.inc();
+            }
+        }
     }
 }
 

@@ -76,14 +76,24 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record the same sample `n` times: identical to `n` calls of
+    /// [`Histogram::record`], including where the sum saturates.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let c = &self.cell;
-        c.count.set(c.count.get() + 1);
-        c.sum.set(c.sum.get().saturating_add(v));
+        c.count.set(c.count.get() + n);
+        c.sum.set(c.sum.get().saturating_add(v.saturating_mul(n)));
         if v > c.max.get() {
             c.max.set(v);
         }
         let b = &c.buckets[bucket_index(v)];
-        b.set(b.get() + 1);
+        b.set(b.get() + n);
     }
 
     /// Number of recorded samples.
@@ -289,6 +299,19 @@ mod tests {
         assert_eq!(s.buckets[1], 1);
         assert_eq!(s.buckets[2], 2);
         assert_eq!(s.buckets[7], 1); // 100 is 7 bits
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let (a, b) = (Histogram::detached(), Histogram::detached());
+        for v in [7, u64::MAX / 3] {
+            for _ in 0..5 {
+                a.record(v);
+            }
+            b.record_n(v, 5);
+        }
+        b.record_n(9, 0);
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]
