@@ -7,7 +7,7 @@
 //! ```
 //!
 //! With no experiment ids, every experiment in
-//! [`tc_bench::ALL_EXPERIMENTS`] runs. Ids and flags are validated before
+//! [`tc_bench::EXPERIMENTS`] runs. Ids and flags are validated before
 //! anything runs: an unknown id or flag prints a usage error and exits
 //! with status 2. Sweep points of all selected experiments are flattened
 //! into one task list and scheduled on `--jobs` worker threads (default:
@@ -23,8 +23,9 @@
 //! `--metrics DIR` also writes `DIR/<experiment>.timeseries.json` (schema
 //! `tc-timeseries-v1`) for experiments that sample telemetry windows.
 //!
-//! If the `check` or `profile` experiment runs and any claim reports
-//! `[FAIL]`, the process exits with status 1 so CI can gate on it.
+//! If an experiment whose registry row sets `fail_exits` (`check`,
+//! `profile`) reports `[FAIL]`, the process exits with status 1 so CI can
+//! gate on it.
 
 use std::io::Write as _;
 use std::process::exit;
@@ -33,8 +34,8 @@ use std::time::Instant;
 use tc_bench::cli::{parse, usage, Options};
 use tc_bench::pool::Pool;
 use tc_bench::{
-    desimbench, metrics, metrics_report, run_all_with, trace_report, Scale, WorkloadKnobs,
-    ALL_EXPERIMENTS,
+    desimbench, experiment, metrics, metrics_report, run_all, trace_report, Scale, WorkloadKnobs,
+    EXPERIMENTS,
 };
 
 fn write_file(path: &str, contents: &str) {
@@ -160,7 +161,7 @@ fn main() {
     let pool = Pool::new(jobs);
 
     let ids: Vec<&str> = if opts.ids.is_empty() {
-        ALL_EXPERIMENTS.to_vec()
+        EXPERIMENTS.iter().map(|e| e.id).collect()
     } else {
         opts.ids.iter().map(|s| s.as_str()).collect()
     };
@@ -172,22 +173,9 @@ fn main() {
         }
     }
 
-    let defaults = WorkloadKnobs::default();
-    let knobs = WorkloadKnobs {
-        conns: opts.conns.unwrap_or(defaults.conns),
-        loads: opts.load.clone().unwrap_or(defaults.loads),
-        app: opts.app,
-        eager_threshold: opts.eager_threshold,
-        // --full extends the default sweep to 128/256-node sharded
-        // points; an explicit --nodes list wins either way.
-        nodes: opts
-            .nodes
-            .clone()
-            .or_else(|| Some(tc_putget::bench::scaling::node_counts(opts.full))),
-    };
-
+    let knobs = WorkloadKnobs::from_options(&opts);
     let t0 = Instant::now();
-    let (outputs, stats) = run_all_with(&pool, &ids, scale, &knobs);
+    let (outputs, stats) = run_all(&pool, &ids, scale, &knobs);
     let elapsed = t0.elapsed();
 
     let mut check_failed = false;
@@ -205,7 +193,7 @@ fn main() {
                 write_file(&format!("{dir}/{id}.timeseries.json"), series);
             }
         }
-        if matches!(*id, "check" | "profile") && out.text.contains("[FAIL]") {
+        if experiment(id).fail_exits && out.text.contains("[FAIL]") {
             check_failed = true;
         }
     }

@@ -317,11 +317,14 @@ pub fn suite() -> Vec<BenchSpec> {
     ]
 }
 
+/// Timed samples per benchmark, after one warm-up run.
+pub const SAMPLES: u32 = 9;
+
 /// Run every kernel under both queue kinds, then the sharded-ring sweep;
-/// returns median throughputs. Prints the harness min/median/max table as
-/// it goes.
+/// returns the sample count and median throughputs. Prints the harness
+/// min/median/max table as it goes.
 pub fn run_suite() -> (u32, Vec<BenchResult>, Vec<ShardRingResult>) {
-    let mut h = Harness::new("desim");
+    let mut h = Harness::new("desim", SAMPLES);
     let results = suite()
         .into_iter()
         .map(|b| {

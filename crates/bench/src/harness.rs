@@ -1,12 +1,8 @@
-//! A minimal wall-clock benchmark harness.
-//!
-//! The `[[bench]]` targets in this crate are plain `harness = false`
-//! binaries (the workspace builds offline with no external crates, so
-//! criterion is not available). Each target prints its scientific output
-//! (simulated latencies/counters) once, then times the simulator itself
-//! with this harness as a wall-clock regression guard.
-//!
-//! Sample count defaults to 10; override with `TC_BENCH_SAMPLES=n`.
+//! A minimal wall-clock benchmark harness, used by the DES-kernel
+//! microbenchmarks behind `reproduce --bench-desim` (the workspace builds
+//! offline with no external crates, so criterion is not available). A
+//! group times closures over a fixed sample count after one warm-up call
+//! and prints a min/median/max row per closure.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -19,13 +15,10 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Create a group named `group` (conventionally the bench target name).
-    pub fn new(group: &str) -> Self {
-        let samples = std::env::var("TC_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(10);
+    /// Create a group named `group` that times each closure `samples`
+    /// times.
+    pub fn new(group: &str, samples: u32) -> Self {
+        assert!(samples > 0, "a benchmark needs at least one sample");
         Harness {
             group: group.to_string(),
             samples,
@@ -38,15 +31,7 @@ impl Harness {
         self.samples
     }
 
-    /// Time `f` over the group's sample count (after one warm-up call) and
-    /// print a `group/name  min median max` row.
-    pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, f: F) {
-        self.bench_median_ns(name, f);
-    }
-
-    /// Like [`Harness::bench`], but also return the median wall-clock
-    /// nanoseconds per run so callers can derive throughput figures.
-    pub fn bench_median_ns<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) -> u64 {
+    fn print_header(&mut self) {
         if !self.header_printed {
             println!(
                 "{:44} {:>12} {:>12} {:>12}  ({} samples)",
@@ -54,14 +39,11 @@ impl Harness {
             );
             self.header_printed = true;
         }
-        black_box(f());
-        let mut times: Vec<Duration> = (0..self.samples)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(f());
-                t0.elapsed()
-            })
-            .collect();
+    }
+
+    /// Print the `group/name  min median max` row of `times` and return
+    /// the median in nanoseconds (at least 1).
+    fn row(&self, name: &str, times: &mut [Duration]) -> u64 {
         times.sort();
         println!(
             "{:44} {:>12} {:>12} {:>12}",
@@ -71,6 +53,22 @@ impl Harness {
             fmt_duration(times[times.len() - 1]),
         );
         (times[times.len() / 2].as_nanos() as u64).max(1)
+    }
+
+    /// Time `f` over the group's sample count (after one warm-up call),
+    /// print its row, and return the median wall-clock nanoseconds per run
+    /// so callers can derive throughput figures.
+    pub fn bench_median_ns<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) -> u64 {
+        self.print_header();
+        black_box(f());
+        let mut times: Vec<Duration> = (0..self.samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(f());
+                t0.elapsed()
+            })
+            .collect();
+        self.row(name, &mut times)
     }
 
     /// Time two closures with *interleaved* samples — `a, b, a, b, …` —
@@ -89,13 +87,7 @@ impl Harness {
         FA: FnMut() -> A,
         FB: FnMut() -> B,
     {
-        if !self.header_printed {
-            println!(
-                "{:44} {:>12} {:>12} {:>12}  ({} samples)",
-                "benchmark", "min", "median", "max", self.samples
-            );
-            self.header_printed = true;
-        }
+        self.print_header();
         black_box(fa());
         black_box(fb());
         let mut times_a: Vec<Duration> = Vec::with_capacity(self.samples as usize);
@@ -108,18 +100,10 @@ impl Harness {
             black_box(fb());
             times_b.push(t0.elapsed());
         }
-        let median = |name: &str, times: &mut Vec<Duration>| {
-            times.sort();
-            println!(
-                "{:44} {:>12} {:>12} {:>12}",
-                format!("{}/{}", self.group, name),
-                fmt_duration(times[0]),
-                fmt_duration(times[times.len() / 2]),
-                fmt_duration(times[times.len() - 1]),
-            );
-            (times[times.len() / 2].as_nanos() as u64).max(1)
-        };
-        (median(name_a, &mut times_a), median(name_b, &mut times_b))
+        (
+            self.row(name_a, &mut times_a),
+            self.row(name_b, &mut times_b),
+        )
     }
 }
 
@@ -142,9 +126,9 @@ mod tests {
 
     #[test]
     fn bench_runs_closure_and_prints() {
-        let mut h = Harness::new("selftest");
+        let mut h = Harness::new("selftest", 3);
         let mut calls = 0u32;
-        h.bench("noop", || calls += 1);
+        assert!(h.bench_median_ns("noop", || calls += 1) >= 1);
         // One warm-up plus `samples` timed runs.
         assert_eq!(calls, h.samples + 1);
     }

@@ -25,25 +25,23 @@ use std::sync::{Arc, Mutex};
 
 use pool::{Pool, PoolStats, Task};
 
-use tc_putget::bench::ablation;
 use tc_putget::bench::bandwidth::{extoll_bandwidth, ib_bandwidth};
 use tc_putget::bench::check as claims;
-use tc_putget::bench::counters::{
-    fig3_point, table1, table1_case, table2, table2_case, verbs_instruction_counts,
-};
-use tc_putget::bench::crossover;
+use tc_putget::bench::counters::{fig3_point, table1_case, table2_case, verbs_instruction_counts};
 use tc_putget::bench::msgrate::{extoll_msgrate, ib_msgrate};
 use tc_putget::bench::pingpong::{extoll_pingpong, ib_pingpong, PingPongResult};
 use tc_putget::bench::scaling as scaling_mod;
 use tc_putget::bench::sensitivity as sensitivity_mod;
 use tc_putget::bench::workload::{self, ArrivalProcess, WorkloadSpec};
+use tc_putget::bench::{ablation, crossover, profile, staging, timeline, twosided, velo};
 use tc_putget::bench::{
     bandwidth_sizes, latency_sizes, pair_counts, pollratio_sizes, render_series_table, ExtollMode,
     IbMode, RateMode, Series,
 };
 use tc_putget::time;
 use tc_putget::AppKind;
-use tc_putget::{Backend, CounterSnapshot};
+use tc_putget::Backend::{self, Extoll, Infiniband};
+use tc_putget::CounterSnapshot;
 use tc_trace::Snapshot;
 
 /// Workload scale: `quick` for CI-speed runs, `full` for the paper's
@@ -143,17 +141,11 @@ pub struct ExperimentOutput {
 /// with [`plan`], run it with [`ExperimentPlan::run`], or flatten many
 /// into one task list with [`run_all`].
 pub struct ExperimentPlan {
-    id: &'static str,
     tasks: Vec<Task>,
     render: Box<dyn FnOnce() -> ExperimentOutput + Send>,
 }
 
 impl ExperimentPlan {
-    /// The experiment id this plan reproduces.
-    pub fn id(&self) -> &'static str {
-        self.id
-    }
-
     /// Number of independent sweep-point tasks.
     pub fn task_count(&self) -> usize {
         self.tasks.len()
@@ -162,9 +154,8 @@ impl ExperimentPlan {
     /// Run every task on `pool` and render the report. The output is
     /// byte-identical for every pool width.
     pub fn run(self, pool: &Pool) -> ExperimentOutput {
-        let ExperimentPlan { tasks, render, .. } = self;
-        pool.run_tasks(tasks);
-        render()
+        pool.run_tasks(self.tasks);
+        (self.render)()
     }
 }
 
@@ -172,31 +163,19 @@ impl ExperimentPlan {
 /// per-point sim-contribution extractor, and a renderer over the results
 /// in point-index order. Each point writes into its own slot, so
 /// scheduling order cannot affect the output.
-fn plan_points_sim<P, F, S, R>(
-    id: &'static str,
-    n: usize,
-    point: F,
-    sim_of: S,
-    render: R,
-) -> ExperimentPlan
+fn plan_points_sim<P, F, S, R>(n: usize, point: F, sim_of: S, render: R) -> ExperimentPlan
 where
     P: Send + 'static,
     F: Fn(usize) -> P + Send + Sync + 'static,
     S: Fn(&P) -> Option<SimContribution> + Send + 'static,
     R: FnOnce(Vec<P>) -> String + Send + 'static,
 {
-    plan_points_series(id, n, point, sim_of, |results| (render(results), None))
+    plan_points_series(n, point, sim_of, |results| (render(results), None))
 }
 
 /// [`plan_points_sim`] for experiments whose renderer also emits a
 /// telemetry time-series document (`tc-timeseries-v1` JSON).
-fn plan_points_series<P, F, S, R>(
-    id: &'static str,
-    n: usize,
-    point: F,
-    sim_of: S,
-    render: R,
-) -> ExperimentPlan
+fn plan_points_series<P, F, S, R>(n: usize, point: F, sim_of: S, render: R) -> ExperimentPlan
 where
     P: Send + 'static,
     F: Fn(usize) -> P + Send + Sync + 'static,
@@ -231,27 +210,27 @@ where
         let (text, series) = render(results);
         ExperimentOutput { text, sim, series }
     });
-    ExperimentPlan { id, tasks, render }
+    ExperimentPlan { tasks, render }
 }
 
 /// [`plan_points_sim`] for experiments whose points carry no registry
 /// delta (their metrics fall back to the representative scenario).
-fn plan_points<P, F, R>(id: &'static str, n: usize, point: F, render: R) -> ExperimentPlan
+fn plan_points<P, F, R>(n: usize, point: F, render: R) -> ExperimentPlan
 where
     P: Send + 'static,
     F: Fn(usize) -> P + Send + Sync + 'static,
     R: FnOnce(Vec<P>) -> String + Send + 'static,
 {
-    plan_points_sim(id, n, point, |_| None, render)
+    plan_points_sim(n, point, |_| None, render)
 }
 
 /// A plan with exactly one task (experiments that are a single simulation
 /// or whose driver is not decomposed further).
-fn single_plan<F>(id: &'static str, f: F) -> ExperimentPlan
+fn single_plan<F>(f: F) -> ExperimentPlan
 where
     F: Fn() -> String + Send + Sync + 'static,
 {
-    plan_points(id, 1, move |_| f(), |mut v| v.pop().unwrap())
+    plan_points(1, move |_| f(), |mut v| v.pop().unwrap())
 }
 
 /// Assemble one [`Series`] per label from a flat `label-major` result grid
@@ -289,9 +268,7 @@ impl FigPoint {
 /// Shared shape of the figure experiments: a `modes x xs` grid of scalar
 /// measurements rendered as one series per mode, with every point's
 /// registry delta merged into the experiment's sim contribution.
-#[allow(clippy::too_many_arguments)]
 fn figure_plan<M>(
-    id: &'static str,
     title: &'static str,
     x_name: &'static str,
     y_name: &'static str,
@@ -306,7 +283,6 @@ where
     let n = modes.len() * xs.len();
     let xs_point = xs.clone();
     plan_points_sim(
-        id,
         n,
         move |k| point(modes[k / xs_point.len()], xs_point[k % xs_point.len()]),
         |p: &FigPoint| Some(p.sim.clone()),
@@ -317,7 +293,16 @@ where
     )
 }
 
-fn plan_fig1a(scale: Scale) -> ExperimentPlan {
+fn plan_pingpong(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    plan_points_sim(
+        1,
+        move |_| extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, scale.iters, scale.warmup),
+        |r: &PingPongResult| Some(SimContribution::point(r.registry.clone(), r.half_rtt)),
+        |rs| render_pingpong(&rs[0], "EXTOLL"),
+    )
+}
+
+fn plan_fig1a(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     let modes = vec![
         ExtollMode::Dev2DevDirect,
         ExtollMode::Dev2DevPollOnGpu,
@@ -326,7 +311,6 @@ fn plan_fig1a(scale: Scale) -> ExperimentPlan {
     ];
     let labels = modes.iter().map(|m| m.label()).collect();
     figure_plan(
-        "fig1a",
         "Fig. 1a: EXTOLL RMA ping-pong latency",
         "bytes",
         "latency us",
@@ -340,7 +324,7 @@ fn plan_fig1a(scale: Scale) -> ExperimentPlan {
     )
 }
 
-fn plan_fig1b(scale: Scale) -> ExperimentPlan {
+fn plan_fig1b(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     let modes = vec![
         ExtollMode::Dev2DevDirect,
         ExtollMode::Dev2DevAssisted,
@@ -348,7 +332,6 @@ fn plan_fig1b(scale: Scale) -> ExperimentPlan {
     ];
     let labels = modes.iter().map(|m| m.label()).collect();
     figure_plan(
-        "fig1b",
         "Fig. 1b: EXTOLL RMA streaming bandwidth",
         "bytes",
         "MB/s",
@@ -363,7 +346,6 @@ fn plan_fig1b(scale: Scale) -> ExperimentPlan {
 }
 
 fn rate_plan(
-    id: &'static str,
     title: &'static str,
     scale: Scale,
     run: fn(RateMode, u32, u32) -> tc_putget::bench::msgrate::RateResult,
@@ -376,7 +358,6 @@ fn rate_plan(
     ];
     let labels = modes.iter().map(|m| m.label()).collect();
     figure_plan(
-        id,
         title,
         "pairs",
         "MSGs/s",
@@ -390,11 +371,15 @@ fn rate_plan(
     )
 }
 
-fn plan_fig3(scale: Scale) -> ExperimentPlan {
+fn plan_fig2(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    let title = "Fig. 2: EXTOLL RMA message rate (64 B messages)";
+    rate_plan(title, scale, extoll_msgrate)
+}
+
+fn plan_fig3(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     let sizes = pollratio_sizes();
     let sizes_point = sizes.clone();
     plan_points(
-        "fig3",
         sizes.len(),
         move |i| fig3_point(sizes_point[i], scale.iters.min(20)),
         move |points| {
@@ -425,10 +410,9 @@ fn ib_modes() -> (Vec<IbMode>, Vec<&'static str>) {
     (modes, labels)
 }
 
-fn plan_fig4a(scale: Scale) -> ExperimentPlan {
+fn plan_fig4a(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     let (modes, labels) = ib_modes();
     figure_plan(
-        "fig4a",
         "Fig. 4a: Infiniband Verbs ping-pong latency",
         "bytes",
         "latency us",
@@ -442,10 +426,9 @@ fn plan_fig4a(scale: Scale) -> ExperimentPlan {
     )
 }
 
-fn plan_fig4b(scale: Scale) -> ExperimentPlan {
+fn plan_fig4b(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     let (modes, labels) = ib_modes();
     figure_plan(
-        "fig4b",
         "Fig. 4b: Infiniband Verbs streaming bandwidth",
         "bytes",
         "MB/s",
@@ -459,8 +442,14 @@ fn plan_fig4b(scale: Scale) -> ExperimentPlan {
     )
 }
 
-/// Runtime knobs of the open-loop `workload` experiment (the
-/// `--conns`/`--load` CLI flags).
+fn plan_fig5(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    let title = "Fig. 5: Infiniband Verbs message rate (64 B messages)";
+    rate_plan(title, scale, ib_msgrate)
+}
+
+/// Runtime knobs of the `workload` and `scaling` experiments, set by
+/// `reproduce`'s `--conns`, `--load`, `--app`, `--eager-threshold` and
+/// `--nodes` flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadKnobs {
     /// Concurrent connections per load point (1..=32).
@@ -473,24 +462,39 @@ pub struct WorkloadKnobs {
     /// Override of the messenger's eager/rendezvous threshold in bytes
     /// (`--eager-threshold`; `None` uses each backend's default).
     pub eager_threshold: Option<usize>,
-    /// `scaling` experiment: ring sizes to sweep (`--nodes`); `None`
-    /// means the scale-dependent default
-    /// ([`tc_putget::bench::scaling::node_counts`]).
-    pub nodes: Option<Vec<usize>>,
+    /// `scaling` experiment: ring sizes to sweep (`--nodes`).
+    pub nodes: Vec<usize>,
+}
+
+impl WorkloadKnobs {
+    /// The knobs a `reproduce` invocation asks for; every flag it leaves
+    /// out takes its default.
+    pub fn from_options(opts: &cli::Options) -> Self {
+        WorkloadKnobs {
+            conns: opts.conns.unwrap_or(4),
+            // Spanning both knees: Infiniband GPU-driven saturates around
+            // 10 kop/s per connection, EXTOLL around 160 kop/s, so each
+            // backend gets points on both sides of its own knee.
+            loads: opts
+                .load
+                .clone()
+                .unwrap_or_else(|| vec![4.0, 16.0, 64.0, 256.0]),
+            app: opts.app,
+            eager_threshold: opts.eager_threshold,
+            // --full extends the default sweep to the 128/256-node
+            // sharded points.
+            nodes: opts
+                .nodes
+                .clone()
+                .unwrap_or_else(|| scaling_mod::node_counts(opts.full)),
+        }
+    }
 }
 
 impl Default for WorkloadKnobs {
+    /// The knobs of a `reproduce` run without flags.
     fn default() -> Self {
-        // Spanning both knees: Infiniband GPU-driven saturates around
-        // 10 kop/s per connection, EXTOLL around 160 kop/s, so each
-        // backend gets points on both sides of its own knee.
-        WorkloadKnobs {
-            conns: 4,
-            loads: vec![4.0, 16.0, 64.0, 256.0],
-            app: None,
-            eager_threshold: None,
-            nodes: None,
-        }
+        WorkloadKnobs::from_options(&cli::Options::default())
     }
 }
 
@@ -505,7 +509,6 @@ fn plan_workload(scale: Scale, knobs: &WorkloadKnobs) -> ExperimentPlan {
     let per_backend = procs.len() * loads.len();
     let n = backends.len() * per_backend;
     plan_points_sim(
-        "workload",
         n,
         move |k| {
             workload::run(&WorkloadSpec {
@@ -537,7 +540,7 @@ enum CrossoverPoint {
 /// size) cell of the grid plus the application sweep is one independent
 /// simulation, so the plan decomposes under `--jobs` exactly like the
 /// paper figures.
-fn plan_crossover(scale: Scale) -> ExperimentPlan {
+fn plan_crossover(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     let sizes = crossover::sizes();
     let app_sizes = crossover::app_sizes();
     let per_backend = crossover::PROTOS.len() * sizes.len();
@@ -550,7 +553,6 @@ fn plan_crossover(scale: Scale) -> ExperimentPlan {
     let msgs = (scale.bw_messages / 3).max(6);
     let app_iters = scale.iters.min(10);
     plan_points_sim(
-        "crossover",
         n,
         move |k| {
             if k < proto_n {
@@ -583,6 +585,106 @@ fn plan_crossover(scale: Scale) -> ExperimentPlan {
                 }
             }
             crossover::render(&protos, &apps)
+        },
+    )
+}
+
+fn plan_profile(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    plan_points_series(
+        profile::POINTS,
+        profile::point,
+        |_| None,
+        |points| {
+            let (text, series) = profile::render(&points);
+            (text, Some(series.to_json("profile")))
+        },
+    )
+}
+
+fn plan_table1(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    plan_points(
+        2,
+        |i| table1_case(i == 1),
+        |cs| render_table1(&cs[0], &cs[1]),
+    )
+}
+
+fn plan_table2(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    plan_points(
+        2,
+        |i| table2_case(i == 1),
+        |cs| render_table2(&cs[0], &cs[1]),
+    )
+}
+
+fn plan_verbs_instr(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    single_plan(verbs_instr_report)
+}
+
+fn plan_ablations(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    plan_points(
+        ablation::SECTIONS,
+        move |i| ablation::section(i, 1024, scale.iters),
+        |sections| sections.concat(),
+    )
+}
+
+fn plan_staging(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    let sizes = staging::sizes();
+    plan_points(
+        sizes.len(),
+        move |i| staging::point(sizes[i], scale.bw_messages),
+        |results| staging::render(&results),
+    )
+}
+
+fn plan_twosided(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    let sizes = twosided::sizes();
+    plan_points(
+        sizes.len(),
+        move |i| twosided::point(sizes[i], scale.iters),
+        |results| twosided::render(&results),
+    )
+}
+
+fn plan_velo(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    let sizes = velo::sizes();
+    plan_points(
+        sizes.len(),
+        move |i| velo::point(sizes[i], scale.iters),
+        |results| velo::render(&results),
+    )
+}
+
+fn plan_timeline(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    single_plan(|| timeline::report(1024))
+}
+
+fn plan_scaling(_: Scale, knobs: &WorkloadKnobs) -> ExperimentPlan {
+    let counts = knobs.nodes.clone();
+    plan_points(
+        counts.len(),
+        move |i| scaling_mod::point(counts[i], 1024),
+        |results| scaling_mod::render(1024, &results),
+    )
+}
+
+fn plan_sensitivity(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    let knobs = sensitivity_mod::knobs();
+    plan_points(
+        knobs.len(),
+        move |i| sensitivity_mod::check(knobs[i], scale.iters.min(15)),
+        |results| sensitivity_mod::render(&results),
+    )
+}
+
+fn plan_check(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    plan_points(
+        claims::PROBES,
+        move |i| claims::probe(i, scale.iters.min(20)),
+        |probes| {
+            let all: Vec<claims::Claim> = probes.into_iter().flatten().collect();
+            claims::render_claims(&all).0
         },
     )
 }
@@ -680,18 +782,6 @@ fn render_table2(host: &CounterSnapshot, gpu: &CounterSnapshot) -> String {
     out
 }
 
-/// Table I — EXTOLL polling-approach counters, with the paper's values.
-pub fn table1_report() -> String {
-    let (sys, dev) = table1();
-    render_table1(&sys, &dev)
-}
-
-/// Table II — Infiniband buffer-placement counters, with the paper's values.
-pub fn table2_report() -> String {
-    let (host, gpu) = table2();
-    render_table2(&host, &gpu)
-}
-
 /// §V-B.3 — verbs instruction micro-counts vs. the paper's 442/283.
 pub fn verbs_instr_report() -> String {
     let (post, poll) = verbs_instruction_counts();
@@ -712,22 +802,16 @@ pub fn verbs_instr_report() -> String {
     )
 }
 
-/// The fixed smoke scenario behind the `pingpong` experiment, the
-/// `--metrics` export and `--trace`: a 1 KiB GPU-controlled ping-pong at a
-/// small fixed iteration count (deliberately independent of
-/// `--quick`/`--full`, so metrics files are comparable across scales).
-fn representative_run(id: &str) -> PingPongResult {
-    if experiment_uses_ib(id) {
-        ib_pingpong(IbMode::Dev2DevBufOnGpu, 1024, 10, 2)
-    } else {
-        extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, 10, 2)
+/// The fixed smoke scenario behind the `--metrics` fallback of
+/// experiments without their own registry contribution: a 1 KiB
+/// GPU-controlled ping-pong on `fabric` at a small fixed iteration count
+/// (deliberately independent of `--quick`/`--full`, so metrics files are
+/// comparable across scales).
+fn representative_run(fabric: Backend) -> PingPongResult {
+    match fabric {
+        Backend::Extoll => extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, 10, 2),
+        Backend::Infiniband => ib_pingpong(IbMode::Dev2DevBufOnGpu, 1024, 10, 2),
     }
-}
-
-/// Whether `id` studies the Infiniband interconnect (everything else is
-/// EXTOLL or backend-neutral, which the EXTOLL scenario covers).
-fn experiment_uses_ib(id: &str) -> bool {
-    matches!(id, "fig4a" | "fig4b" | "fig5" | "table2" | "verbs-instr")
 }
 
 fn render_pingpong(r: &PingPongResult, interconnect: &str) -> String {
@@ -755,10 +839,10 @@ fn render_pingpong(r: &PingPongResult, interconnect: &str) -> String {
 /// its plan produces one — the figures, the rate sweeps and `workload`
 /// all do. Experiments whose points only carry bare counter snapshots
 /// (the tables, the claims check, ...) fall back to a fixed
-/// [`representative_run`] on their interconnect. Either way the section
-/// is a function of deterministic simulations only — byte-identical
-/// across runs and `--jobs` widths; only the `runner` section (the pool
-/// self-profile passed in) is host wall-clock.
+/// [`representative_run`] on their registry row's fabric. Either way the
+/// section is a function of deterministic simulations only —
+/// byte-identical across runs and `--jobs` widths; only the `runner`
+/// section (the pool self-profile passed in) is host wall-clock.
 pub fn metrics_report(
     id: &str,
     scale_name: &str,
@@ -768,7 +852,7 @@ pub fn metrics_report(
     match sim {
         Some(c) => metrics::render(id, scale_name, &c.registry, c.simulated_ps, runner),
         None => {
-            let r = representative_run(id);
+            let r = representative_run(experiment(id).fabric);
             metrics::render(id, scale_name, &r.registry, r.half_rtt, runner)
         }
     }
@@ -776,18 +860,13 @@ pub fn metrics_report(
 
 /// The Chrome-trace JSON for one experiment (`--trace ID`), loadable in
 /// `chrome://tracing` or Perfetto. Traces one round trip of the fixed
-/// 1 KiB GPU-controlled ping-pong on the experiment's interconnect;
+/// 1 KiB GPU-controlled ping-pong on the experiment's registry fabric;
 /// hardware layers group into one process per node (`node0/gpu`,
 /// `node0/pcie`, ...). Deterministic — byte-identical across runs.
 pub fn trace_report(id: &str) -> String {
-    use tc_putget::{create_pair, Backend, Cluster, QueueLoc};
-    let backend = if experiment_uses_ib(id) {
-        Backend::Infiniband
-    } else {
-        Backend::Extoll
-    };
+    use tc_putget::{create_pair, Cluster, QueueLoc, Transport};
     const LEN: u64 = 1024;
-    let cluster = Cluster::new(backend);
+    let cluster = Cluster::new(experiment(id).fabric);
     let tx0 = cluster.nodes[0].gpu.alloc(LEN, 256);
     let rx1 = cluster.nodes[1].gpu.alloc(LEN, 256);
     let rx0 = cluster.nodes[0].gpu.alloc(LEN, 256);
@@ -818,188 +897,96 @@ pub fn trace_report(id: &str) -> String {
     if id == "profile" {
         // The profile experiment's telemetry windows ride along as
         // Perfetto counter tracks next to the span trace.
-        if let tc_putget::bench::profile::ProfilePoint::Series(run) =
-            tc_putget::bench::profile::point(tc_putget::bench::profile::POINTS - 1)
-        {
+        if let profile::ProfilePoint::Series(run) = profile::point(profile::POINTS - 1) {
             events.extend(run.series.counter_events());
         }
     }
     tc_trace::chrome::to_chrome_json(&events)
 }
 
-/// Every experiment id accepted by the `reproduce` binary.
-pub const ALL_EXPERIMENTS: [&str; 22] = [
-    "pingpong",
-    "workload",
-    "crossover",
-    "profile",
-    "fig1a",
-    "fig1b",
-    "fig2",
-    "fig3",
-    "fig4a",
-    "fig4b",
-    "fig5",
-    "table1",
-    "table2",
-    "verbs-instr",
-    "ablations",
-    "staging",
-    "twosided",
-    "velo",
-    "timeline",
-    "scaling",
-    "sensitivity",
-    "check",
-];
-
-/// Build the execution plan of one experiment by id, with default
-/// workload knobs (see [`plan_with`]).
-pub fn plan(id: &str, scale: Scale) -> ExperimentPlan {
-    plan_with(id, scale, &WorkloadKnobs::default())
+/// One row of [`EXPERIMENTS`]: everything `reproduce` needs to know
+/// about an experiment id.
+pub struct Experiment {
+    /// The id `reproduce` accepts and names output files after.
+    pub id: &'static str,
+    /// Builds the experiment's plan at a scale.
+    plan: fn(Scale, &WorkloadKnobs) -> ExperimentPlan,
+    /// The fabric of the id's representative run: the `--trace` ping-pong
+    /// and the `--metrics` fallback scenario.
+    fabric: Backend,
+    /// A `[FAIL]` in the experiment's output makes `reproduce` exit 1.
+    pub fail_exits: bool,
 }
 
-/// Build the execution plan of one experiment by id.
-///
-/// Panics on an unknown id (the `reproduce` CLI validates ids before
-/// calling this).
-pub fn plan_with(id: &str, scale: Scale, knobs: &WorkloadKnobs) -> ExperimentPlan {
-    match id {
-        "pingpong" => plan_points_sim(
-            "pingpong",
-            1,
-            move |_| extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, scale.iters, scale.warmup),
-            |r: &PingPongResult| Some(SimContribution::point(r.registry.clone(), r.half_rtt)),
-            |rs| render_pingpong(&rs[0], "EXTOLL"),
-        ),
-        "workload" => plan_workload(scale, knobs),
-        "crossover" => plan_crossover(scale),
-        "fig1a" => plan_fig1a(scale),
-        "fig1b" => plan_fig1b(scale),
-        "fig2" => rate_plan(
-            "fig2",
-            "Fig. 2: EXTOLL RMA message rate (64 B messages)",
-            scale,
-            extoll_msgrate,
-        ),
-        "fig3" => plan_fig3(scale),
-        "fig4a" => plan_fig4a(scale),
-        "fig4b" => plan_fig4b(scale),
-        "fig5" => rate_plan(
-            "fig5",
-            "Fig. 5: Infiniband Verbs message rate (64 B messages)",
-            scale,
-            ib_msgrate,
-        ),
-        "table1" => plan_points(
-            "table1",
-            2,
-            |i| table1_case(i == 1),
-            |cs| render_table1(&cs[0], &cs[1]),
-        ),
-        "table2" => plan_points(
-            "table2",
-            2,
-            |i| table2_case(i == 1),
-            |cs| render_table2(&cs[0], &cs[1]),
-        ),
-        "verbs-instr" => single_plan("verbs-instr", verbs_instr_report),
-        "ablations" => plan_points(
-            "ablations",
-            ablation::SECTIONS,
-            move |i| ablation::section(i, 1024, scale.iters),
-            |sections| sections.concat(),
-        ),
-        "staging" => {
-            let sizes = tc_putget::bench::staging::sizes();
-            plan_points(
-                "staging",
-                sizes.len(),
-                move |i| tc_putget::bench::staging::point(sizes[i], scale.bw_messages),
-                |results| tc_putget::bench::staging::render(&results),
-            )
-        }
-        "twosided" => {
-            let sizes = tc_putget::bench::twosided::sizes();
-            plan_points(
-                "twosided",
-                sizes.len(),
-                move |i| tc_putget::bench::twosided::point(sizes[i], scale.iters),
-                |results| tc_putget::bench::twosided::render(&results),
-            )
-        }
-        "velo" => {
-            let sizes = tc_putget::bench::velo::sizes();
-            plan_points(
-                "velo",
-                sizes.len(),
-                move |i| tc_putget::bench::velo::point(sizes[i], scale.iters),
-                |results| tc_putget::bench::velo::render(&results),
-            )
-        }
-        "timeline" => single_plan("timeline", || tc_putget::bench::timeline::report(1024)),
-        "profile" => plan_points_series(
-            "profile",
-            tc_putget::bench::profile::POINTS,
-            tc_putget::bench::profile::point,
-            |_| None,
-            |points| {
-                let (text, series) = tc_putget::bench::profile::render(&points);
-                (text, Some(series.to_json("profile")))
-            },
-        ),
-        "scaling" => {
-            let counts = knobs
-                .nodes
-                .clone()
-                .unwrap_or_else(|| scaling_mod::node_counts(false));
-            plan_points(
-                "scaling",
-                counts.len(),
-                move |i| scaling_mod::point(counts[i], 1024),
-                |results| scaling_mod::render(1024, &results),
-            )
-        }
-        "sensitivity" => {
-            let knobs = sensitivity_mod::knobs();
-            plan_points(
-                "sensitivity",
-                knobs.len(),
-                move |i| sensitivity_mod::check(knobs[i], scale.iters.min(15)),
-                |results| sensitivity_mod::render(&results),
-            )
-        }
-        "check" => plan_points(
-            "check",
-            claims::PROBES,
-            move |i| claims::probe(i, scale.iters.min(20)),
-            |probes| {
-                let all: Vec<claims::Claim> = probes.into_iter().flatten().collect();
-                claims::render_claims(&all).0
-            },
-        ),
-        other => panic!(
-            "unknown experiment {other:?}; known: {}",
-            ALL_EXPERIMENTS.join(", ")
-        ),
+const fn row(
+    id: &'static str,
+    plan: fn(Scale, &WorkloadKnobs) -> ExperimentPlan,
+    fabric: Backend,
+    fail_exits: bool,
+) -> Experiment {
+    Experiment {
+        id,
+        plan,
+        fabric,
+        fail_exits,
     }
 }
 
-/// Run one experiment by id, serially (see [`run_experiment_with`]).
-pub fn run_experiment(id: &str, scale: Scale) -> String {
-    run_experiment_with(&Pool::serial(), id, scale)
+/// Every experiment `reproduce` accepts, in the order it runs them all.
+/// Dispatch, CLI id validation, the `--help` list, the `--metrics` and
+/// `--trace` fabric and the exit gate all read this table.
+pub static EXPERIMENTS: [Experiment; 22] = [
+    row("pingpong", plan_pingpong, Extoll, false),
+    row("workload", plan_workload, Extoll, false),
+    row("crossover", plan_crossover, Extoll, false),
+    row("profile", plan_profile, Extoll, true),
+    row("fig1a", plan_fig1a, Extoll, false),
+    row("fig1b", plan_fig1b, Extoll, false),
+    row("fig2", plan_fig2, Extoll, false),
+    row("fig3", plan_fig3, Extoll, false),
+    row("fig4a", plan_fig4a, Infiniband, false),
+    row("fig4b", plan_fig4b, Infiniband, false),
+    row("fig5", plan_fig5, Infiniband, false),
+    row("table1", plan_table1, Extoll, false),
+    row("table2", plan_table2, Infiniband, false),
+    row("verbs-instr", plan_verbs_instr, Infiniband, false),
+    row("ablations", plan_ablations, Extoll, false),
+    row("staging", plan_staging, Extoll, false),
+    row("twosided", plan_twosided, Extoll, false),
+    row("velo", plan_velo, Extoll, false),
+    row("timeline", plan_timeline, Extoll, false),
+    row("scaling", plan_scaling, Extoll, false),
+    row("sensitivity", plan_sensitivity, Extoll, false),
+    row("check", plan_check, Extoll, true),
+];
+
+/// Every experiment id, in table order, joined by `sep`.
+pub(crate) fn known_ids(sep: &str) -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    ids.join(sep)
 }
 
-/// Run one experiment by id on the given pool and return its text report.
-/// The output is byte-identical for every pool width — the golden test
-/// (`tests/parallel_golden.rs`) enforces this.
-pub fn run_experiment_with(pool: &Pool, id: &str, scale: Scale) -> String {
-    plan(id, scale).run(pool).text
+/// The registry row of `id`.
+///
+/// Panics on an unknown id (the `reproduce` CLI validates ids before
+/// anything runs).
+pub fn experiment(id: &str) -> &'static Experiment {
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.id == id)
+        .unwrap_or_else(|| panic!("unknown experiment {id:?}; known: {}", known_ids(", ")))
 }
 
-/// [`run_all_with`] with default workload knobs.
-pub fn run_all(pool: &Pool, ids: &[&str], scale: Scale) -> (Vec<ExperimentOutput>, PoolStats) {
-    run_all_with(pool, ids, scale, &WorkloadKnobs::default())
+/// Build the execution plan of one experiment by id.
+pub fn plan(id: &str, scale: Scale, knobs: &WorkloadKnobs) -> ExperimentPlan {
+    (experiment(id).plan)(scale, knobs)
+}
+
+/// Run one experiment by id with default knobs on `pool` and return its
+/// text report. The output is byte-identical for every pool width — the
+/// golden test (`tests/parallel_golden.rs`) enforces this.
+pub fn run_experiment(pool: &Pool, id: &str, scale: Scale) -> String {
+    plan(id, scale, &WorkloadKnobs::default()).run(pool).text
 }
 
 /// Run many experiments as **one** flattened task list: the pool schedules
@@ -1008,7 +995,7 @@ pub fn run_all(pool: &Pool, ids: &[&str], scale: Scale) -> (Vec<ExperimentOutput
 /// contribution) are returned in `ids` order, together with the pool's
 /// self-profile of the batch (host wall-clock; the reports themselves
 /// never depend on it).
-pub fn run_all_with(
+pub fn run_all(
     pool: &Pool,
     ids: &[&str],
     scale: Scale,
@@ -1018,9 +1005,7 @@ pub fn run_all_with(
     let mut labels = Vec::new();
     let mut renders: Vec<Box<dyn FnOnce() -> ExperimentOutput + Send>> = Vec::new();
     for id in ids {
-        let ExperimentPlan {
-            tasks: t, render, ..
-        } = plan_with(id, scale, knobs);
+        let ExperimentPlan { tasks: t, render } = plan(id, scale, knobs);
         labels.extend((0..t.len()).map(|i| format!("{id}[{i}]")));
         tasks.extend(t);
         renders.push(render);
@@ -1028,91 +1013,6 @@ pub fn run_all_with(
     let mut stats = pool.run_tasks(tasks);
     stats.task_labels = labels;
     (renders.into_iter().map(|r| r()).collect(), stats)
-}
-
-/// The `pingpong` smoke experiment.
-pub fn pingpong(scale: Scale) -> String {
-    run_experiment("pingpong", scale)
-}
-
-/// Fig. 1a — EXTOLL ping-pong latency.
-pub fn fig1a(scale: Scale) -> String {
-    run_experiment("fig1a", scale)
-}
-
-/// Fig. 1b — EXTOLL streaming bandwidth.
-pub fn fig1b(scale: Scale) -> String {
-    run_experiment("fig1b", scale)
-}
-
-/// Fig. 2 — EXTOLL message rate over connection pairs.
-pub fn fig2(scale: Scale) -> String {
-    run_experiment("fig2", scale)
-}
-
-/// Fig. 3 — EXTOLL polling-time / WR-generation-time ratio.
-pub fn fig3(scale: Scale) -> String {
-    run_experiment("fig3", scale)
-}
-
-/// Fig. 4a — Infiniband ping-pong latency.
-pub fn fig4a(scale: Scale) -> String {
-    run_experiment("fig4a", scale)
-}
-
-/// Fig. 4b — Infiniband streaming bandwidth.
-pub fn fig4b(scale: Scale) -> String {
-    run_experiment("fig4b", scale)
-}
-
-/// Fig. 5 — Infiniband message rate over connection pairs.
-pub fn fig5(scale: Scale) -> String {
-    run_experiment("fig5", scale)
-}
-
-/// The ablation report (design-choice experiments from DESIGN.md).
-pub fn ablations(scale: Scale) -> String {
-    run_experiment("ablations", scale)
-}
-
-/// The host-staged-vs-GPUDirect extension experiment.
-pub fn staging(scale: Scale) -> String {
-    run_experiment("staging", scale)
-}
-
-/// The one-sided vs two-sided extension experiment.
-pub fn twosided(scale: Scale) -> String {
-    run_experiment("twosided", scale)
-}
-
-/// The VELO-vs-RMA extension experiment.
-pub fn velo(scale: Scale) -> String {
-    run_experiment("velo", scale)
-}
-
-/// The single-put timeline (trace of one GPU-controlled put).
-pub fn timeline(scale: Scale) -> String {
-    run_experiment("timeline", scale)
-}
-
-/// The multi-node ring all-reduce scaling experiment.
-pub fn scaling(scale: Scale) -> String {
-    run_experiment("scaling", scale)
-}
-
-/// The calibration-sensitivity sweep.
-pub fn sensitivity(scale: Scale) -> String {
-    run_experiment("sensitivity", scale)
-}
-
-/// The claims self-check.
-pub fn check(scale: Scale) -> String {
-    run_experiment("check", scale)
-}
-
-/// The open-loop latency-under-load sweep.
-pub fn workload_report(scale: Scale) -> String {
-    run_experiment("workload", scale)
 }
 
 /// Human-friendly formatting of a simulated duration.
@@ -1139,46 +1039,47 @@ mod tests {
         assert!(bw_msgs(s, 16 << 20) <= s.bw_messages);
     }
 
+    fn tasks(id: &str) -> usize {
+        plan(id, Scale::quick(), &WorkloadKnobs::default()).task_count()
+    }
+
     #[test]
     fn every_experiment_has_a_plan_with_tasks() {
-        for id in ALL_EXPERIMENTS {
-            let p = plan(id, Scale::quick());
-            assert_eq!(p.id(), id);
-            assert!(p.task_count() >= 1, "{id} has no tasks");
+        for e in &EXPERIMENTS {
+            assert!(tasks(e.id) >= 1, "{} has no tasks", e.id);
         }
         // The figures decompose point-wise, not mode-wise.
-        assert_eq!(plan("fig1a", Scale::quick()).task_count(), 4 * 9);
+        assert_eq!(tasks("fig1a"), 4 * 9);
         // profile: serial/sharded pingpong, two crossover points, one
         // telemetry-sampled workload run.
-        assert_eq!(plan("profile", Scale::quick()).task_count(), 5);
-        assert_eq!(plan("table1", Scale::quick()).task_count(), 2);
+        assert_eq!(tasks("profile"), 5);
+        assert_eq!(tasks("table1"), 2);
         // The extension sweeps decompose per size, so a wide --jobs run
         // is not serialized behind one long task.
-        assert_eq!(plan("staging", Scale::quick()).task_count(), 7);
-        assert_eq!(plan("twosided", Scale::quick()).task_count(), 5);
-        assert_eq!(plan("velo", Scale::quick()).task_count(), 3);
+        assert_eq!(tasks("staging"), 7);
+        assert_eq!(tasks("twosided"), 5);
+        assert_eq!(tasks("velo"), 3);
         // workload: backend x process x load points.
-        assert_eq!(plan("workload", Scale::quick()).task_count(), 2 * 2 * 4);
+        assert_eq!(tasks("workload"), 2 * 2 * 4);
         let knobs = WorkloadKnobs {
             conns: 2,
             loads: vec![8.0, 64.0],
             ..WorkloadKnobs::default()
         };
         assert_eq!(
-            plan_with("workload", Scale::quick(), &knobs).task_count(),
+            plan("workload", Scale::quick(), &knobs).task_count(),
             2 * 2 * 2
         );
         // crossover: backend x protocol x size grid + backend x app x
         // payload sweep, one simulation per cell.
-        assert_eq!(
-            plan("crossover", Scale::quick()).task_count(),
-            2 * 2 * 7 + 2 * 3 * 2
-        );
+        assert_eq!(tasks("crossover"), 2 * 2 * 7 + 2 * 3 * 2);
+        // scaling: one point per default ring size.
+        assert_eq!(tasks("scaling"), scaling_mod::node_counts(false).len());
     }
 
     #[test]
     fn plan_points_render_sees_results_in_index_order() {
-        let p = plan_points("fig1a", 8, |i| i * 10, |v| format!("{v:?}"));
+        let p = plan_points(8, |i| i * 10, |v| format!("{v:?}"));
         let out = p.run(&Pool::new(4));
         assert_eq!(out.text, "[0, 10, 20, 30, 40, 50, 60, 70]");
         assert!(out.sim.is_none(), "bare plan_points contributes no sim");
@@ -1188,7 +1089,6 @@ mod tests {
     fn sim_contributions_fold_deterministically() {
         let mk = || {
             plan_points_sim(
-                "fig1a",
                 6,
                 |i| i as u64,
                 |&i| {
@@ -1218,7 +1118,7 @@ mod tests {
 
     #[test]
     fn pingpong_report_summarizes_the_smoke_run() {
-        let r = pingpong(Scale::quick());
+        let r = run_experiment(&Pool::serial(), "pingpong", Scale::quick());
         assert!(r.contains("half round trip") && r.contains("us"), "{r}");
         assert!(r.contains("gpu instructions"), "{r}");
     }
@@ -1243,14 +1143,15 @@ mod tests {
         // An experiment whose plan carries registry deltas exports its
         // own sweep counters, not the representative ping-pong's.
         let stats = PoolStats::default();
-        let out = plan("pingpong", Scale::quick()).run(&Pool::serial());
+        let knobs = WorkloadKnobs::default();
+        let out = plan("pingpong", Scale::quick(), &knobs).run(&Pool::serial());
         let sim = out.sim.expect("pingpong contributes its own registry");
         let json = metrics_report("pingpong", "quick", Some(&sim), &stats);
         metrics::validate(&json).unwrap();
         assert!(json.contains(&format!("\"simulated_ps\": {}", sim.simulated_ps)));
         assert!(json.contains("\"gpu0.instructions\""), "{json}");
         // Byte-identical across pool widths.
-        let wide = plan("pingpong", Scale::quick()).run(&Pool::new(4));
+        let wide = plan("pingpong", Scale::quick(), &knobs).run(&Pool::new(4));
         let json_wide = metrics_report("pingpong", "quick", wide.sim.as_ref(), &stats);
         assert_eq!(json, json_wide);
     }
@@ -1266,8 +1167,9 @@ mod tests {
 
     #[test]
     fn profile_plan_is_byte_identical_across_jobs_and_emits_series() {
-        let serial = plan("profile", Scale::quick()).run(&Pool::serial());
-        let wide = plan("profile", Scale::quick()).run(&Pool::new(4));
+        let knobs = WorkloadKnobs::default();
+        let serial = plan("profile", Scale::quick(), &knobs).run(&Pool::serial());
+        let wide = plan("profile", Scale::quick(), &knobs).run(&Pool::new(4));
         assert_eq!(
             serial.text, wide.text,
             "profile text must not depend on --jobs"
@@ -1284,10 +1186,26 @@ mod tests {
 
     #[test]
     fn table_reports_include_paper_reference_columns() {
-        let t = table1_report();
+        let t = run_experiment(&Pool::serial(), "table1", Scale::quick());
         assert!(t.contains("sysmem(paper)"));
         assert!(t.contains("4368")); // paper's headline value
-        let t2 = table2_report();
+        let t2 = run_experiment(&Pool::serial(), "table2", Scale::quick());
         assert!(t2.contains("123297"));
+    }
+
+    #[test]
+    fn registry_fabric_and_exit_gate_match_the_experiments() {
+        let ib: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.fabric == Backend::Infiniband)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(ib, ["fig4a", "fig4b", "fig5", "table2", "verbs-instr"]);
+        let gated: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.fail_exits)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(gated, ["profile", "check"]);
     }
 }

@@ -1,180 +1,42 @@
 //! The unified put/get API — the library's public face.
 //!
 //! [`create_pair`] wires a symmetric buffer pair across the two nodes over
-//! whichever backend the cluster was built with, and returns one
-//! [`PutGetEndpoint`] per side. The endpoint exposes the paper's two
-//! fundamental operations (§II-B): *initiate a transfer* ([`PutGetEndpoint::put`],
-//! [`PutGetEndpoint::get`]) and *retrieve the communication status*
-//! ([`PutGetEndpoint::quiet`], [`PutGetEndpoint::wait_arrival`]).
+//! whichever backend the cluster was built with, and returns one connected
+//! [`AnyTransport`] per side. Its [`Transport`](crate::transport::Transport)
+//! methods are the paper's two fundamental operations (§II-B): *initiate a
+//! transfer* (`put`, `get`) and *retrieve the communication status*
+//! (`quiet`, `wait_arrival`).
 //!
-//! Every method takes the executing [`Processor`], so the same program can
-//! be driven by the host CPU or by a GPU thread — the whole point of the
-//! paper's API analysis.
-//!
-//! Backend dispatch lives in [`crate::transport`]: the endpoint is a thin
-//! bounds-checking wrapper over an [`AnyTransport`] built by
-//! [`Backend::instantiate`](crate::cluster::Backend::instantiate); drivers
-//! that need more than put/get (two-sided messages, completion draining)
-//! use [`PutGetEndpoint::transport`] directly.
+//! Every method takes the executing [`Processor`](tc_pcie::Processor), so
+//! the same program can be driven by the host CPU or by a GPU thread — the
+//! whole point of the paper's API analysis.
 
-use std::rc::Rc;
-
-use tc_extoll::RmaPort;
-use tc_ib::{IbvCq, IbvQp};
 use tc_mem::Addr;
-use tc_pcie::Processor;
 
 use crate::cluster::Cluster;
-use crate::transport::{AnyTransport, Transport};
+use crate::transport::AnyTransport;
 
 pub use crate::transport::{CommError, QueueLoc};
 
-/// One side of a connected symmetric-buffer pair.
-pub struct PutGetEndpoint {
-    transport: AnyTransport,
-    local_base: Addr,
-    buf_len: u64,
-}
+/// One side of a connected symmetric-buffer pair: the transport itself.
+pub type PutGetEndpoint = AnyTransport;
 
-/// Create a connected endpoint pair over `cluster`'s backend.
+/// Create a connected transport pair between nodes 0 and 1 over
+/// `cluster`'s backend.
 ///
 /// `buf_a` / `buf_b` are the symmetric buffers (any mix of host and GPU
 /// memory); `queue_loc` picks where Infiniband queue buffers live (ignored
 /// for EXTOLL). Registration and connection setup are control-path
-/// operations and are not timed.
+/// operations and are not timed. For other node pairs, call
+/// [`Backend::instantiate`](crate::cluster::Backend::instantiate).
 pub fn create_pair(
     cluster: &Cluster,
     buf_a: Addr,
     buf_b: Addr,
     buf_len: u64,
     queue_loc: QueueLoc,
-) -> (PutGetEndpoint, PutGetEndpoint) {
-    create_pair_between(cluster, (0, buf_a), (1, buf_b), buf_len, queue_loc)
-}
-
-/// [`create_pair`] between two arbitrary nodes of a multi-node cluster.
-/// `a` and `b` are `(node index, buffer address)`.
-pub fn create_pair_between(
-    cluster: &Cluster,
-    a: (usize, Addr),
-    b: (usize, Addr),
-    buf_len: u64,
-    queue_loc: QueueLoc,
-) -> (PutGetEndpoint, PutGetEndpoint) {
-    let (ta, tb) = cluster
+) -> (AnyTransport, AnyTransport) {
+    cluster
         .backend
-        .instantiate(cluster, a, b, buf_len, queue_loc);
-    (
-        PutGetEndpoint {
-            transport: ta,
-            local_base: a.1,
-            buf_len,
-        },
-        PutGetEndpoint {
-            transport: tb,
-            local_base: b.1,
-            buf_len,
-        },
-    )
-}
-
-impl PutGetEndpoint {
-    /// Wrap an already-connected transport (the sharded ring builder
-    /// connects halves itself, after exchanging exports across shards).
-    pub(crate) fn from_transport(transport: AnyTransport, local_base: Addr, buf_len: u64) -> Self {
-        PutGetEndpoint {
-            transport,
-            local_base,
-            buf_len,
-        }
-    }
-
-    /// The local symmetric buffer's base address (poll received data here).
-    pub fn local_buffer(&self) -> Addr {
-        self.local_base
-    }
-
-    /// The symmetric buffer length.
-    pub fn buf_len(&self) -> u64 {
-        self.buf_len
-    }
-
-    /// The transport behind this endpoint, for drivers that need the full
-    /// [`Transport`] surface (two-sided messages, flush, capabilities).
-    pub fn transport(&self) -> &AnyTransport {
-        &self.transport
-    }
-
-    /// Initiate a put of `len` bytes from local offset `local_off` to
-    /// remote offset `remote_off`. Returns once the operation is *posted*;
-    /// call [`PutGetEndpoint::quiet`] for local completion.
-    ///
-    /// With `notify_remote`, the receiver gets an arrival notification it
-    /// can wait for with [`PutGetEndpoint::wait_arrival`] — on Infiniband
-    /// this uses RDMA-write-with-immediate, so the receiver must have armed
-    /// a slot with [`PutGetEndpoint::arm_arrival`] first; on EXTOLL the
-    /// completer notification needs no receiver action (a key API
-    /// difference the paper highlights in §IV-A).
-    pub async fn put<P: Processor>(
-        &self,
-        p: &P,
-        local_off: u64,
-        remote_off: u64,
-        len: u32,
-        notify_remote: bool,
-    ) {
-        assert!(local_off + len as u64 <= self.buf_len);
-        assert!(remote_off + len as u64 <= self.buf_len);
-        self.transport
-            .put(p, local_off, remote_off, len, notify_remote)
-            .await;
-    }
-
-    /// Fetch `len` bytes from remote offset `remote_off` into local offset
-    /// `local_off`. Blocks until the data has arrived locally.
-    pub async fn get<P: Processor>(
-        &self,
-        p: &P,
-        local_off: u64,
-        remote_off: u64,
-        len: u32,
-    ) -> Result<(), CommError> {
-        assert!(local_off + len as u64 <= self.buf_len);
-        assert!(remote_off + len as u64 <= self.buf_len);
-        self.transport.get(p, local_off, remote_off, len).await
-    }
-
-    /// Wait for local completion of the oldest outstanding put.
-    pub async fn quiet<P: Processor>(&self, p: &P) -> Result<(), CommError> {
-        self.transport.quiet(p).await
-    }
-
-    /// Arm one arrival slot. Required before the *peer* issues a
-    /// `put(..., notify_remote = true)` on Infiniband (posts a receive
-    /// slot); a no-op on EXTOLL.
-    pub async fn arm_arrival<P: Processor>(&self, p: &P) {
-        self.transport.arm_arrival(p).await
-    }
-
-    /// Wait for one arrival notification from the peer; returns the
-    /// notified byte count.
-    pub async fn wait_arrival<P: Processor>(&self, p: &P) -> Result<u32, CommError> {
-        self.transport.wait_arrival(p).await
-    }
-
-    /// Probe for an arrival without blocking.
-    pub async fn try_arrival<P: Processor>(&self, p: &P) -> Option<Result<u32, CommError>> {
-        self.transport.try_arrival(p).await
-    }
-
-    /// The EXTOLL port handle (panics on Infiniband) — for backend-specific
-    /// experiments.
-    pub fn extoll_port(&self) -> &Rc<RmaPort> {
-        self.transport.extoll().rma_port()
-    }
-
-    /// The Infiniband handles (panics on EXTOLL).
-    pub fn ib_handles(&self) -> (&Rc<IbvQp>, &Rc<IbvCq>, &Rc<IbvCq>) {
-        self.transport.ib().ib_handles()
-    }
+        .instantiate(cluster, (0, buf_a), (1, buf_b), buf_len, queue_loc)
 }

@@ -15,6 +15,7 @@ use tc_trace::Snapshot;
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
 use crate::flag::{AssistChannel, DONE, REQUEST};
+use crate::transport::Transport;
 
 use super::{ExtollMode, IbMode};
 

@@ -8,9 +8,10 @@ use std::rc::Rc;
 use tc_desim::time::{self, Time};
 use tc_trace::Snapshot;
 
-use crate::api::{create_pair, PutGetEndpoint, QueueLoc};
+use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
 use crate::flag::{AssistChannel, DONE, REQUEST};
+use crate::transport::{AnyTransport, Transport};
 
 use super::RateMode;
 
@@ -40,7 +41,7 @@ impl RateResult {
     }
 }
 
-fn build_pairs(c: &Cluster, pairs: u32, queue_loc: QueueLoc) -> Vec<Rc<PutGetEndpoint>> {
+fn build_pairs(c: &Cluster, pairs: u32, queue_loc: QueueLoc) -> Vec<Rc<AnyTransport>> {
     (0..pairs)
         .map(|_| {
             let tx = c.nodes[0].gpu.alloc(MSG_SIZE, 256);
@@ -53,7 +54,7 @@ fn build_pairs(c: &Cluster, pairs: u32, queue_loc: QueueLoc) -> Vec<Rc<PutGetEnd
 
 /// One agent's posting loop: post a 64-byte put, wait for the local
 /// completion (requester notification / send CQE), repeat.
-async fn agent_loop<P: tc_pcie::Processor>(ep: &PutGetEndpoint, p: &P, msgs: u32) {
+async fn agent_loop<P: tc_pcie::Processor>(ep: &AnyTransport, p: &P, msgs: u32) {
     for _ in 0..msgs {
         ep.put(p, 0, 0, MSG_SIZE as u32, false).await;
         ep.quiet(p).await.unwrap();

@@ -5,15 +5,17 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
-use tc_gpu::CounterSnapshot;
+use tc_desim::Sim;
+use tc_gpu::{CounterSnapshot, Gpu};
 use tc_ib::{BufLoc, IbvContext, SendOpcode, SendWr};
 use tc_mem::Addr;
 use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 use tc_trace::Snapshot;
 
-use crate::api::{create_pair, PutGetEndpoint, QueueLoc};
+use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
 use crate::flag::{AssistChannel, ARRIVED, DONE, REQUEST};
+use crate::transport::Transport;
 
 use super::{ExtollMode, IbMode};
 
@@ -77,24 +79,84 @@ pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u6
     p.spin_until(&probe, |b| le(b) == v).await;
 }
 
+/// Node 0's measurement of the timed region, shared by every ping-pong
+/// loop: the start instant and snapshots at the first timed iteration,
+/// the end instant, and the per-iteration put and poll sums.
 struct Timing {
-    t_start: Rc<Cell<Time>>,
-    t_end: Rc<Cell<Time>>,
-    put_sum: Rc<Cell<Time>>,
-    poll_sum: Rc<Cell<Time>>,
-    counters_at_start: Rc<RefCell<Option<CounterSnapshot>>>,
-    registry_at_start: Rc<RefCell<Option<Snapshot>>>,
+    sim: Sim,
+    gpu: Gpu,
+    warmup: u32,
+    t_start: Cell<Time>,
+    t_end: Cell<Time>,
+    put_sum: Cell<Time>,
+    poll_sum: Cell<Time>,
+    counters_at_start: Cell<CounterSnapshot>,
+    registry_at_start: RefCell<Snapshot>,
 }
 
 impl Timing {
-    fn new() -> Self {
-        Timing {
-            t_start: Rc::new(Cell::new(0)),
-            t_end: Rc::new(Cell::new(0)),
-            put_sum: Rc::new(Cell::new(0)),
-            poll_sum: Rc::new(Cell::new(0)),
-            counters_at_start: Rc::new(RefCell::new(None)),
-            registry_at_start: Rc::new(RefCell::new(None)),
+    fn new(c: &Cluster, warmup: u32) -> Rc<Self> {
+        Rc::new(Timing {
+            sim: c.sim.clone(),
+            gpu: c.nodes[0].gpu.clone(),
+            warmup,
+            t_start: Cell::new(0),
+            t_end: Cell::new(0),
+            put_sum: Cell::new(0),
+            poll_sum: Cell::new(0),
+            counters_at_start: Cell::default(),
+            registry_at_start: RefCell::default(),
+        })
+    }
+
+    fn now(&self) -> Time {
+        self.sim.now()
+    }
+
+    /// Start of iteration `i`: the timed region opens at iteration
+    /// `warmup`. Returns the iteration's start instant.
+    fn begin(&self, i: u32) -> Time {
+        if i == self.warmup {
+            self.t_start.set(self.now());
+            self.counters_at_start.set(self.gpu.counters().snapshot());
+            *self.registry_at_start.borrow_mut() = self.sim.registry().snapshot();
+        }
+        self.now()
+    }
+
+    /// End of iteration `i`, which posted its put over `[t0, t1)` and
+    /// polled from `t1` until now.
+    fn split(&self, i: u32, t0: Time, t1: Time) {
+        if i >= self.warmup {
+            let t2 = self.now();
+            self.put_sum.set(self.put_sum.get() + (t1 - t0));
+            self.poll_sum.set(self.poll_sum.get() + (t2 - t1));
+        }
+    }
+
+    /// After the last iteration.
+    fn end(&self) {
+        self.t_end.set(self.now());
+    }
+
+    fn finish(&self, size: u64, iters: u32) -> PingPongResult {
+        let span = self.t_end.get().saturating_sub(self.t_start.get());
+        PingPongResult {
+            size,
+            iters,
+            half_rtt: span / (iters as u64) / 2,
+            counters: self
+                .gpu
+                .counters()
+                .snapshot()
+                .delta(&self.counters_at_start.get()),
+            registry: self
+                .sim
+                .registry()
+                .snapshot()
+                .delta(&self.registry_at_start.borrow()),
+            put_time: self.put_sum.get() / iters as u64,
+            poll_time: self.poll_sum.get() / iters as u64,
         }
     }
 }
@@ -136,39 +198,21 @@ pub fn extoll_pingpong_cfg(
     let (a0, a1) = create_pair(&c, tx0, rx1, buf_len, QueueLoc::Host);
     let (b0, b1) = create_pair(&c, rx0, tx1, buf_len, QueueLoc::Host);
     let total = warmup + iters;
-    let tm = Timing::new();
+    let tm = Timing::new(&c, warmup);
     let gpu0 = c.nodes[0].gpu.clone();
 
     match mode {
         ExtollMode::Dev2DevDirect | ExtollMode::HostControlled => {
             // Same protocol, different processor.
-            let a0 = Rc::new(a0);
-            let b0 = Rc::new(b0);
+            let host = mode == ExtollMode::HostControlled;
             {
-                let a0 = a0.clone();
-                let b0 = b0.clone();
-                let (ts, te, ps, qs, cs, rs) = (
-                    tm.t_start.clone(),
-                    tm.t_end.clone(),
-                    tm.put_sum.clone(),
-                    tm.poll_sum.clone(),
-                    tm.counters_at_start.clone(),
-                    tm.registry_at_start.clone(),
-                );
-                let sim = c.sim.clone();
+                let tm = tm.clone();
                 let gpu = gpu0.clone();
                 let cpu0 = c.nodes[0].cpu.clone();
-                let host = mode == ExtollMode::HostControlled;
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
-                        if i == warmup {
-                            ts.set(sim.now());
-                            *cs.borrow_mut() = Some(gpu.counters().snapshot());
-                            *rs.borrow_mut() = Some(sim.registry().snapshot());
-                        }
-                        let timed = i >= warmup;
-                        let t0 = sim.now();
+                        let t0 = tm.begin(i);
                         if host {
                             a0.put(&cpu0, 0, 0, size as u32, true).await;
                         } else {
@@ -178,7 +222,7 @@ pub fn extoll_pingpong_cfg(
                             gt.fence_system().await;
                             a0.put(&gt, 0, 0, size as u32, true).await;
                         }
-                        let t1 = sim.now();
+                        let t1 = tm.now();
                         if host {
                             a0.quiet(&cpu0).await.unwrap();
                             b0.wait_arrival(&cpu0).await.unwrap();
@@ -186,29 +230,24 @@ pub fn extoll_pingpong_cfg(
                             a0.quiet(&gt).await.unwrap();
                             b0.wait_arrival(&gt).await.unwrap();
                         }
-                        let t2 = sim.now();
-                        if timed {
-                            ps.set(ps.get() + (t1 - t0));
-                            qs.set(qs.get() + (t2 - t1));
-                        }
+                        tm.split(i, t0, t1);
                     }
-                    te.set(sim.now());
+                    tm.end();
                 });
             }
             {
                 let cpu1 = c.nodes[1].cpu.clone();
                 let gpu1 = c.nodes[1].gpu.clone();
-                let host = mode == ExtollMode::HostControlled;
                 c.sim.spawn("pp.node1", async move {
                     let gt = gpu1.thread();
                     for _ in 0..total {
                         if host {
                             a1.wait_arrival(&cpu1).await.unwrap();
-                            b1_put(&b1, &cpu1, size).await;
+                            b1.put(&cpu1, 0, 0, size as u32, true).await;
                             b1.quiet(&cpu1).await.unwrap();
                         } else {
                             a1.wait_arrival(&gt).await.unwrap();
-                            b1_put(&b1, &gt, size).await;
+                            b1.put(&gt, 0, 0, size as u32, true).await;
                             b1.quiet(&gt).await.unwrap();
                         }
                     }
@@ -217,34 +256,20 @@ pub fn extoll_pingpong_cfg(
         }
         ExtollMode::Dev2DevPollOnGpu => {
             // No notifications at all: poll the last payload element.
-            let p0 = a0.extoll_port().clone();
-            let p1 = b1.extoll_port().clone();
+            let p0 = a0.extoll().rma_port().clone();
+            let p1 = b1.extoll().rma_port().clone();
             let (nla_tx0, nla_rx1) = extoll_nlas(&c, tx0, rx1, buf_len);
             let (nla_tx1, nla_rx0) = extoll_nlas(&c, tx1, rx0, buf_len);
-            let peer0 = a1.extoll_port().index();
-            let peer1 = b0.extoll_port().index();
+            let peer0 = a1.extoll().rma_port().index();
+            let peer1 = b0.extoll().rma_port().index();
             {
-                let (ts, te, ps, qs, cs, rs) = (
-                    tm.t_start.clone(),
-                    tm.t_end.clone(),
-                    tm.put_sum.clone(),
-                    tm.poll_sum.clone(),
-                    tm.counters_at_start.clone(),
-                    tm.registry_at_start.clone(),
-                );
-                let sim = c.sim.clone();
+                let tm = tm.clone();
                 let gpu = gpu0.clone();
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
-                        if i == warmup {
-                            ts.set(sim.now());
-                            *cs.borrow_mut() = Some(gpu.counters().snapshot());
-                            *rs.borrow_mut() = Some(sim.registry().snapshot());
-                        }
-                        let timed = i >= warmup;
+                        let t0 = tm.begin(i);
                         let marker = i as u64 + 1;
-                        let t0 = sim.now();
                         write_marker(&gt, tx0, buf_len, marker).await;
                         gt.fence_system().await;
                         p0.post_put(
@@ -256,15 +281,11 @@ pub fn extoll_pingpong_cfg(
                             tc_extoll::WrFlags::default(),
                         )
                         .await;
-                        let t1 = sim.now();
+                        let t1 = tm.now();
                         poll_marker(&gt, rx0, buf_len, marker).await;
-                        let t2 = sim.now();
-                        if timed {
-                            ps.set(ps.get() + (t1 - t0));
-                            qs.set(qs.get() + (t2 - t1));
-                        }
+                        tm.split(i, t0, t1);
                     }
-                    te.set(sim.now());
+                    tm.end();
                 });
             }
             {
@@ -331,38 +352,20 @@ pub fn extoll_pingpong_cfg(
             let (snd0, arr0) = chans[0];
             let (snd1, arr1) = chans[1];
             {
-                let (ts, te, ps, qs, cs, rs) = (
-                    tm.t_start.clone(),
-                    tm.t_end.clone(),
-                    tm.put_sum.clone(),
-                    tm.poll_sum.clone(),
-                    tm.counters_at_start.clone(),
-                    tm.registry_at_start.clone(),
-                );
-                let sim = c.sim.clone();
+                let tm = tm.clone();
                 let gpu = gpu0.clone();
                 let stop = stop.clone();
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
-                        if i == warmup {
-                            ts.set(sim.now());
-                            *cs.borrow_mut() = Some(gpu.counters().snapshot());
-                            *rs.borrow_mut() = Some(sim.registry().snapshot());
-                        }
-                        let timed = i >= warmup;
-                        let t0 = sim.now();
+                        let t0 = tm.begin(i);
                         snd0.request(&gt, size, REQUEST).await;
-                        let t1 = sim.now();
+                        let t1 = tm.now();
                         snd0.wait_state(&gt, DONE).await;
                         arr0.wait_state(&gt, ARRIVED).await;
-                        let t2 = sim.now();
-                        if timed {
-                            ps.set(ps.get() + (t1 - t0));
-                            qs.set(qs.get() + (t2 - t1));
-                        }
+                        tm.split(i, t0, t1);
                     }
-                    te.set(sim.now());
+                    tm.end();
                     stop.set(true);
                 });
             }
@@ -381,11 +384,7 @@ pub fn extoll_pingpong_cfg(
     }
 
     c.sim.run();
-    finish(&tm, &gpu0, size, iters)
-}
-
-async fn b1_put<P: Processor>(ep: &PutGetEndpoint, p: &P, size: u64) {
-    ep.put(p, 0, 0, size as u32, true).await;
+    tm.finish(size, iters)
 }
 
 fn extoll_nlas(c: &Cluster, local: Addr, remote: Addr, len: u64) -> (u64, u64) {
@@ -405,21 +404,6 @@ fn extoll_nlas(c: &Cluster, local: Addr, remote: Addr, len: u64) -> (u64, u64) {
     (ln, rn)
 }
 
-fn finish(tm: &Timing, gpu0: &tc_gpu::Gpu, size: u64, iters: u32) -> PingPongResult {
-    let span = tm.t_end.get().saturating_sub(tm.t_start.get());
-    let start = tm.counters_at_start.borrow().unwrap_or_default();
-    let reg_start = tm.registry_at_start.borrow().clone().unwrap_or_default();
-    PingPongResult {
-        size,
-        iters,
-        half_rtt: span / (iters as u64) / 2,
-        counters: gpu0.counters().snapshot().delta(&start),
-        registry: gpu0.sim().registry().snapshot().delta(&reg_start),
-        put_time: tm.put_sum.get() / iters as u64,
-        poll_time: tm.poll_sum.get() / iters as u64,
-    }
-}
-
 /// Run the Infiniband ping-pong of Fig. 4a.
 pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPongResult {
     let c = Cluster::new(Backend::Infiniband);
@@ -429,7 +413,7 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
     let tx1 = c.nodes[1].gpu.alloc(buf_len, 256);
     let rx1 = c.nodes[1].gpu.alloc(buf_len, 256);
     let total = warmup + iters;
-    let tm = Timing::new();
+    let tm = Timing::new(&c, warmup);
     let gpu0 = c.nodes[0].gpu.clone();
 
     match mode {
@@ -463,28 +447,14 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
             let mr_tx1 = ctx1.reg_mr(tx1, buf_len, tc_ib::Access::full());
             let mr_rx1 = ctx1.reg_mr(rx1, buf_len, tc_ib::Access::full());
             {
-                let (ts, te, ps, qs, cs, rs) = (
-                    tm.t_start.clone(),
-                    tm.t_end.clone(),
-                    tm.put_sum.clone(),
-                    tm.poll_sum.clone(),
-                    tm.counters_at_start.clone(),
-                    tm.registry_at_start.clone(),
-                );
-                let sim = c.sim.clone();
+                let tm = tm.clone();
                 let gpu = gpu0.clone();
                 let (qp0, cq0) = (qp0.clone(), cq0.clone());
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
-                        if i == warmup {
-                            ts.set(sim.now());
-                            *cs.borrow_mut() = Some(gpu.counters().snapshot());
-                            *rs.borrow_mut() = Some(sim.registry().snapshot());
-                        }
-                        let timed = i >= warmup;
+                        let t0 = tm.begin(i);
                         let marker = i as u64 + 1;
-                        let t0 = sim.now();
                         write_marker(&gt, tx0, buf_len, marker).await;
                         gt.fence_system().await;
                         qp0.post_send(
@@ -501,17 +471,13 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
                             },
                         )
                         .await;
-                        let t1 = sim.now();
+                        let t1 = tm.now();
                         let wc = cq0.wait(&gt).await;
                         assert_eq!(wc.status, tc_ib::CqeStatus::Success);
                         poll_marker(&gt, rx0, buf_len, marker).await;
-                        let t2 = sim.now();
-                        if timed {
-                            ps.set(ps.get() + (t1 - t0));
-                            qs.set(qs.get() + (t2 - t1));
-                        }
+                        tm.split(i, t0, t1);
                     }
-                    te.set(sim.now());
+                    tm.end();
                 });
             }
             {
@@ -574,41 +540,23 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
                 });
             }
             {
-                let (ts, te, ps, qs, cs, rs) = (
-                    tm.t_start.clone(),
-                    tm.t_end.clone(),
-                    tm.put_sum.clone(),
-                    tm.poll_sum.clone(),
-                    tm.counters_at_start.clone(),
-                    tm.registry_at_start.clone(),
-                );
-                let sim = c.sim.clone();
+                let tm = tm.clone();
                 let gpu = gpu0.clone();
                 let stop = stop.clone();
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
-                        if i == warmup {
-                            ts.set(sim.now());
-                            *cs.borrow_mut() = Some(gpu.counters().snapshot());
-                            *rs.borrow_mut() = Some(sim.registry().snapshot());
-                        }
-                        let timed = i >= warmup;
+                        let t0 = tm.begin(i);
                         let marker = i as u64 + 1;
-                        let t0 = sim.now();
                         write_marker(&gt, tx0, buf_len, marker).await;
                         gt.fence_system().await;
                         snd0.request(&gt, buf_len, REQUEST).await;
-                        let t1 = sim.now();
+                        let t1 = tm.now();
                         snd0.wait_state(&gt, DONE).await;
                         poll_marker(&gt, rx0, buf_len, marker).await;
-                        let t2 = sim.now();
-                        if timed {
-                            ps.set(ps.get() + (t1 - t0));
-                            qs.set(qs.get() + (t2 - t1));
-                        }
+                        tm.split(i, t0, t1);
                     }
-                    te.set(sim.now());
+                    tm.end();
                     stop.set(true);
                 });
             }
@@ -633,40 +581,21 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
             let (a0, a1) = create_pair(&c, tx0, rx1, buf_len, QueueLoc::Host);
             let (b0, b1) = create_pair(&c, rx0, tx1, buf_len, QueueLoc::Host);
             {
-                let (ts, te, ps, qs, cs, rs) = (
-                    tm.t_start.clone(),
-                    tm.t_end.clone(),
-                    tm.put_sum.clone(),
-                    tm.poll_sum.clone(),
-                    tm.counters_at_start.clone(),
-                    tm.registry_at_start.clone(),
-                );
-                let sim = c.sim.clone();
-                let gpu = gpu0.clone();
+                let tm = tm.clone();
                 let cpu0 = c.nodes[0].cpu.clone();
                 c.sim.spawn("pp.node0", async move {
                     // Arm the first pong arrival.
                     b0.arm_arrival(&cpu0).await;
                     for i in 0..total {
-                        if i == warmup {
-                            ts.set(sim.now());
-                            *cs.borrow_mut() = Some(gpu.counters().snapshot());
-                            *rs.borrow_mut() = Some(sim.registry().snapshot());
-                        }
-                        let timed = i >= warmup;
-                        let t0 = sim.now();
+                        let t0 = tm.begin(i);
                         a0.put(&cpu0, 0, 0, buf_len as u32, true).await;
-                        let t1 = sim.now();
+                        let t1 = tm.now();
                         a0.quiet(&cpu0).await.unwrap();
                         b0.wait_arrival(&cpu0).await.unwrap();
                         b0.arm_arrival(&cpu0).await;
-                        let t2 = sim.now();
-                        if timed {
-                            ps.set(ps.get() + (t1 - t0));
-                            qs.set(qs.get() + (t2 - t1));
-                        }
+                        tm.split(i, t0, t1);
                     }
-                    te.set(sim.now());
+                    tm.end();
                 });
             }
             {
@@ -685,7 +614,7 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
     }
 
     c.sim.run();
-    finish(&tm, &gpu0, size, iters)
+    tm.finish(size, iters)
 }
 
 #[cfg(test)]

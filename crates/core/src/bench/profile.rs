@@ -39,6 +39,7 @@ use crate::bench::workload::{self, ArrivalProcess, WorkloadSpec};
 use crate::cluster::{Backend, Cluster};
 use crate::collectives::ring::{build_ring, build_ring_sharded, RingLayout};
 use crate::msg::{messenger_pair, MsgConfig, RendezvousMode};
+use crate::transport::{AnyTransport, Transport};
 
 /// Round trips of the profiled ping-pong (no warm-up: the attribution
 /// covers the whole run, so every wire crossing is on the books).
@@ -263,7 +264,7 @@ fn finish_attr(
 
 async fn pp_initiator<P: Processor>(
     t: &P,
-    ep: &crate::api::PutGetEndpoint,
+    ep: &AnyTransport,
     buf: Addr,
     layout: RingLayout,
     rounds: u32,
@@ -279,7 +280,7 @@ async fn pp_initiator<P: Processor>(
 
 async fn pp_responder<P: Processor>(
     t: &P,
-    ep: &crate::api::PutGetEndpoint,
+    ep: &AnyTransport,
     buf: Addr,
     layout: RingLayout,
     rounds: u32,

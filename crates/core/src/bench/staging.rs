@@ -20,6 +20,7 @@ use tc_desim::time::Time;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
+use crate::transport::Transport;
 
 /// Result of one staged-vs-direct comparison point.
 #[derive(Debug, Clone)]

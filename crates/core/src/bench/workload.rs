@@ -511,7 +511,6 @@ fn spawn_raw_conn(
         let cells = cells.clone();
         c.sim.spawn(&format!("workload.conn{conn}"), async move {
             let t = gpu.thread();
-            let tp = ep0.transport();
             loop {
                 let item = q.borrow_mut().pop_front();
                 match item {
@@ -520,12 +519,12 @@ fn spawn_raw_conn(
                         let mut sent_msg = false;
                         let res = match op {
                             Op::Put(len) => {
-                                tp.put(&t, 0, 0, len, false).await;
-                                tp.quiet(&t).await
+                                ep0.put(&t, 0, 0, len, false).await;
+                                ep0.quiet(&t).await
                             }
-                            Op::Get(len) => tp.get(&t, 0, 0, len).await,
+                            Op::Get(len) => ep0.get(&t, 0, 0, len).await,
                             Op::Msg => {
-                                let r = tp.send(&t, &[0xA5u8; MSG_LEN]).await;
+                                let r = ep0.send(&t, &[0xA5u8; MSG_LEN]).await;
                                 sent_msg = r.is_ok();
                                 r
                             }
@@ -571,13 +570,12 @@ fn spawn_raw_conn(
         let cdone = conn_done.clone();
         let cells = cells.clone();
         c.sim.spawn(&format!("workload.srv{conn}"), async move {
-            let tp = ep1.transport();
-            tp.prime_recv(&cpu, RECV_WINDOW).await;
+            ep1.prime_recv(&cpu, RECV_WINDOW).await;
             loop {
-                while tp.try_recv(&cpu).await.is_some() {
+                while ep1.try_recv(&cpu).await.is_some() {
                     ConnCells::bump(&cells.received);
                 }
-                if cdone.get() && cells.received.get() + tp.recv_drops() >= cells.sent.get() {
+                if cdone.get() && cells.received.get() + ep1.recv_drops() >= cells.sent.get() {
                     break;
                 }
                 sim.delay(SRV_POLL).await;

@@ -1,4 +1,4 @@
-//! Collective operations over [`PutGetEndpoint`] — the beginnings of the
+//! Collective operations over [`AnyTransport`] — the beginnings of the
 //! "GPU communication library" the paper's conclusion gears towards.
 //!
 //! Everything here is built exclusively on the public one-sided API (puts
@@ -13,7 +13,7 @@
 use tc_mem::Addr;
 use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
-use crate::api::PutGetEndpoint;
+use crate::transport::{AnyTransport, Transport};
 
 pub mod ring;
 
@@ -62,15 +62,11 @@ pub(crate) async fn wait_tag<P: Processor>(p: &P, tag: Addr, epoch: u64) {
 /// arrived locally. `epoch` must increase across calls on the same buffer.
 pub async fn exchange<P: Processor>(
     p: &P,
-    ep: &PutGetEndpoint,
+    ep: &AnyTransport,
     local_base: Addr,
     data_len: u64,
     epoch: u64,
 ) {
-    assert!(
-        2 * data_len + 16 <= ep.buf_len(),
-        "buffer too small: need data + scratch_bytes(data)"
-    );
     let l = layout(data_len);
     // Publish the epoch tag, then data + tag (in-order delivery makes the
     // tag the arrival barrier for the data).
@@ -84,7 +80,7 @@ pub async fn exchange<P: Processor>(
 }
 
 /// Two-node barrier: returns once both ranks have entered epoch `epoch`.
-pub async fn barrier<P: Processor>(p: &P, ep: &PutGetEndpoint, local_base: Addr, epoch: u64) {
+pub async fn barrier<P: Processor>(p: &P, ep: &AnyTransport, local_base: Addr, epoch: u64) {
     // A zero-length exchange: just the tags.
     let l = layout(0);
     p.st_u64(local_base + l.tag_out, epoch).await;
@@ -98,7 +94,7 @@ pub async fn barrier<P: Processor>(p: &P, ep: &PutGetEndpoint, local_base: Addr,
 /// `data_len` bytes. `is_root` selects the sender side.
 pub async fn broadcast<P: Processor>(
     p: &P,
-    ep: &PutGetEndpoint,
+    ep: &AnyTransport,
     local_base: Addr,
     data_len: u64,
     epoch: u64,
@@ -123,7 +119,7 @@ pub async fn broadcast<P: Processor>(
 /// of 8.
 pub async fn allreduce_sum_u64<P: Processor>(
     p: &P,
-    ep: &PutGetEndpoint,
+    ep: &AnyTransport,
     local_base: Addr,
     data_len: u64,
     epoch: u64,
@@ -145,10 +141,7 @@ mod tests {
     use crate::api::{create_pair, QueueLoc};
     use crate::cluster::{Backend, Cluster};
 
-    fn setup(
-        backend: Backend,
-        data_len: u64,
-    ) -> (Cluster, Addr, Addr, PutGetEndpoint, PutGetEndpoint) {
+    fn setup(backend: Backend, data_len: u64) -> (Cluster, Addr, Addr, AnyTransport, AnyTransport) {
         let c = Cluster::new(backend);
         let total = data_len + scratch_bytes(data_len);
         let a = c.nodes[0].gpu.alloc(total, 256);

@@ -9,10 +9,10 @@
 use tc_mem::Addr;
 use tc_pcie::Processor;
 
-use crate::api::{create_pair_between, PutGetEndpoint, QueueLoc};
+use crate::api::QueueLoc;
 use crate::cluster::Cluster;
 use crate::shard::ShardCluster;
-use crate::transport::HalfExport;
+use crate::transport::{AnyTransport, HalfExport, Transport};
 
 /// Memory layout of one rank's ring buffer:
 /// `[vector | inbox A | inbox B | tag_out | tag_in]`.
@@ -65,13 +65,13 @@ impl RingLayout {
 /// Build the ring's endpoint pairs: `to_right[n]` sends from rank `n` into
 /// rank `(n+1) % N`'s buffer. `bufs[n]` must be `layout.buffer_bytes()`
 /// long.
-pub fn build_ring(cluster: &Cluster, bufs: &[Addr], layout: RingLayout) -> Vec<PutGetEndpoint> {
+pub fn build_ring(cluster: &Cluster, bufs: &[Addr], layout: RingLayout) -> Vec<AnyTransport> {
     let n = bufs.len();
     assert_eq!(n as u64, layout.nodes);
     (0..n)
         .map(|rank| {
             let right = (rank + 1) % n;
-            let (ep_tx, _ep_rx) = create_pair_between(
+            let (ep_tx, _ep_rx) = cluster.backend.instantiate(
                 cluster,
                 (rank, bufs[rank]),
                 (right, bufs[right]),
@@ -99,7 +99,7 @@ pub fn build_ring_sharded(
     sc: &mut ShardCluster<'_>,
     bufs: &[Addr],
     layout: RingLayout,
-) -> Vec<PutGetEndpoint> {
+) -> Vec<AnyTransport> {
     let n = layout.nodes as usize;
     let owned = sc.owned();
     assert_eq!(bufs.len(), owned.len(), "one buffer per owned rank");
@@ -113,7 +113,7 @@ pub fn build_ring_sharded(
     // projection order: edges ascending, a-side before b-side within an
     // edge. (Serially, node k's ops are "b-side of edge k-1, then a-side
     // of edge k"; ascending edge iteration preserves that per node.)
-    let mut eps: Vec<Option<PutGetEndpoint>> = (0..owned.len()).map(|_| None).collect();
+    let mut eps: Vec<Option<AnyTransport>> = (0..owned.len()).map(|_| None).collect();
     let mut halves = Vec::new();
     let mut exports: Vec<(usize, bool, HalfExport)> = Vec::new();
     for k in 0..n {
@@ -121,7 +121,7 @@ pub fn build_ring_sharded(
         match (owns(a), owns(b)) {
             (true, true) => {
                 let (ep_tx, _ep_rx) =
-                    create_pair_between(&sc.cluster, (a, buf(a)), (b, buf(b)), len, QueueLoc::Host);
+                    backend.instantiate(&sc.cluster, (a, buf(a)), (b, buf(b)), len, QueueLoc::Host);
                 eps[a - first] = Some(ep_tx);
             }
             (true, false) => {
@@ -151,7 +151,7 @@ pub fn build_ring_sharded(
     for (edge, a_side, half) in halves {
         let t = backend.connect_half(half, &peer(edge, !a_side));
         if a_side {
-            eps[edge - first] = Some(PutGetEndpoint::from_transport(t, buf(edge), len));
+            eps[edge - first] = Some(t);
         }
         // b-side transports are dropped, exactly like the serial
         // builder's `_ep_rx`; the connect still ran, so the receiving
@@ -164,7 +164,7 @@ pub fn build_ring_sharded(
 
 async fn ring_step<P: Processor>(
     t: &P,
-    ep: &PutGetEndpoint,
+    ep: &AnyTransport,
     my_buf: Addr,
     layout: RingLayout,
     send_chunk: u64,
@@ -191,7 +191,7 @@ async fn ring_step<P: Processor>(
 /// all vectors hold the element-wise sums.
 pub async fn ring_allreduce_sum_u64<P: Processor>(
     t: &P,
-    ep: &PutGetEndpoint,
+    ep: &AnyTransport,
     my_buf: Addr,
     rank: usize,
     layout: RingLayout,

@@ -14,6 +14,7 @@
 //! ```
 //! use tc_putget::cluster::{Backend, Cluster};
 //! use tc_putget::api::{create_pair, QueueLoc};
+//! use tc_putget::Transport;
 //!
 //! // Two nodes connected back-to-back with EXTOLL.
 //! let c = Cluster::new(Backend::Extoll);
@@ -45,8 +46,8 @@
 //! * [`transport`] — the backend-agnostic transport seam: the
 //!   [`transport::Transport`] trait, its EXTOLL/Infiniband
 //!   implementations, and the `Backend::instantiate` factory.
-//! * [`api`] — the unified put/get endpoint (both backends, both
-//!   processors).
+//! * [`api`] — `create_pair`, the unified put/get entry point (both
+//!   backends, both processors).
 //! * [`collectives`] — exchange/barrier/broadcast/all-reduce built on the
 //!   one-sided API (the "GPU communication library" direction of the
 //!   paper's conclusion).
@@ -65,7 +66,7 @@ pub mod msg;
 pub mod shard;
 pub mod transport;
 
-pub use api::{create_pair, create_pair_between, CommError, PutGetEndpoint, QueueLoc};
+pub use api::{create_pair, CommError, PutGetEndpoint, QueueLoc};
 pub use cluster::{Backend, Cluster, ClusterConfig, Node};
 pub use msg::apps::AppKind;
 pub use msg::{

@@ -13,11 +13,13 @@
 //!
 //! [`ExtollTransport`] wraps the EXTOLL RMA port (and a VELO port for the
 //! two-sided path); [`IbTransport`] wraps an `IbvQp` with its two CQs and
-//! memory regions. [`Backend::instantiate`] is the one factory that still
-//! knows both backends: it performs the whole control path (registration,
-//! port/QP setup, connection cross-wiring) and returns a connected
-//! [`AnyTransport`] pair. Everything above — [`crate::api::PutGetEndpoint`],
-//! the `bench/*` drivers, the collectives — goes through the trait.
+//! memory regions. Both bounds-check every put and get against the
+//! connected symmetric buffers. [`Backend::instantiate`] is the one factory
+//! that still knows both backends: it performs the whole control path
+//! (registration, port/QP setup, connection cross-wiring) and returns a
+//! connected [`AnyTransport`] pair. Everything above —
+//! [`crate::api::create_pair`], the `bench/*` drivers, the collectives, the
+//! message layer — goes through the trait.
 //!
 //! A new backend plugs in by implementing [`Transport`], adding an
 //! [`AnyTransport`] variant, and extending the factory; the generic
@@ -76,6 +78,22 @@ impl From<QueueLoc> for BufLoc {
             QueueLoc::Host => BufLoc::Host,
             QueueLoc::Gpu => BufLoc::Gpu,
         }
+    }
+}
+
+/// Panics unless a put or get of `len` bytes stays inside both buffers:
+/// `[local_off, +len)` in the `local_len`-byte local one and
+/// `[remote_off, +len)` in the `remote_len`-byte remote one.
+fn check_ranges(local_off: u64, remote_off: u64, len: u32, local_len: u64, remote_len: u64) {
+    for (side, off, buf_len) in [
+        ("local", local_off, local_len),
+        ("remote", remote_off, remote_len),
+    ] {
+        assert!(
+            off.checked_add(len as u64)
+                .is_some_and(|end| end <= buf_len),
+            "{side} range {off}+{len} passes the end of the {buf_len}-byte buffer"
+        );
     }
 }
 
@@ -147,7 +165,8 @@ pub const IB_CAPS: TransportCaps = TransportCaps {
 ///   retrieved with [`quiet`](Transport::quiet) (oldest outstanding put),
 ///   [`flush`](Transport::flush) (all outstanding puts) or
 ///   [`poll_completions`](Transport::poll_completions) (non-blocking
-///   drain). [`get`](Transport::get) blocks until the data arrived.
+///   drain). [`get`](Transport::get) blocks until the data arrived. Both
+///   panic if the local or the remote range passes its buffer's end.
 /// * [`send`](Transport::send) is a two-sided small message (payload ≤
 ///   [`TransportCaps::max_small_message`]); it completes locally before
 ///   returning and orders after the sender's outstanding puts.
@@ -185,6 +204,12 @@ pub trait Transport {
 
     /// Initiate a put of `len` bytes from local offset `local_off` to
     /// remote offset `remote_off` of the connected buffer pair.
+    ///
+    /// With `notify_remote`, the receiver gets an arrival notification it
+    /// can wait for with [`Transport::wait_arrival`]. On Infiniband this is
+    /// an RDMA write-with-immediate, so the receiver must have armed a slot
+    /// with [`Transport::arm_arrival`] first; EXTOLL's completer
+    /// notification needs no receiver action (§IV-A of the paper).
     async fn put<P: Processor>(
         &self,
         p: &P,
@@ -257,6 +282,8 @@ pub struct ExtollTransport {
     peer_port: u16,
     local_nla: u64,
     remote_nla: u64,
+    /// Length of both symmetric buffers.
+    buf_len: u64,
     velo: VeloPort,
     velo_peer: u16,
     outstanding: Cell<u64>,
@@ -293,6 +320,7 @@ impl Transport for ExtollTransport {
         len: u32,
         notify_remote: bool,
     ) {
+        check_ranges(local_off, remote_off, len, self.buf_len, self.buf_len);
         self.port
             .post_put(
                 p,
@@ -317,6 +345,7 @@ impl Transport for ExtollTransport {
         remote_off: u64,
         len: u32,
     ) -> Result<(), CommError> {
+        check_ranges(local_off, remote_off, len, self.buf_len, self.buf_len);
         self.port
             .post_get(
                 p,
@@ -425,12 +454,6 @@ pub struct IbTransport {
 }
 
 impl IbTransport {
-    /// The verbs handles `(qp, send_cq, recv_cq)` — for experiments that
-    /// need backend internals.
-    pub fn ib_handles(&self) -> (&Rc<IbvQp>, &Rc<IbvCq>, &Rc<IbvCq>) {
-        (&self.qp, &self.send_cq, &self.recv_cq)
-    }
-
     fn rx_slot(&self, index: u64) -> Addr {
         self.msg_mr.addr + (MSG_SLOTS + (index % MSG_SLOTS)) * MSG_SLOT_LEN
     }
@@ -491,6 +514,8 @@ impl Transport for IbTransport {
         len: u32,
         notify_remote: bool,
     ) {
+        let (local_len, remote_len) = (self.mr_local.len, self.mr_remote.len);
+        check_ranges(local_off, remote_off, len, local_len, remote_len);
         self.qp
             .post_send(
                 p,
@@ -520,6 +545,8 @@ impl Transport for IbTransport {
         remote_off: u64,
         len: u32,
     ) -> Result<(), CommError> {
+        let (local_len, remote_len) = (self.mr_local.len, self.mr_remote.len);
+        check_ranges(local_off, remote_off, len, local_len, remote_len);
         self.qp
             .post_send(
                 p,
@@ -653,14 +680,6 @@ impl AnyTransport {
         match self {
             AnyTransport::Extoll(t) => t,
             _ => panic!("not an EXTOLL transport"),
-        }
-    }
-
-    /// The Infiniband transport (panics on EXTOLL).
-    pub fn ib(&self) -> &IbTransport {
-        match self {
-            AnyTransport::Ib(t) => t,
-            _ => panic!("not an Infiniband transport"),
         }
     }
 }
@@ -801,6 +820,7 @@ enum HalfImp {
     Extoll {
         port: Rc<RmaPort>,
         nla: u64,
+        buf_len: u64,
         velo: VeloPort,
         drops: tc_trace::Counter,
     },
@@ -880,6 +900,7 @@ impl Backend {
                     HalfBuilt(HalfImp::Extoll {
                         port,
                         nla,
+                        buf_len,
                         velo,
                         drops,
                     }),
@@ -936,6 +957,7 @@ impl Backend {
                 HalfImp::Extoll {
                     port,
                     nla,
+                    buf_len,
                     velo,
                     drops,
                 },
@@ -953,6 +975,7 @@ impl Backend {
                     port,
                     local_nla: nla,
                     remote_nla: peer_nla,
+                    buf_len,
                     velo,
                     velo_peer: velo_port,
                     outstanding: Cell::new(0),

@@ -214,7 +214,7 @@ impl Default for Sim {
 
 impl Sim {
     /// Create an empty simulation at time zero, using the default event
-    /// queue ([`QueueKind::Wheel`] unless the `ref-heap` feature is on).
+    /// queue ([`QueueKind::Wheel`]).
     pub fn new() -> Self {
         Self::with_queue(QueueKind::default())
     }

@@ -46,24 +46,15 @@ use crate::time::Time;
 /// the seed binary-heap implementation, kept as the golden reference:
 /// `crates/desim/tests/queue_equivalence.rs` drives randomized schedules
 /// through both and asserts identical execution logs, and the
-/// `--bench-desim` suite reports the wheel's speedup over it. The
-/// `ref-heap` cargo feature flips the default back to the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `--bench-desim` suite reports the wheel's speedup over it. Select it
+/// with [`crate::Sim::with_queue`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Slab-backed hierarchical timing wheel (default).
+    #[default]
     Wheel,
     /// Seed-faithful `BinaryHeap` of `Rc` timers (golden reference).
     RefHeap,
-}
-
-impl Default for QueueKind {
-    fn default() -> Self {
-        if cfg!(feature = "ref-heap") {
-            QueueKind::RefHeap
-        } else {
-            QueueKind::Wheel
-        }
-    }
 }
 
 const LEVEL_BITS: u32 = 6;
@@ -720,12 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn default_kind_tracks_the_feature() {
-        let expect = if cfg!(feature = "ref-heap") {
-            QueueKind::RefHeap
-        } else {
-            QueueKind::Wheel
-        };
-        assert_eq!(QueueKind::default(), expect);
+    fn default_kind_is_the_wheel() {
+        assert_eq!(QueueKind::default(), QueueKind::Wheel);
     }
 }

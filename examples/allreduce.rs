@@ -9,12 +9,12 @@
 //! The exchange is symmetric: each GPU puts its vector into the peer's
 //! staging area (tag last, relying on in-order delivery), waits for the
 //! peer's vector, and reduces locally. Works identically over EXTOLL and
-//! Infiniband because it is written against the unified `PutGetEndpoint`.
+//! Infiniband because it is written against the `Transport` seam.
 
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
 use tc_repro::putget::time;
-use tc_repro::putget::Processor;
+use tc_repro::putget::{AnyTransport, Processor, Transport};
 
 const N: usize = 256; // u64 elements per GPU
 
@@ -57,7 +57,7 @@ fn main() {
     async fn rank<P: Processor>(
         t: P,
         my_buf: u64,
-        ep: tc_repro::putget::PutGetEndpoint,
+        ep: AnyTransport,
         stage_off: u64,
         tag_out: u64,
         tag_in: u64,

@@ -20,7 +20,7 @@
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
 use tc_repro::putget::time;
-use tc_repro::putget::Processor;
+use tc_repro::putget::{AnyTransport, Processor, Transport};
 
 const CELLS_PER_NODE: usize = 64;
 const ITERS: usize = 20;
@@ -101,7 +101,7 @@ fn main() {
         tag_out: u64,
         tag_in: u64,
         // put endpoint towards the neighbour + which halo slot to fill
-        put: tc_repro::putget::PutGetEndpoint,
+        put: AnyTransport,
         boundary_cell_off: u64,
         neighbour_halo_off: u64,
     ) {

@@ -12,6 +12,7 @@
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
 use tc_repro::putget::time;
+use tc_repro::putget::Transport;
 
 fn main() {
     // Two nodes connected back-to-back with EXTOLL.

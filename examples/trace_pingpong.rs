@@ -14,6 +14,7 @@
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
 use tc_repro::putget::time;
+use tc_repro::putget::Transport;
 use tc_repro::trace::chrome;
 
 fn main() {

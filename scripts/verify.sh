@@ -14,6 +14,11 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test -q
 
+echo "== benchmark package: build + unit tests (its own workspace) =="
+# examples/benchmark compiles against the public simulator API; nothing
+# else builds it, so an API break would otherwise surface only in bench.sh.
+cargo test --release -q --manifest-path examples/benchmark/Cargo.toml
+
 echo "== lint: rustfmt (check only) =="
 cargo fmt --check
 
@@ -76,7 +81,7 @@ echo "== DES-kernel microbenchmarks (tc-desim-bench-v1 -> BENCH_desim.json) =="
 # Compare against the previous report first so a >25% wheel-throughput
 # regression fails verification (the shard_ring series gates on its
 # 1-shard point only — multi-shard points depend on host core count).
-TC_BENCH_SAMPLES="${TC_BENCH_SAMPLES:-9}" cargo run --release -p tc-bench --bin reproduce -- \
+cargo run --release -p tc-bench --bin reproduce -- \
     --bench-desim "$metrics_dir/BENCH_desim.json"
 cargo run --release -p tc-bench --bin reproduce -- \
     --validate-metrics "$metrics_dir/BENCH_desim.json"

@@ -25,4 +25,4 @@ pub use tc_pcie as pcie;
 pub use tc_putget as putget;
 pub use tc_trace as trace;
 
-pub use tc_putget::{create_pair, Backend, Cluster, CommError, PutGetEndpoint, QueueLoc};
+pub use tc_putget::{create_pair, AnyTransport, Backend, Cluster, CommError, QueueLoc, Transport};

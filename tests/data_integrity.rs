@@ -7,6 +7,7 @@
 
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
+use tc_repro::putget::Transport;
 use tc_trace::rng::XorShift64;
 
 const CASES: u64 = 12;

@@ -1,8 +1,9 @@
 //! Multi-node (N > 2) integration tests: the switch-based generalization of
 //! the paper's two-node testbed.
 
-use tc_repro::putget::api::{create_pair_between, QueueLoc};
+use tc_repro::putget::api::QueueLoc;
 use tc_repro::putget::cluster::{Backend, Cluster};
+use tc_repro::putget::Transport;
 
 #[test]
 fn four_nodes_all_to_one_data_integrity() {
@@ -20,7 +21,7 @@ fn four_nodes_all_to_one_data_integrity() {
             c.bus.write(buf, &data);
             expected.push((sink_bufs[src - 1], data));
             let (_sink_ep, src_ep) =
-                create_pair_between(&c, (0, sink_bufs[src - 1]), (src, buf), LEN, QueueLoc::Host);
+                backend.instantiate(&c, (0, sink_bufs[src - 1]), (src, buf), LEN, QueueLoc::Host);
             let gpu = c.nodes[src].gpu.clone();
             c.sim.spawn(&format!("src{src}"), async move {
                 let t = gpu.thread();
@@ -54,7 +55,7 @@ fn ring_neighbours_exchange_on_eight_nodes() {
         .collect();
     for n in 0..N {
         let right = (n + 1) % N;
-        let (ep_tx, _ep_rx) = create_pair_between(
+        let (ep_tx, _ep_rx) = c.backend.instantiate(
             &c,
             (n, bufs[n].0),
             (right, bufs[right].1),

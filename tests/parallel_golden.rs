@@ -4,16 +4,14 @@
 //! any divergence means shared state leaked between points.
 
 use tc_repro::bench::pool::{Pool, PoolStats};
-use tc_repro::bench::{
-    metrics_report, plan_with, run_all, run_experiment_with, Scale, WorkloadKnobs,
-};
+use tc_repro::bench::{metrics_report, plan, run_all, run_experiment, Scale, WorkloadKnobs};
 
 #[test]
 fn parallel_output_is_byte_identical_to_serial() {
     let scale = Scale::quick();
     for id in ["table1", "table2", "fig1a"] {
-        let serial = run_experiment_with(&Pool::serial(), id, scale);
-        let parallel = run_experiment_with(&Pool::new(4), id, scale);
+        let serial = run_experiment(&Pool::serial(), id, scale);
+        let parallel = run_experiment(&Pool::new(4), id, scale);
         assert_eq!(
             serial, parallel,
             "{id} diverged between --jobs 1 and --jobs 4"
@@ -32,8 +30,8 @@ fn workload_curves_are_byte_identical_across_jobs() {
     };
     let mut scale = Scale::quick();
     scale.workload_ops = 40;
-    let serial = plan_with("workload", scale, &knobs).run(&Pool::serial());
-    let wide = plan_with("workload", scale, &knobs).run(&Pool::new(4));
+    let serial = plan("workload", scale, &knobs).run(&Pool::serial());
+    let wide = plan("workload", scale, &knobs).run(&Pool::new(4));
     assert_eq!(
         serial.text, wide.text,
         "workload diverged between --jobs 1 and --jobs 4"
@@ -57,8 +55,8 @@ fn crossover_grid_is_byte_identical_across_jobs() {
     scale.iters = 6;
     scale.bw_messages = 12;
     let knobs = WorkloadKnobs::default();
-    let serial = plan_with("crossover", scale, &knobs).run(&Pool::serial());
-    let wide = plan_with("crossover", scale, &knobs).run(&Pool::new(4));
+    let serial = plan("crossover", scale, &knobs).run(&Pool::serial());
+    let wide = plan("crossover", scale, &knobs).run(&Pool::new(4));
     assert_eq!(
         serial.text, wide.text,
         "crossover diverged between --jobs 1 and --jobs 4"
@@ -78,7 +76,7 @@ fn crossover_grid_is_byte_identical_across_jobs() {
 fn run_all_returns_reports_in_input_order() {
     let scale = Scale::quick();
     let ids = ["table2", "table1"];
-    let (outputs, stats) = run_all(&Pool::new(4), &ids, scale);
+    let (outputs, stats) = run_all(&Pool::new(4), &ids, scale, &WorkloadKnobs::default());
     assert_eq!(outputs.len(), 2);
     assert_eq!(stats.tasks, 4, "two 2-task table experiments");
     assert!(
@@ -91,7 +89,7 @@ fn run_all_returns_reports_in_input_order() {
     );
     // And each matches its serial single-experiment run.
     for (id, out) in ids.iter().zip(&outputs) {
-        let serial = run_experiment_with(&Pool::serial(), id, scale);
+        let serial = run_experiment(&Pool::serial(), id, scale);
         assert_eq!(serial, out.text, "{id} diverged inside run_all");
     }
 }

@@ -7,7 +7,7 @@
 //! shard-local build deviated from the serial allocation order.
 
 use tc_repro::bench::pool::Pool;
-use tc_repro::bench::{plan_with, Scale, WorkloadKnobs};
+use tc_repro::bench::{plan, Scale, WorkloadKnobs};
 use tc_repro::desim::time::Time;
 use tc_repro::mem::Addr;
 use tc_repro::putget::bench::scaling::{ring_scaling, ring_scaling_sharded};
@@ -134,12 +134,12 @@ fn scaling_report_is_byte_identical_across_jobs() {
     // One sharded point (64 nodes -> 2 shards) rides along, so pool
     // scheduling and shard worker threads are both in play.
     let knobs = WorkloadKnobs {
-        nodes: Some(vec![2, 8, 64]),
+        nodes: vec![2, 8, 64],
         ..WorkloadKnobs::default()
     };
     let scale = Scale::quick();
-    let serial = plan_with("scaling", scale, &knobs).run(&Pool::serial());
-    let wide = plan_with("scaling", scale, &knobs).run(&Pool::new(4));
+    let serial = plan("scaling", scale, &knobs).run(&Pool::serial());
+    let wide = plan("scaling", scale, &knobs).run(&Pool::new(4));
     assert_eq!(
         serial.text, wide.text,
         "scaling diverged between --jobs 1 and --jobs 4"

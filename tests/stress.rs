@@ -3,6 +3,7 @@
 
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
+use tc_repro::putget::Transport;
 
 fn stress(backend: Backend, pairs: usize, msgs_per_pair: u32) {
     const LEN: u64 = 1024;

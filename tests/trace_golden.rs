@@ -5,11 +5,12 @@
 //! Table I and Table II scenarios.
 
 use tc_repro::bench::pool::{Pool, PoolStats};
-use tc_repro::bench::{metrics, metrics_report, run_all, trace_report, Scale};
+use tc_repro::bench::{metrics, metrics_report, run_all, trace_report, Scale, WorkloadKnobs};
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::bench::pingpong::{extoll_pingpong, ib_pingpong};
 use tc_repro::putget::bench::{ExtollMode, IbMode};
 use tc_repro::putget::cluster::{Backend, Cluster};
+use tc_repro::putget::Transport;
 use tc_repro::trace::{chrome, Snapshot};
 
 /// One GPU-controlled EXTOLL ping-pong round trip. Returns the Chrome
@@ -94,9 +95,10 @@ fn recording_does_not_perturb_the_simulation() {
 #[test]
 fn metrics_json_is_byte_identical_across_runs_and_jobs() {
     let stats = PoolStats::default();
-    let (out1, _) = run_all(&Pool::new(1), &["pingpong"], Scale::quick());
+    let knobs = WorkloadKnobs::default();
+    let (out1, _) = run_all(&Pool::new(1), &["pingpong"], Scale::quick(), &knobs);
     let a = metrics_report("pingpong", "quick", out1[0].sim.as_ref(), &stats);
-    let (out4, _) = run_all(&Pool::new(4), &["pingpong"], Scale::quick());
+    let (out4, _) = run_all(&Pool::new(4), &["pingpong"], Scale::quick(), &knobs);
     let b = metrics_report("pingpong", "quick", out4[0].sim.as_ref(), &stats);
     assert_eq!(
         a, b,

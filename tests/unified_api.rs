@@ -1,9 +1,12 @@
-//! Integration tests of the unified `PutGetEndpoint` API: every method, on
-//! both backends, driven by both processors, plus error paths.
+//! Integration tests of the unified put/get API (`create_pair` plus the
+//! `Transport` methods): every method, on both backends, driven by both
+//! processors, plus error paths.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
-use tc_repro::putget::CommError;
+use tc_repro::putget::{CommError, Transport};
 
 fn cluster_with_bufs(backend: Backend) -> (Cluster, u64, u64) {
     let c = Cluster::new(backend);
@@ -154,11 +157,57 @@ fn multiple_outstanding_puts_complete_in_order() {
     assert_eq!(got_a, got_b);
 }
 
+/// Run one CPU-driven put (or get) of `len` bytes between the 8192-byte
+/// buffers of a fresh pair; returns the panic message if it panicked.
+fn transfer(
+    backend: Backend,
+    get: bool,
+    local_off: u64,
+    remote_off: u64,
+    len: u32,
+) -> Option<String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let (c, a, b) = cluster_with_bufs(backend);
+        let (ep0, _ep1) = create_pair(&c, a, b, 8192, QueueLoc::Host);
+        let cpu0 = c.nodes[0].cpu.clone();
+        c.sim.spawn("driver", async move {
+            if get {
+                ep0.get(&cpu0, local_off, remote_off, len).await.unwrap();
+            } else {
+                ep0.put(&cpu0, local_off, remote_off, len, false).await;
+                ep0.quiet(&cpu0).await.unwrap();
+            }
+        });
+        c.sim.run();
+    }))
+    .err()
+    .map(|e| match e.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(e) => e.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+    })
+}
+
 #[test]
-fn local_buffer_accessors_are_consistent() {
-    let (c, a, b) = cluster_with_bufs(Backend::Extoll);
-    let (ep0, ep1) = create_pair(&c, a, b, 8192, QueueLoc::Host);
-    assert_eq!(ep0.local_buffer(), a);
-    assert_eq!(ep1.local_buffer(), b);
-    assert_eq!(ep0.buf_len(), 8192);
+fn put_or_get_past_the_buffer_end_panics_on_both_fabrics() {
+    for backend in [Backend::Extoll, Backend::Infiniband] {
+        for get in [false, true] {
+            let case = format!("{backend:?} get={get}");
+            // Ending exactly at the buffer end is fine.
+            assert_eq!(
+                transfer(backend, get, 8192 - 64, 8192 - 64, 64),
+                None,
+                "{case}"
+            );
+            let local = transfer(backend, get, 8192 - 63, 0, 64).expect(&case);
+            assert!(local.contains("local range 8129+64"), "{case}: {local}");
+            let remote = transfer(backend, get, 0, 8192 - 63, 64).expect(&case);
+            assert!(remote.contains("remote range 8129+64"), "{case}: {remote}");
+            // An offset so large that offset + len wraps is still caught.
+            let wrap = transfer(backend, get, u64::MAX, 0, 1).expect(&case);
+            assert!(
+                wrap.contains("passes the end of the 8192-byte buffer"),
+                "{case}: {wrap}"
+            );
+        }
+    }
 }
