@@ -23,6 +23,10 @@
 //! `--metrics DIR` also writes `DIR/<experiment>.timeseries.json` (schema
 //! `tc-timeseries-v1`) for experiments that sample telemetry windows.
 //!
+//! `--verbose` ends with the runner self-profile on stderr: pool summary,
+//! the five slowest tasks and, where `/proc/self/status` is readable, the
+//! process peak resident set (`VmHWM`).
+//!
 //! If an experiment whose registry row sets `fail_exits` (`check`,
 //! `profile`) reports `[FAIL]`, the process exits with status 1 so CI can
 //! gate on it.
@@ -45,6 +49,20 @@ fn write_file(path: &str, contents: &str) {
         }
         Err(e) => eprintln!("warning: cannot write {path}: {e}"),
     }
+}
+
+/// This process's peak resident set in MiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that cannot be read.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    vm_hwm_mib(&status)
+}
+
+/// The `VmHWM` line of a `/proc/<pid>/status` text, in MiB.
+fn vm_hwm_mib(status: &str) -> Option<f64> {
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().strip_suffix("kB")?.trim_end().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 fn main() {
@@ -209,6 +227,9 @@ fn main() {
 
     if opts.verbose {
         eprintln!("{}", stats.summary());
+        if let Some(mib) = peak_rss_mib() {
+            eprintln!("#   peak rss   {mib:>10.1} MiB (VmHWM)");
+        }
     }
     eprintln!(
         "# {} experiment(s) in {:.1}s with {} job(s)",
@@ -219,5 +240,18 @@ fn main() {
     if check_failed {
         eprintln!("error: at least one claim reported [FAIL]");
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vm_hwm_is_read_in_mib() {
+        let status = "Name:\treproduce\nVmPeak:\t  999 kB\nVmHWM:\t   65536 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_mib(status), Some(64.0));
+        assert_eq!(vm_hwm_mib("Name:\treproduce\n"), None);
+        assert_eq!(vm_hwm_mib("VmHWM:\t12 MB\n"), None);
     }
 }

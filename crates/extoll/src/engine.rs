@@ -8,7 +8,7 @@ use tc_desim::sync::Channel;
 use tc_desim::time::{self, Freq};
 use tc_desim::Sim;
 use tc_link::Port;
-use tc_mem::{layout, Addr, Bus, Heap, RegionKind};
+use tc_mem::{layout, Addr, Bus, Heap, Payload, RegionKind};
 use tc_pcie::{Endpoint, Pcie};
 use tc_trace::{Counter, Gauge, Scope};
 
@@ -70,7 +70,7 @@ pub enum RmaFrame {
         /// Destination NLA.
         dst_nla: u64,
         /// The payload.
-        data: Vec<u8>,
+        data: Payload,
         /// Generate a completer notification on arrival.
         notify: bool,
     },
@@ -100,7 +100,7 @@ pub enum RmaFrame {
         /// NLA the data lands at.
         dst_nla: u64,
         /// The payload.
-        data: Vec<u8>,
+        data: Payload,
         /// Generate a completer notification on arrival.
         notify: bool,
     },
@@ -371,7 +371,7 @@ impl ExtollNic {
         bytes[8..].copy_from_slice(&words[1].to_le_bytes());
         let slot = layout.ring.slot(wp.get());
         wp.set(wp.get() + 1);
-        inner.endpoint.dma_write_bulk(slot, &bytes).await;
+        inner.endpoint.dma_write(slot, &bytes.to_vec().into()).await;
         let rec = inner.sim.recorder();
         if rec.on() {
             rec.instant(
@@ -453,8 +453,7 @@ impl ExtollNic {
                         RmaCommand::Put => {
                             NicStats::bump(&inner.stats.puts);
                             let src = inner.atu.translate(wr.local_nla, wr.len as u64);
-                            let mut data = vec![0u8; wr.len as usize];
-                            inner.endpoint.dma_read_bulk(src, &mut data).await;
+                            let data = inner.endpoint.dma_read(src, wr.len as u64).await;
                             let rec = inner.sim.recorder();
                             if rec.on() {
                                 rec.instant(
@@ -569,7 +568,7 @@ impl ExtollNic {
                                     .to_le_bytes(),
                             );
                             bytes.extend_from_slice(&msg.data);
-                            inner.endpoint.dma_write_bulk(slot, &bytes).await;
+                            inner.endpoint.dma_write(slot, &bytes.into()).await;
                             NicStats::bump(&inner.stats.velo_delivered);
                         }
                         RmaFrame::Put {
@@ -579,7 +578,7 @@ impl ExtollNic {
                             notify,
                         } => {
                             let dst = inner.atu.translate(dst_nla, data.len() as u64);
-                            inner.endpoint.dma_write_bulk(dst, &data).await;
+                            inner.endpoint.dma_write(dst, &data).await;
                             let rec = inner.sim.recorder();
                             if rec.on() {
                                 rec.instant(
@@ -611,8 +610,7 @@ impl ExtollNic {
                             notify_target,
                         } => {
                             let src = inner.atu.translate(target_nla, len as u64);
-                            let mut data = vec![0u8; len as usize];
-                            inner.endpoint.dma_read_bulk(src, &mut data).await;
+                            let data = inner.endpoint.dma_read(src, len as u64).await;
                             inner.sim.delay(cyc(inner.cfg.responder_cycles)).await;
                             tx.send((
                                 origin_node as usize,
@@ -641,7 +639,7 @@ impl ExtollNic {
                             notify,
                         } => {
                             let dst = inner.atu.translate(dst_nla, data.len() as u64);
-                            inner.endpoint.dma_write_bulk(dst, &data).await;
+                            inner.endpoint.dma_write(dst, &data).await;
                             if notify {
                                 nic.write_notification(
                                     dst_port,

@@ -196,11 +196,10 @@ impl Gpu {
             self.inner.bus.classify(dst_host),
             RegionKind::HostDram { .. }
         ));
-        let mut buf = vec![0u8; len as usize];
-        self.inner.bus.read(src_dev, &mut buf);
+        let data = self.inner.bus.snapshot(src_dev, len as usize);
         // The copy engine owns the transfer: occupy the GPU's link for the
         // full DMA duration, then land the bytes.
-        self.inner.endpoint.dma_write_bulk(dst_host, &buf).await;
+        self.inner.endpoint.dma_write(dst_host, &data).await;
     }
 
     /// `cudaMemcpy(HostToDevice)`: DMA `len` bytes from host memory into
@@ -214,9 +213,8 @@ impl Gpu {
             self.inner.bus.classify(dst_dev),
             RegionKind::GpuDram { node } if node == self.inner.node
         ));
-        let mut buf = vec![0u8; len as usize];
-        self.inner.endpoint.dma_read_bulk(src_host, &mut buf).await;
-        self.inner.bus.write(dst_dev, &buf);
+        let data = self.inner.endpoint.dma_read(src_host, len).await;
+        self.inner.bus.write_payload(dst_dev, &data);
         // Fill the L2 like any device-memory write burst would.
         self.inner.l2.write(dst_dev, len);
     }

@@ -8,7 +8,7 @@ use tc_desim::sync::Channel;
 use tc_desim::time::{self, Time};
 use tc_desim::Sim;
 use tc_link::Port;
-use tc_mem::{layout, Addr, Bus, MmioDevice, RegionKind};
+use tc_mem::{layout, Addr, Bus, MmioDevice, Payload, RegionKind};
 use tc_pcie::{Endpoint, Pcie};
 use tc_trace::{Counter, Gauge, Scope};
 
@@ -59,7 +59,7 @@ pub enum IbFrame {
         /// Remote key authorizing the write.
         rkey: u32,
         /// The payload.
-        data: Vec<u8>,
+        data: Payload,
         /// Immediate value (consumes a receive WQE when present).
         imm: Option<u32>,
         /// Originating queue pair (for the acknowledgement).
@@ -74,7 +74,7 @@ pub enum IbFrame {
         /// Receiving queue pair.
         dst_qpn: u32,
         /// The payload.
-        data: Vec<u8>,
+        data: Payload,
         /// Originating queue pair.
         src_qpn: u32,
         /// Originating WQE index.
@@ -108,7 +108,7 @@ pub enum IbFrame {
         /// Where the data lands locally.
         sink: Addr,
         /// The payload.
-        data: Vec<u8>,
+        data: Payload,
         /// The read WQE's index.
         wqe_index: u16,
         /// Whether a completion should be generated.
@@ -375,7 +375,8 @@ impl IbHca {
         }
         let slot = cq.ring.slot(cq.pi.get());
         cq.pi.set(cq.pi.get() + 1);
-        inner.endpoint.dma_write_bulk(slot, &cqe.encode()).await;
+        let bytes = cqe.encode().to_vec();
+        inner.endpoint.dma_write(slot, &bytes.into()).await;
         HcaStats::bump(&inner.stats.cqes_written);
         let rec = inner.sim.recorder();
         if rec.on() {
@@ -402,9 +403,8 @@ impl IbHca {
             return None;
         }
         let slot = qp.rq.slot(qp.rq_head.get());
-        let mut buf = vec![0u8; qp.rq.entry_size() as usize];
-        inner.endpoint.dma_read_bulk(slot, &mut buf).await;
-        let wqe = RecvWqe::decode(&buf)?;
+        let buf = inner.endpoint.dma_read(slot, qp.rq.entry_size()).await;
+        let wqe = RecvWqe::decode(&buf.to_vec())?;
         qp.rq_head.set(qp.rq_head.get() + 1);
         Some(wqe)
     }
@@ -462,11 +462,10 @@ impl IbHca {
         let head = qp.sq_head.get();
         qp.sq_head.set(head + 1);
         let slot = qp.sq.slot(head);
-        let mut buf = vec![0u8; qp.sq.entry_size() as usize];
         // Fetching the WQE costs a DMA read from wherever the SQ buffer
         // lives — host memory or, via GPUDirect, GPU memory.
         let t0 = inner.sim.now();
-        inner.endpoint.dma_read_bulk(slot, &mut buf).await;
+        let buf = inner.endpoint.dma_read(slot, qp.sq.entry_size()).await;
         let rec = inner.sim.recorder();
         if rec.on() {
             rec.span(
@@ -478,7 +477,7 @@ impl IbHca {
                 vec![("qpn", u64::from(qp.qpn).into()), ("index", head.into())],
             );
         }
-        let Some(wqe) = SendWqe::decode(&buf) else {
+        let Some(wqe) = SendWqe::decode(&buf.to_vec()) else {
             HcaStats::bump(&inner.stats.stale_wqe_fetches);
             return;
         };
@@ -517,19 +516,14 @@ impl IbHca {
         // Inline WRs carry their payload in the WQE the HCA already
         // fetched: no payload DMA at all.
         let gather = |inline: Option<[u8; crate::wqe::MAX_INLINE]>| {
-            inline.map(|d| d[..len as usize].to_vec())
+            inline.map(|d| Payload::from(d[..len as usize].to_vec()))
         };
         match wqe.opcode {
             SendOpcode::RdmaWrite | SendOpcode::RdmaWriteImm => {
                 let data = match gather(wqe.inline) {
                     Some(d) => d,
-                    None => {
-                        let mut d = vec![0u8; len as usize];
-                        if len > 0 {
-                            inner.endpoint.dma_read_bulk(wqe.laddr, &mut d).await;
-                        }
-                        d
-                    }
+                    None if len > 0 => inner.endpoint.dma_read(wqe.laddr, len).await,
+                    None => Payload::default(),
                 };
                 tx.send((
                     dst_node,
@@ -549,13 +543,8 @@ impl IbHca {
             SendOpcode::Send => {
                 let data = match gather(wqe.inline) {
                     Some(d) => d,
-                    None => {
-                        let mut d = vec![0u8; len as usize];
-                        if len > 0 {
-                            inner.endpoint.dma_read_bulk(wqe.laddr, &mut d).await;
-                        }
-                        d
-                    }
+                    None if len > 0 => inner.endpoint.dma_read(wqe.laddr, len).await,
+                    None => Payload::default(),
                 };
                 tx.send((
                     dst_node,
@@ -619,7 +608,7 @@ impl IbHca {
                     return;
                 }
                 if !data.is_empty() {
-                    inner.endpoint.dma_write_bulk(raddr, &data).await;
+                    inner.endpoint.dma_write(raddr, &data).await;
                 }
                 if let Some(imm) = imm {
                     // Write-with-immediate consumes a receive WQE (address
@@ -705,7 +694,7 @@ impl IbHca {
                             return;
                         }
                         if !data.is_empty() {
-                            inner.endpoint.dma_write_bulk(r.laddr, &data).await;
+                            inner.endpoint.dma_write(r.laddr, &data).await;
                         }
                         let cqe = Cqe {
                             opcode: CqeOpcode::RecvComplete,
@@ -756,10 +745,11 @@ impl IbHca {
                 let back = qp.dest_node.get();
                 match inner.mrs.check_remote_read(rkey, raddr, len as u64) {
                     Ok(_) => {
-                        let mut data = vec![0u8; len as usize];
-                        if len > 0 {
-                            inner.endpoint.dma_read_bulk(raddr, &mut data).await;
-                        }
+                        let data = if len > 0 {
+                            inner.endpoint.dma_read(raddr, len as u64).await
+                        } else {
+                            Payload::default()
+                        };
                         tx.send((
                             back,
                             IbFrame::ReadResp {
@@ -795,7 +785,7 @@ impl IbHca {
             } => {
                 let qp = self.qp(dst_qpn);
                 if !data.is_empty() {
-                    inner.endpoint.dma_write_bulk(sink, &data).await;
+                    inner.endpoint.dma_write(sink, &data).await;
                 }
                 if signaled {
                     let cqe = Cqe {

@@ -5,6 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use crate::payload::Payload;
 use crate::sparse::SparseMem;
 use crate::Addr;
 
@@ -101,6 +102,30 @@ impl Region {
             }
         }
     }
+}
+
+/// The region holding `addr`; panics if it is unmapped.
+fn find(regions: &[Region], addr: Addr) -> &Region {
+    let idx = regions
+        .binary_search_by(|r| {
+            if addr < r.base() {
+                std::cmp::Ordering::Greater
+            } else if addr >= r.base() + r.len() {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Equal
+            }
+        })
+        .unwrap_or_else(|_| panic!("bus access to unmapped address {addr:#x}"));
+    &regions[idx]
+}
+
+/// Where an access ends up once alias windows are resolved.
+enum Target<'a> {
+    /// A RAM window, at this (resolved) address.
+    Ram(&'a SparseMem, Addr),
+    /// An MMIO device, at this offset.
+    Mmio(&'a dyn MmioDevice, u64),
 }
 
 /// Observer of data-plane RAM traffic, for dependency tracking (e.g. the
@@ -218,27 +243,24 @@ impl Bus {
         });
     }
 
-    fn with_region<R>(&self, addr: Addr, f: impl FnOnce(&Region) -> R) -> R {
+    /// Hand `f` the RAM window (with the address resolved through alias
+    /// windows) or MMIO device (with the offset) that `addr` names.
+    fn route<R>(&self, addr: Addr, f: impl FnOnce(Target<'_>) -> R) -> R {
         let regions = self.regions.borrow();
-        let idx = match regions.binary_search_by(|r| {
-            if addr < r.base() {
-                std::cmp::Ordering::Greater
-            } else if addr >= r.base() + r.len() {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
+        let mut addr = addr;
+        loop {
+            match find(&regions, addr) {
+                Region::Ram { mem, .. } => return f(Target::Ram(mem, addr)),
+                Region::Mmio { base, dev, .. } => return f(Target::Mmio(&**dev, addr - base)),
+                Region::Alias { base, target, .. } => addr = target + (addr - base),
             }
-        }) {
-            Ok(i) => i,
-            Err(_) => panic!("bus access to unmapped address {addr:#x}"),
-        };
-        f(&regions[idx])
+        }
     }
 
     /// Classify an address. Alias windows report their own kind (e.g.
     /// `GpuBar`), not the target's.
     pub fn classify(&self, addr: Addr) -> RegionKind {
-        self.with_region(addr, |r| r.kind())
+        find(&self.regions.borrow(), addr).kind()
     }
 
     /// True if the address is mapped.
@@ -252,20 +274,10 @@ impl Bus {
     /// Resolve `addr` through alias windows to the RAM address it names;
     /// `None` for MMIO, whose reads a watch cannot predict.
     pub fn resolve(&self, addr: Addr) -> Option<Addr> {
-        enum Hop {
-            Ram,
-            Mmio,
-            Alias(Addr),
-        }
-        match self.with_region(addr, |r| match r {
-            Region::Ram { .. } => Hop::Ram,
-            Region::Mmio { .. } => Hop::Mmio,
-            Region::Alias { base, target, .. } => Hop::Alias(target + (addr - base)),
-        }) {
-            Hop::Ram => Some(addr),
-            Hop::Mmio => None,
-            Hop::Alias(t) => self.resolve(t),
-        }
+        self.route(addr, |t| match t {
+            Target::Ram(_, a) => Some(a),
+            Target::Mmio(..) => None,
+        })
     }
 
     /// Call `f` just before any write overlapping the `len` bytes at `addr`
@@ -312,66 +324,78 @@ impl Bus {
     }
 
     fn read_as(&self, addr: Addr, buf: &mut [u8], observed: bool) {
-        enum Act {
-            Done,
-            Redirect(Addr),
-        }
-        let act = self.with_region(addr, |r| match r {
-            Region::Ram { mem, .. } => {
-                mem.read(addr, buf);
-                // Only word-sized reads are dependency-relevant (poll
-                // loops); bulk DMA reads must not consume pending stores.
-                if observed && buf.len() <= 8 {
-                    if let Some(w) = &*self.watch.borrow() {
-                        w.load(addr & !7);
-                    }
+        self.route(addr, |t| match t {
+            Target::Ram(mem, a) => {
+                mem.read(a, buf);
+                if observed {
+                    self.loaded(a, buf.len());
                 }
-                Act::Done
             }
-            Region::Mmio { base, dev, .. } => {
-                dev.mmio_read(addr - base, buf);
-                Act::Done
+            Target::Mmio(dev, off) => dev.mmio_read(off, buf),
+        })
+    }
+
+    /// Bulk data-plane read of `len` bytes, observed like [`Bus::read`]:
+    /// never-written RAM pages come back as zero runs, not bytes.
+    pub fn snapshot(&self, addr: Addr, len: usize) -> Payload {
+        self.route(addr, |t| match t {
+            Target::Ram(mem, a) => {
+                let data = mem.snapshot(a, len);
+                self.loaded(a, len);
+                data
             }
-            Region::Alias { base, target, .. } => Act::Redirect(target + (addr - base)),
-        });
-        if let Act::Redirect(t) = act {
-            self.read_as(t, buf, observed);
+            Target::Mmio(dev, off) => {
+                let mut buf = vec![0; len];
+                dev.mmio_read(off, &mut buf);
+                buf.into()
+            }
+        })
+    }
+
+    /// Tell the [`BusWatch`] about a RAM read of `len` bytes at `addr`.
+    /// Only word-sized reads are dependency-relevant (poll loops); bulk
+    /// DMA reads must not consume pending stores.
+    fn loaded(&self, addr: Addr, len: usize) {
+        if len <= 8 {
+            if let Some(w) = &*self.watch.borrow() {
+                w.load(addr & !7);
+            }
         }
     }
 
     /// Data-plane write. Instantaneous; timing is charged by the caller.
     pub fn write(&self, addr: Addr, data: &[u8]) {
-        enum Act {
-            Done,
-            Redirect(Addr),
-        }
-        let act = self.with_region(addr, |r| match r {
-            Region::Ram { mem, .. } => {
-                self.ranges.fire(addr, data.len() as u64);
-                mem.write(addr, data);
-                if !data.is_empty() {
-                    if let Some(w) = &*self.watch.borrow() {
-                        // First and last words: a payload's body is never
-                        // polled, its edges (tags, markers, notification
-                        // records) are.
-                        let first = addr & !7;
-                        let last = (addr + data.len() as u64 - 1) & !7;
-                        w.store(first);
-                        if last != first {
-                            w.store(last);
-                        }
-                    }
+        self.route(addr, |t| match t {
+            Target::Ram(mem, a) => self.land(a, data.len(), || mem.write(a, data)),
+            Target::Mmio(dev, off) => dev.mmio_write(off, data),
+        })
+    }
+
+    /// Bulk data-plane write, watched like [`Bus::write`]: zero runs
+    /// drop or zero destination pages instead of materializing them.
+    pub fn write_payload(&self, addr: Addr, data: &Payload) {
+        self.route(addr, |t| match t {
+            Target::Ram(mem, a) => self.land(a, data.len(), || mem.write_payload(a, data)),
+            Target::Mmio(dev, off) => dev.mmio_write(off, &data.to_vec()),
+        })
+    }
+
+    /// Land `len` bytes at RAM address `addr` with `write`: range watches
+    /// hear about it first, the [`BusWatch`] after.
+    fn land(&self, addr: Addr, len: usize, write: impl FnOnce()) {
+        self.ranges.fire(addr, len as u64);
+        write();
+        if len > 0 {
+            if let Some(w) = &*self.watch.borrow() {
+                // First and last words: a payload's body is never polled,
+                // its edges (tags, markers, notification records) are.
+                let first = addr & !7;
+                let last = (addr + len as u64 - 1) & !7;
+                w.store(first);
+                if last != first {
+                    w.store(last);
                 }
-                Act::Done
             }
-            Region::Mmio { base, dev, .. } => {
-                dev.mmio_write(addr - base, data);
-                Act::Done
-            }
-            Region::Alias { base, target, .. } => Act::Redirect(target + (addr - base)),
-        });
-        if let Act::Redirect(t) = act {
-            self.write(t, data);
         }
     }
 
@@ -576,6 +600,72 @@ mod tests {
         bus.unwatch(layout::gpu_dram(0) + 0x40, id);
         bus.write_u64(layout::gpu_dram(0) + 0x40, 2);
         assert_eq!(hits.get(), 1);
+    }
+
+    #[test]
+    fn payloads_route_and_watch_like_reads_and_writes() {
+        let bus = bus_with_ram();
+        bus.add_alias(
+            layout::gpu_bar(0),
+            1 << 20,
+            layout::gpu_dram(0),
+            RegionKind::GpuBar { node: 0 },
+        );
+        let db = Rc::new(Doorbell {
+            hits: Cell::new(0),
+            last: Cell::new(0),
+        });
+        bus.add_mmio(
+            layout::ib_uar(0),
+            4096,
+            db.clone(),
+            RegionKind::Mmio { node: 0 },
+        );
+        let w = Rc::new(RecWatch::default());
+        bus.set_watch(Some(w.clone()));
+        let dram = layout::gpu_dram(0);
+        // A range watch hears about a landing before the bytes are there.
+        let seen = Rc::new(Cell::new(u64::MAX));
+        let (b, s) = (bus.clone(), seen.clone());
+        bus.watch(
+            dram + 0x1ff8,
+            8,
+            Rc::new(move || {
+                let mut v = [0u8; 8];
+                b.peek(dram + 0x1ff8, &mut v);
+                s.set(u64::from_le_bytes(v));
+            }),
+        );
+        bus.write_u64(dram + 0x1ff8, 5);
+        assert_eq!(seen.get(), 0);
+
+        // Through the BAR alias: a word-sized snapshot is an observed load,
+        // a bulk one is not; a payload write notes its first and last words.
+        let word = bus.snapshot(layout::gpu_bar(0) + 0x1ff8, 8);
+        assert_eq!(word.to_vec(), 5u64.to_le_bytes());
+        let bulk = bus.snapshot(layout::gpu_bar(0), 3 * 4096);
+        assert_eq!(bulk.runs().count(), 3, "zeros, the written page, zeros");
+        seen.set(u64::MAX);
+        bus.write_payload(layout::gpu_bar(0) + 8, &bulk);
+        assert_eq!(seen.get(), 5, "watch fired before the payload landed");
+        assert_eq!(bus.read_u64(dram + 0x2000), 5);
+        assert_eq!(bus.read_u64(dram + 0x1ff8), 0);
+        assert_eq!(
+            *w.ops.borrow(),
+            vec![
+                ('s', dram + 0x1ff8),
+                ('l', dram + 0x1ff8),
+                ('s', dram + 8),
+                ('s', dram + 0x3000),
+                ('l', dram + 0x2000),
+                ('l', dram + 0x1ff8),
+            ]
+        );
+
+        // MMIO: the device gets the flat bytes.
+        bus.write_payload(layout::ib_uar(0) + 0x18, &bus.snapshot(dram + 0x2000, 8));
+        assert_eq!(db.last.get(), 5 + 0x18);
+        assert_eq!(bus.snapshot(layout::ib_uar(0), 4).to_vec(), [0xFF; 4]);
     }
 
     #[test]

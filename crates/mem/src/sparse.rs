@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use crate::payload::{Payload, Run};
 use crate::Addr;
 
 const PAGE_SHIFT: u32 = 12;
@@ -10,7 +11,8 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
 /// A sparse byte store covering `len` bytes starting at fabric address
 /// `base`. Pages are materialized on first write; reads of untouched pages
-/// yield zeros, like freshly-mapped memory.
+/// yield zeros, like freshly-mapped memory. A [`Payload`] zero run that
+/// covers a page whole makes it untouched again.
 pub struct SparseMem {
     base: Addr,
     len: u64,
@@ -63,41 +65,87 @@ impl SparseMem {
         );
     }
 
+    /// Split the `n` bytes at `addr` into per-page pieces
+    /// `(page, offset in page, offset in the access, length)`.
+    fn pieces(&self, addr: Addr, n: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+        self.check(addr, n);
+        let start = addr - self.base;
+        let mut done = 0usize;
+        std::iter::from_fn(move || {
+            if done == n {
+                return None;
+            }
+            let off = start + done as u64;
+            let in_page = (off & (PAGE_SIZE as u64 - 1)) as usize;
+            let chunk = (PAGE_SIZE - in_page).min(n - done);
+            let piece = (off >> PAGE_SHIFT, in_page, done, chunk);
+            done += chunk;
+            Some(piece)
+        })
+    }
+
     /// Copy `buf.len()` bytes at `addr` into `buf`.
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
-        self.check(addr, buf.len());
         let pages = self.pages.borrow();
-        let mut off = addr - self.base;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let page = off >> PAGE_SHIFT;
-            let in_page = (off & (PAGE_SIZE as u64 - 1)) as usize;
-            let chunk = (PAGE_SIZE - in_page).min(buf.len() - done);
+        for (page, at, done, n) in self.pieces(addr, buf.len()) {
+            let dst = &mut buf[done..done + n];
             match pages.get(&page) {
-                Some(p) => buf[done..done + chunk].copy_from_slice(&p[in_page..in_page + chunk]),
-                None => buf[done..done + chunk].fill(0),
+                Some(p) => dst.copy_from_slice(&p[at..at + n]),
+                None => dst.fill(0),
             }
-            done += chunk;
-            off += chunk as u64;
         }
     }
 
     /// Write `buf` at `addr`.
     pub fn write(&self, addr: Addr, buf: &[u8]) {
-        self.check(addr, buf.len());
         let mut pages = self.pages.borrow_mut();
-        let mut off = addr - self.base;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let page = off >> PAGE_SHIFT;
-            let in_page = (off & (PAGE_SIZE as u64 - 1)) as usize;
-            let chunk = (PAGE_SIZE - in_page).min(buf.len() - done);
+        for (page, at, done, n) in self.pieces(addr, buf.len()) {
             let p = pages
                 .entry(page)
                 .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[in_page..in_page + chunk].copy_from_slice(&buf[done..done + chunk]);
-            done += chunk;
-            off += chunk as u64;
+            p[at..at + n].copy_from_slice(&buf[done..done + n]);
+        }
+    }
+
+    /// The `len` bytes at `addr` as a [`Payload`]: resident pages are
+    /// copied, never-written ones become zero runs.
+    pub fn snapshot(&self, addr: Addr, len: usize) -> Payload {
+        let pages = self.pages.borrow();
+        let mut out = Payload::default();
+        for (page, at, _, n) in self.pieces(addr, len) {
+            match pages.get(&page) {
+                Some(p) => out.push_bytes(&p[at..at + n]),
+                None => out.push_zeros(n),
+            }
+        }
+        out
+    }
+
+    /// Write `data` at `addr`. A zero run drops the pages it covers whole
+    /// and zeroes only the resident bytes of the pages it covers in part,
+    /// so never-written source pages stay non-resident here too.
+    pub fn write_payload(&self, addr: Addr, data: &Payload) {
+        self.check(addr, data.len());
+        let mut at = addr;
+        for run in data.runs() {
+            let n = match run {
+                Run::Bytes(b) => {
+                    self.write(at, b);
+                    b.len()
+                }
+                Run::Zeros(z) => {
+                    let mut pages = self.pages.borrow_mut();
+                    for (page, off, _, n) in self.pieces(at, z) {
+                        if n == PAGE_SIZE {
+                            pages.remove(&page);
+                        } else if let Some(p) = pages.get_mut(&page) {
+                            p[off..off + n].fill(0);
+                        }
+                    }
+                    z
+                }
+            };
+            at += n as u64;
         }
     }
 
@@ -181,6 +229,40 @@ mod tests {
         m.write_u64((64 << 30) - 8, 3);
         assert_eq!(m.resident_pages(), 3);
         assert_eq!(m.read_u64(32 << 30), 2);
+    }
+
+    #[test]
+    fn zero_runs_drop_whole_pages_and_zero_partial_ones() {
+        let src = SparseMem::new(0, 4 * PAGE_SIZE as u64);
+        src.write(PAGE_SIZE as u64 + 5, b"mark");
+        // Page 0 and pages 2-3 were never written: the snapshot keeps them
+        // as zero runs around the one resident page's bytes.
+        let p = src.snapshot(100, 4 * PAGE_SIZE - 200);
+        assert_eq!(p.runs().count(), 3);
+        assert_eq!(src.resident_pages(), 1);
+
+        let dst = SparseMem::new(0, 4 * PAGE_SIZE as u64);
+        dst.write(0, &[0xAA; 4 * PAGE_SIZE]);
+        dst.write_payload(100, &p);
+        // Page 2 lies wholly inside a zero run: dropped. Pages 0 and 3 are
+        // covered in part: only the covered bytes are zeroed.
+        assert_eq!(dst.resident_pages(), 3);
+        let mut all = vec![0u8; 4 * PAGE_SIZE];
+        dst.read(0, &mut all);
+        let mut want = vec![0xAAu8; 4 * PAGE_SIZE];
+        want[100..4 * PAGE_SIZE - 100].fill(0);
+        want[PAGE_SIZE + 5..PAGE_SIZE + 9].copy_from_slice(b"mark");
+        assert_eq!(all, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside window")]
+    fn out_of_range_payload_write_panics() {
+        let m = SparseMem::new(0, 2 * PAGE_SIZE as u64);
+        let mut p = Payload::default();
+        p.push_bytes(&[1; 8]);
+        p.push_zeros(2 * PAGE_SIZE);
+        m.write_payload(0, &p);
     }
 
     #[test]

@@ -10,35 +10,94 @@ use tc_trace::rng::XorShift64;
 const CASES: u64 = 128;
 
 /// SparseMem behaves exactly like a flat byte array under arbitrary
-/// read/write sequences (including page-straddling accesses).
+/// read/write sequences (including page-straddling accesses) and
+/// `snapshot` -> `write_payload` copies, whose never-written source pages
+/// travel as zero runs: page-aligned and unaligned offsets, whole-page and
+/// straddling lengths, zero runs landing on resident bytes. A page model
+/// pins which pages stay resident: a destination page that only zero
+/// runs cover whole is dropped.
 #[test]
 fn sparse_mem_matches_reference() {
-    const LEN: u64 = 1 << 14;
+    const PAGE: usize = 4096;
+    const LEN: usize = 16 * PAGE;
+    const BASE: u64 = 0x8000;
+    let at = |off: usize| BASE + off as u64;
     for seed in 1..=CASES {
         let mut rng = XorShift64::new(seed);
-        let m = SparseMem::new(0x8000, LEN);
-        let mut reference = vec![0u8; LEN as usize];
-        let nops = rng.range(1, 40);
-        for _ in 0..nops {
-            let mut data = vec![0u8; rng.range(1, 300) as usize];
-            rng.fill_bytes(&mut data);
-            let off = rng.below(1 << 14).min(LEN - data.len() as u64);
-            if rng.chance(1, 2) {
-                m.write(0x8000 + off, &data);
-                reference[off as usize..off as usize + data.len()].copy_from_slice(&data);
-            } else {
-                let mut buf = vec![0u8; data.len()];
-                m.read(0x8000 + off, &mut buf);
-                assert_eq!(
-                    &buf[..],
-                    &reference[off as usize..off as usize + data.len()],
-                    "read mismatch for seed {seed}"
-                );
+        let mut below = |n: usize| rng.below(n as u64) as usize;
+        let m = SparseMem::new(BASE, LEN as u64);
+        let mut reference = vec![0u8; LEN];
+        let mut resident = [false; LEN / PAGE];
+        for _ in 0..1 + below(39) {
+            match below(3) {
+                0 => {
+                    let mut data = vec![0u8; 1 + below(299)];
+                    data.iter_mut().for_each(|b| *b = below(256) as u8);
+                    let (off, n) = (below(LEN).min(LEN - data.len()), data.len());
+                    m.write(at(off), &data);
+                    reference[off..off + n].copy_from_slice(&data);
+                    resident[off / PAGE..=(off + n - 1) / PAGE].fill(true);
+                }
+                1 => {
+                    let mut buf = vec![0u8; 1 + below(299)];
+                    let off = below(LEN).min(LEN - buf.len());
+                    m.read(at(off), &mut buf);
+                    assert_eq!(
+                        &buf[..],
+                        &reference[off..off + buf.len()],
+                        "read mismatch for seed {seed}"
+                    );
+                }
+                _ => {
+                    let n = if below(2) == 0 {
+                        PAGE * (1 + below(3))
+                    } else {
+                        1 + below(3 * PAGE - 1)
+                    };
+                    let mut offset = || {
+                        let off = if below(2) == 0 {
+                            below(LEN / PAGE) * PAGE
+                        } else {
+                            below(LEN)
+                        };
+                        off.min(LEN - n)
+                    };
+                    let (src, dst) = (offset(), offset());
+                    let p = m.snapshot(at(src), n);
+                    assert_eq!(p.len(), n, "payload length for seed {seed}");
+                    assert_eq!(
+                        p.to_vec(),
+                        &reference[src..src + n],
+                        "snapshot mismatch for seed {seed}"
+                    );
+                    m.write_payload(at(dst), &p);
+
+                    // Bytes from resident source pages make their page
+                    // resident; a page covered whole by bytes from
+                    // never-written source pages is dropped.
+                    let from_resident: Vec<bool> =
+                        (src..src + n).map(|a| resident[a / PAGE]).collect();
+                    let last = (dst + n - 1) / PAGE;
+                    for (pg, res) in resident[..=last].iter_mut().enumerate().skip(dst / PAGE) {
+                        let (lo, hi) = ((pg * PAGE).max(dst), ((pg + 1) * PAGE).min(dst + n));
+                        if from_resident[lo - dst..hi - dst].contains(&true) {
+                            *res = true;
+                        } else if hi - lo == PAGE {
+                            *res = false;
+                        }
+                    }
+                    reference.copy_within(src..src + n, dst);
+                }
             }
+            assert_eq!(
+                m.resident_pages(),
+                resident.iter().filter(|&&r| r).count(),
+                "resident pages for seed {seed}"
+            );
         }
         // Final full compare.
-        let mut all = vec![0u8; LEN as usize];
-        m.read(0x8000, &mut all);
+        let mut all = vec![0u8; LEN];
+        m.read(BASE, &mut all);
         assert_eq!(all, reference, "final mismatch for seed {seed}");
     }
 }

@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use tc_desim::{time::Time, Sim};
-use tc_mem::{Addr, Bus, RegionKind};
+use tc_mem::{Addr, Bus, Payload, RegionKind};
 
 use crate::config::PcieConfig;
 use crate::link::Link;
@@ -156,11 +156,10 @@ impl Endpoint {
         u64::from_le_bytes(b)
     }
 
-    /// Bulk DMA read of `len` bytes at `addr` into `buf`. Applies the P2P
-    /// read anomaly when the source is a GPU BAR aperture. Data is sampled
-    /// at completion time.
-    pub async fn dma_read_bulk(&self, addr: Addr, buf: &mut [u8]) {
-        let len = buf.len() as u64;
+    /// Bulk DMA read of `len` bytes at `addr`. Applies the P2P read anomaly
+    /// when the source is a GPU BAR aperture. Data is sampled at
+    /// completion time.
+    pub async fn dma_read(&self, addr: Addr, len: u64) -> Payload {
         PcieStats::bump(&self.stats.dma_reads, 1);
         PcieStats::bump(&self.stats.dma_read_bytes, len);
         let kind = self.bus.classify(addr);
@@ -175,27 +174,14 @@ impl Endpoint {
         self.stats.dma_in_flight.inc();
         self.link.transfer(dur).await;
         self.stats.dma_in_flight.dec();
-        self.bus.read(addr, buf);
+        let data = self.bus.snapshot(addr, len as usize);
         self.stats.dma_read_ps.record(self.sim.now() - t0);
-        let rec = self.sim.recorder();
-        if rec.on() {
-            rec.span(
-                t0,
-                self.sim.now(),
-                "pcie",
-                self.track.to_string(),
-                "dma_read",
-                vec![
-                    ("addr", addr.into()),
-                    ("bytes", len.into()),
-                    ("p2p", u64::from(p2p).into()),
-                ],
-            );
-        }
+        self.dma_span(t0, "dma_read", addr, len, p2p);
+        data
     }
 
     /// Bulk DMA write of `data` to `addr`. Data lands at completion time.
-    pub async fn dma_write_bulk(&self, addr: Addr, data: &[u8]) {
+    pub async fn dma_write(&self, addr: Addr, data: &Payload) {
         let len = data.len() as u64;
         PcieStats::bump(&self.stats.dma_writes, 1);
         PcieStats::bump(&self.stats.dma_write_bytes, len);
@@ -211,8 +197,13 @@ impl Endpoint {
         self.stats.dma_in_flight.inc();
         self.link.transfer(dur).await;
         self.stats.dma_in_flight.dec();
-        self.bus.write(addr, data);
+        self.bus.write_payload(addr, data);
         self.stats.dma_write_ps.record(self.sim.now() - t0);
+        self.dma_span(t0, "dma_write", addr, len, p2p);
+    }
+
+    /// Record a bulk DMA that started at `t0` and completes now.
+    fn dma_span(&self, t0: Time, name: &'static str, addr: Addr, len: u64, p2p: bool) {
         let rec = self.sim.recorder();
         if rec.on() {
             rec.span(
@@ -220,7 +211,7 @@ impl Endpoint {
                 self.sim.now(),
                 "pcie",
                 self.track.to_string(),
-                "dma_write",
+                name,
                 vec![
                     ("addr", addr.into()),
                     ("bytes", len.into()),
@@ -328,9 +319,8 @@ mod tests {
         bus.write(layout::gpu_dram(0), &[0xAB; 4096]);
         let ep = pcie.endpoint("nic");
         sim.spawn("dma", async move {
-            let mut buf = vec![0u8; 4096];
-            ep.dma_read_bulk(layout::gpu_bar(0), &mut buf).await;
-            assert!(buf.iter().all(|&b| b == 0xAB));
+            let data = ep.dma_read(layout::gpu_bar(0), 4096).await;
+            assert!(data.to_vec().iter().all(|&b| b == 0xAB));
         });
         sim.run();
         assert_eq!(pcie.stats().p2p_reads.get(), 1);
@@ -346,12 +336,11 @@ mod tests {
         let (ht, pt) = (host_t.clone(), p2p_t.clone());
         let h = sim.clone();
         sim.spawn("dma", async move {
-            let mut buf = vec![0u8; 4 << 20];
             let t0 = h.now();
-            ep.dma_read_bulk(layout::host_dram(0), &mut buf).await;
+            ep.dma_read(layout::host_dram(0), 4 << 20).await;
             ht.set(h.now() - t0);
             let t1 = h.now();
-            ep.dma_read_bulk(layout::gpu_bar(0), &mut buf).await;
+            ep.dma_read(layout::gpu_bar(0), 4 << 20).await;
             pt.set(h.now() - t1);
         });
         sim.run();
@@ -372,9 +361,8 @@ mod tests {
             let _ = ep.read_u64(layout::host_dram(0)).await;
             ep.posted_write(layout::host_dram(0) + 64, vec![1u8; 8])
                 .await;
-            let mut buf = vec![0u8; 4096];
-            ep.dma_read_bulk(layout::host_dram(0), &mut buf).await;
-            ep.dma_write_bulk(layout::host_dram(0), &buf).await;
+            let data = ep.dma_read(layout::host_dram(0), 4096).await;
+            ep.dma_write(layout::host_dram(0), &data).await;
         });
         sim.run();
         let s = pcie.stats();
@@ -402,8 +390,7 @@ mod tests {
             let h = sim.clone();
             let name = ep.name().to_string();
             sim.spawn(&name, async move {
-                let mut buf = vec![0u8; 1 << 20];
-                ep.dma_read_bulk(layout::host_dram(0), &mut buf).await;
+                ep.dma_read(layout::host_dram(0), 1 << 20).await;
                 t.set(h.now());
             });
         }

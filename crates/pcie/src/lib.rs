@@ -12,8 +12,11 @@
 //! * **Non-posted reads** (`Endpoint::read`) — the issuer stalls for a full
 //!   round trip. This is why polling system memory from the GPU is expensive
 //!   (§V-A.3 of the paper).
-//! * **Bulk DMA** (`Endpoint::dma_read_bulk` / `Endpoint::dma_write_bulk`) —
+//! * **Bulk DMA** (`Endpoint::dma_read` / `Endpoint::dma_write`) —
 //!   bandwidth-limited payload movement, segmented into max-payload TLPs.
+//!   The bytes travel as a [`tc_mem::Payload`], sampled when the read
+//!   completes and landed when the write does; never-written source pages
+//!   ride along as zero runs.
 //!
 //! # The peer-to-peer read anomaly
 //!
