@@ -18,6 +18,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use tc_desim::Work;
+
 /// A boxed unit of schedulable work.
 pub type Task = Box<dyn FnOnce() + Send>;
 
@@ -49,6 +51,9 @@ pub struct PoolStats {
     /// What each task ran, in submission order (`id[point]`), when the
     /// caller labelled them; the `--verbose` ledger names the slowest.
     pub task_labels: Vec<String>,
+    /// Executor work of each task, in submission order: its simulations'
+    /// process polls and fast-forwarded steps, shard threads included.
+    pub task_work: Vec<Work>,
 }
 
 /// One worker's slice of a batch: how many tasks it claimed off the
@@ -93,15 +98,20 @@ impl PoolStats {
         }
         self.task_ns.extend(&other.task_ns);
         self.task_labels.extend(other.task_labels.iter().cloned());
+        self.task_work.extend(&other.task_work);
     }
 
-    /// The `n` slowest labelled tasks, slowest first: `(label, ns)`.
-    pub fn slowest(&self, n: usize) -> Vec<(&str, u64)> {
-        let mut v: Vec<(&str, u64)> = self
+    /// The `n` slowest labelled tasks, slowest first: `(label, ns, work)`.
+    pub fn slowest(&self, n: usize) -> Vec<(&str, u64, Work)> {
+        let mut v: Vec<(&str, u64, Work)> = self
             .task_labels
             .iter()
             .zip(&self.task_ns)
-            .map(|(l, &ns)| (l.as_str(), ns))
+            .enumerate()
+            .map(|(i, (l, &ns))| {
+                let work = self.task_work.get(i).copied().unwrap_or_default();
+                (l.as_str(), ns, work)
+            })
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v.truncate(n);
@@ -134,8 +144,13 @@ impl PoolStats {
                 ));
             }
         }
-        for (label, ns) in self.slowest(5) {
-            out.push_str(&format!("\n#   slowest    {:>10.1} ms  {label}", ms(ns)));
+        for (label, ns, w) in self.slowest(5) {
+            out.push_str(&format!(
+                "\n#   slowest    {:>10.1} ms  {label:<14} {:>10} polls {:>11} ffwd steps",
+                ms(ns),
+                w.polls,
+                w.skipped,
+            ));
         }
         out
     }
@@ -185,11 +200,14 @@ impl Pool {
         let wait = AtomicU64::new(0);
         let max_task = AtomicU64::new(0);
         let task_ns: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let task_work: Vec<Mutex<Work>> = (0..n).map(|_| Mutex::new(Work::default())).collect();
         let run_one = |(i, t): (usize, Task)| -> u64 {
             let claimed = t0.elapsed().as_nanos() as u64;
             let started = Instant::now();
+            let work = Work::on_thread();
             t();
             let took = started.elapsed().as_nanos() as u64;
+            *task_work[i].lock().unwrap() = Work::on_thread().since(work);
             busy.fetch_add(took, Ordering::Relaxed);
             wait.fetch_add(claimed, Ordering::Relaxed);
             max_task.fetch_max(took, Ordering::Relaxed);
@@ -243,6 +261,10 @@ impl Pool {
             per_worker,
             task_ns: task_ns.into_iter().map(AtomicU64::into_inner).collect(),
             task_labels: Vec::new(),
+            task_work: task_work
+                .into_iter()
+                .map(|m| m.into_inner().unwrap())
+                .collect(),
         }
     }
 
@@ -345,6 +367,29 @@ mod tests {
     }
 
     #[test]
+    fn task_work_counts_each_tasks_own_polls() {
+        for jobs in [1, 3] {
+            let tasks: Vec<Task> = (0..6u64)
+                .map(|i| {
+                    Box::new(move || {
+                        let sim = tc_desim::Sim::new();
+                        let h = sim.clone();
+                        sim.spawn("p", async move {
+                            for _ in 0..i {
+                                h.delay(1).await;
+                            }
+                        });
+                        sim.run();
+                    }) as Task
+                })
+                .collect();
+            let stats = Pool::new(jobs).run_tasks(tasks);
+            let polls: Vec<u64> = stats.task_work.iter().map(|w| w.polls).collect();
+            assert_eq!(polls, [1, 2, 3, 4, 5, 6], "jobs={jobs}");
+        }
+    }
+
+    #[test]
     fn stats_merge_sums_batches() {
         let mut a = PoolStats {
             jobs: 2,
@@ -361,6 +406,13 @@ mod tests {
             task_labels: ["fig1a[0]", "fig1a[1]", "fig1a[2]"]
                 .map(String::from)
                 .to_vec(),
+            task_work: vec![
+                Work {
+                    polls: 7,
+                    skipped: 3,
+                };
+                3
+            ],
         };
         let b = PoolStats {
             jobs: 4,
@@ -381,6 +433,10 @@ mod tests {
             ],
             task_ns: vec![60],
             task_labels: vec!["fig3[0]".into()],
+            task_work: vec![Work {
+                polls: 1234,
+                skipped: 56,
+            }],
         };
         a.merge(&b);
         assert_eq!(a.tasks, 4);
@@ -404,8 +460,18 @@ mod tests {
         let s = a.summary();
         assert!(s.contains("4 task(s)") && s.contains("utilization"), "{s}");
         assert!(s.contains("worker 0") && s.contains("worker 1"), "{s}");
-        // The ledger names the slowest tasks, slowest first.
-        assert_eq!(a.slowest(2), vec![("fig1a[0]", 80), ("fig3[0]", 60)], "{s}");
+        // The ledger names the slowest tasks, slowest first, with their
+        // executor work.
+        let w = |polls, skipped| Work { polls, skipped };
+        assert_eq!(
+            a.slowest(2),
+            vec![("fig1a[0]", 80, w(7, 3)), ("fig3[0]", 60, w(1234, 56))],
+            "{s}"
+        );
+        assert!(
+            s.contains("fig3[0]              1234 polls          56 ffwd steps"),
+            "{s}"
+        );
         assert!(
             s.contains("fig1a[0]") && !s.contains("max task        fig"),
             "{s}"

@@ -120,6 +120,8 @@ struct Shared {
     import_stage: Cell<Option<(u32, u64)>>,
     /// Processes parked by spin fast-forward (see [`crate::ffwd`]).
     parked: RefCell<Parking>,
+    /// Work done since the last [`Work::fold`].
+    work: Cell<Work>,
 }
 
 #[derive(Default)]
@@ -193,6 +195,49 @@ impl Parking {
     }
 }
 
+/// Executor work: process polls, and skipped steps that parked processes
+/// fast-forwarded instead (see [`crate::ffwd`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Process polls.
+    pub polls: u64,
+    /// Skipped steps of parked processes.
+    pub skipped: u64,
+}
+
+thread_local! {
+    static THREAD_WORK: Cell<Work> = const { Cell::new(Work { polls: 0, skipped: 0 }) };
+}
+
+impl Work {
+    /// The work of every simulation run on this OS thread so far, and of
+    /// the shard threads of the sharded runs it started. A simulation
+    /// counts its own work and folds it in whenever [`Sim::run_until`]
+    /// returns.
+    pub fn on_thread() -> Work {
+        THREAD_WORK.with(Cell::get)
+    }
+
+    /// Add `w` to this thread's total.
+    pub(crate) fn fold(w: Work) {
+        THREAD_WORK.with(|t| {
+            let s = t.get();
+            t.set(Work {
+                polls: s.polls + w.polls,
+                skipped: s.skipped + w.skipped,
+            });
+        });
+    }
+
+    /// The work done since `earlier`, an earlier reading of the same total.
+    pub fn since(self, earlier: Work) -> Work {
+        Work {
+            polls: self.polls - earlier.polls,
+            skipped: self.skipped - earlier.skipped,
+        }
+    }
+}
+
 /// Handle to a simulation. Cheap to clone (one reference-count bump); all
 /// clones refer to the same simulated world.
 ///
@@ -243,6 +288,7 @@ impl Sim {
                 causal: CausalLog::new(),
                 import_stage: Cell::new(None),
                 parked: RefCell::new(Parking::default()),
+                work: Cell::new(Work::default()),
             }),
         }
     }
@@ -482,6 +528,9 @@ impl Sim {
         self.shared.current.set(Some(pid));
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
+        let mut w = self.shared.work.get();
+        w.polls += 1;
+        self.shared.work.set(w);
         let done = fut.as_mut().poll(&mut cx).is_ready();
         self.shared.current.set(None);
         if causal_on {
@@ -506,6 +555,12 @@ impl Sim {
     /// Run until the event queue is exhausted or the clock would pass
     /// `deadline`. Returns the simulated time when the run stopped.
     pub fn run_until(&self, deadline: Time) -> Time {
+        let end = self.run_events(deadline);
+        Work::fold(self.shared.work.take());
+        end
+    }
+
+    fn run_events(&self, deadline: Time) -> Time {
         loop {
             // Drain everything runnable at the current instant.
             loop {
@@ -641,6 +696,10 @@ impl Sim {
             }
         }
         self.shared.inner.borrow_mut().queue.take_seqs(seq - first);
+        // Every skipped step drew one sequence number.
+        let mut w = self.shared.work.get();
+        w.skipped += seq - first;
+        self.shared.work.set(w);
         for spin in ran {
             spin.settle();
         }
@@ -1032,6 +1091,23 @@ mod tests {
     use super::*;
     use crate::time::{ns, us};
     use std::cell::RefCell as StdRefCell;
+
+    #[test]
+    fn work_folds_into_the_thread_total_when_a_run_returns() {
+        let before = Work::on_thread();
+        let sim = Sim::new();
+        let h = sim.clone();
+        sim.spawn("d", async move {
+            for _ in 0..3 {
+                h.delay(ns(10)).await;
+            }
+        });
+        assert_eq!(Work::on_thread(), before, "counted per simulation");
+        sim.run();
+        // The first poll and one per delay; nothing parked.
+        let w = Work::on_thread().since(before);
+        assert_eq!((w.polls, w.skipped), (4, 0));
+    }
 
     #[test]
     fn empty_sim_finishes_at_zero() {

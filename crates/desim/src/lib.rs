@@ -51,7 +51,7 @@ pub mod shard;
 pub mod sync;
 pub mod time;
 
-pub use executor::{Parked, ProcId, Sim};
+pub use executor::{Parked, ProcId, Sim, Work};
 pub use queue::QueueKind;
 pub use shard::{run_sharded, Envelope, Outgoing, ShardHandle, WindowStat};
 pub use time::{Freq, Time};

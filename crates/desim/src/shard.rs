@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::time::Time;
-use crate::Sim;
+use crate::{Sim, Work};
 
 /// A timestamped cross-shard message.
 ///
@@ -338,7 +338,8 @@ impl<M: Send> ShardHandle<'_, M> {
 /// Each worker builds its own (single-threaded) [`Sim`] and model inside
 /// `f`, wires cross-shard state with [`ShardHandle::exchange`], and drives
 /// the windowed event loop with [`ShardHandle::run`]. Returns the workers'
-/// results indexed by shard. A panic in any worker poisons the barrier so
+/// results indexed by shard, and folds each worker's executor [`Work`]
+/// into the calling thread's. A panic in any worker poisons the barrier so
 /// the peers panic too instead of deadlocking, and the original panic is
 /// propagated.
 pub fn run_sharded<M, T, F>(shards: usize, lookahead: Time, f: F) -> Vec<T>
@@ -370,7 +371,7 @@ where
                     };
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(handle)));
                     match out {
-                        Ok(v) => v,
+                        Ok(v) => (v, Work::on_thread()),
                         Err(payload) => {
                             coord.barrier.poison();
                             std::panic::resume_unwind(payload);
@@ -382,7 +383,10 @@ where
         handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(v) => v,
+                Ok((v, work)) => {
+                    Work::fold(work);
+                    v
+                }
                 Err(payload) => std::panic::resume_unwind(payload),
             })
             .collect()
@@ -465,6 +469,26 @@ mod tests {
         assert_eq!(log0.len(), laps as usize);
         // The global event horizon is the final delivery, on shard 0.
         assert_eq!(last0.max(last1), 2 * laps * hop);
+    }
+
+    /// Each shard thread's executor work lands in the caller's total.
+    #[test]
+    fn shard_work_folds_into_the_calling_thread() {
+        let before = Work::on_thread();
+        let per_shard = run_sharded::<u64, _, _>(3, us(1), |mut h| {
+            let sim = Sim::new();
+            let s = sim.clone();
+            let delays = 2 + h.index() as u64;
+            sim.spawn("work", async move {
+                for _ in 0..delays {
+                    s.delay(us(3)).await;
+                }
+            });
+            h.run(&sim, Vec::new, |_| {});
+            Work::on_thread().polls
+        });
+        assert_eq!(per_shard, [3, 4, 5]);
+        assert_eq!(Work::on_thread().since(before).polls, 12);
     }
 
     /// An envelope timed exactly on a window boundary must land in the

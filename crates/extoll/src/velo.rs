@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 
 use tc_desim::sync::Channel;
 use tc_mem::{Addr, MmioDevice, Ring};
-use tc_pcie::Processor;
+use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
 /// Maximum VELO payload per message, bytes.
 pub const VELO_MAX_PAYLOAD: usize = 64;
@@ -192,7 +192,39 @@ impl MailboxConsumer {
         let slot = self.mailbox.ring.slot(self.rp.get());
         let status = p.ld_u64(slot).await;
         p.instr(6).await;
-        let (src_node, src_port, len) = Mailbox::decode_status(status)?;
+        let head = Mailbox::decode_status(status)?;
+        Some(self.take(p, slot, head).await)
+    }
+
+    /// Spin on [`MailboxConsumer::try_recv`]'s probe until a message
+    /// arrives, then take it.
+    pub async fn recv<P: Processor>(&self, p: &P) -> (u16, u16, Vec<u8>) {
+        let slot = self.mailbox.ring.slot(self.rp.get());
+        let status = [ProbeLoad {
+            addr: slot,
+            kind: LoadKind::U64,
+        }];
+        let probe = Probe {
+            loads: &status,
+            instr: 6,
+            spins: None,
+        };
+        let got = p
+            .spin_until(&probe, |b| Mailbox::decode_status(le(b)).is_some())
+            .await;
+        let head =
+            Mailbox::decode_status(le(&got.bytes)).expect("the accepted probe holds a message");
+        self.take(p, slot, head).await
+    }
+
+    /// Take the message `(src_node, src_port, len)` at the head `slot`:
+    /// read the payload, free the slot and publish the read pointer.
+    async fn take<P: Processor>(
+        &self,
+        p: &P,
+        slot: Addr,
+        (src_node, src_port, len): (u16, u16, u8),
+    ) -> (u16, u16, Vec<u8>) {
         let mut data = vec![0u8; len as usize];
         if len > 0 {
             p.ld_bytes(slot + 8, &mut data).await;
@@ -202,16 +234,7 @@ impl MailboxConsumer {
         self.rp.set(self.rp.get() + 1);
         p.st_u32(self.mailbox.rp_addr, self.rp.get() as u32).await;
         p.instr(6).await;
-        Some((src_node, src_port, data))
-    }
-
-    /// Spin until a message arrives.
-    pub async fn recv<P: Processor>(&self, p: &P) -> (u16, u16, Vec<u8>) {
-        loop {
-            if let Some(m) = self.try_recv(p).await {
-                return m;
-            }
-        }
+        (src_node, src_port, data)
     }
 
     /// Messages consumed so far.

@@ -1,14 +1,16 @@
 //! End-to-end tests of the VELO small-message engine across two nodes.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use tc_desim::Sim;
+use tc_desim::{Sim, Time, Work};
+use tc_extoll::api::VeloPort;
 use tc_extoll::{ExtollNic, RmaConfig, RmaFrame, VELO_MAX_PAYLOAD};
 use tc_gpu::{Gpu, GpuConfig};
 use tc_link::{Cable, CableConfig};
 use tc_mem::{layout, Bus, Heap, RegionKind, SparseMem};
-use tc_pcie::{CpuConfig, CpuThread, Pcie, PcieConfig};
+use tc_pcie::{CpuConfig, CpuThread, Pcie, PcieConfig, Processor};
+use tc_trace::Snapshot;
 
 struct Node {
     cpu: CpuThread,
@@ -88,7 +90,6 @@ fn velo_stream_is_in_order_and_lossless_within_mailbox_depth() {
             v0.send(&cpu0, dst, &i.to_le_bytes()).await;
             // Pace slightly so the consumer keeps up with the 64-slot
             // mailbox (flow control is the application's job with VELO).
-            use tc_pcie::Processor;
             cpu0.instr(2000).await;
         }
     });
@@ -157,4 +158,63 @@ fn gpu_can_send_and_receive_velo_messages() {
     // message is 3 sysmem transactions (32B granules), once per direction.
     assert!(n0.gpu.counters().sysmem_writes.get() >= 3);
     assert!(n1.gpu.counters().sysmem_writes.get() >= 3);
+}
+
+/// Take the next message with `recv`, or with a `try_recv` loop.
+async fn take<P: Processor>(port: &VeloPort, p: &P, recv: bool) -> (u16, Vec<u8>) {
+    if recv {
+        return port.recv(p).await;
+    }
+    loop {
+        if let Some(m) = port.try_recv(p).await {
+            return m;
+        }
+    }
+}
+
+/// Node 0's CPU sends five paced messages that node 1 takes on its GPU or
+/// its CPU. Returns the end time, the registry, each message with its
+/// arrival instant, and whether any wait was fast-forwarded.
+fn paced_stream(on_gpu: bool, recv: bool) -> (Time, Snapshot, Vec<(Time, Vec<u8>)>, bool) {
+    let sim = Sim::new();
+    let (_bus, n0, n1) = two_nodes(&sim);
+    let v0 = n0.nic.open_velo_port();
+    let v1 = n1.nic.open_velo_port();
+    let (cpu0, dst) = (n0.cpu.clone(), v1.index());
+    sim.spawn("sender", async move {
+        for i in 0..5u8 {
+            cpu0.instr(20_000).await;
+            v0.send(&cpu0, dst, &vec![i; 8 * i as usize + 1]).await;
+        }
+    });
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let (g, h, cpu1, gpu1) = (got.clone(), sim.clone(), n1.cpu.clone(), n1.gpu.thread());
+    sim.spawn("receiver", async move {
+        for _ in 0..5 {
+            let (_src, data) = if on_gpu {
+                take(&v1, &gpu1, recv).await
+            } else {
+                take(&v1, &cpu1, recv).await
+            };
+            g.borrow_mut().push((h.now(), data));
+        }
+    });
+    let before = Work::on_thread();
+    let end = sim.run();
+    let skipped = Work::on_thread().since(before).skipped;
+    (end, sim.registry().snapshot(), got.take(), skipped > 0)
+}
+
+#[test]
+fn mailbox_recv_matches_a_try_recv_loop_on_both_processors() {
+    for on_gpu in [false, true] {
+        let (end, registry, got, parked) = paced_stream(on_gpu, true);
+        let (loop_end, loop_registry, loop_got, loop_parked) = paced_stream(on_gpu, false);
+        assert!(parked, "recv never fast-forwarded (gpu: {on_gpu})");
+        assert!(!loop_parked);
+        assert_eq!(got.len(), 5);
+        assert_eq!(end, loop_end, "gpu: {on_gpu}");
+        assert_eq!(got, loop_got, "gpu: {on_gpu}");
+        assert_eq!(registry, loop_registry, "gpu: {on_gpu}");
+    }
 }

@@ -23,6 +23,11 @@
 //! and counters, so the values in the paper's Tables I and II *emerge* from
 //! running the actual API code paths. [`Gpu::launch`] provides
 //! blocks/streams with launch overhead for the message-rate experiments.
+//!
+//! Spin-waits fast-forward through `tc_pcie::spin`, the engine the GPU
+//! shares with the host CPU; the private `spin` module supplies the GPU's
+//! step costs and charges and its L2-eviction and PCIe-link resume
+//! triggers.
 
 pub mod config;
 pub mod counters;

@@ -351,7 +351,7 @@ impl tc_pcie::Processor for GpuThread {
         probe: &tc_pcie::Probe<'_>,
         done: impl FnMut(&[u8]) -> bool,
     ) -> tc_pcie::Spun {
-        crate::spin::spin_until(self, probe, done).await
+        tc_pcie::spin::spin_until(self, probe, done).await
     }
 }
 

@@ -18,6 +18,14 @@
 //!   completes and landed when the write does; never-written source pages
 //!   ride along as zero runs.
 //!
+//! # Spin-waits
+//!
+//! The NIC APIs spin through [`Processor::spin_until`]. Its default is the
+//! plain loop and the reference; [`spin`] is the engine that `tc-gpu`'s
+//! `GpuThread` and [`CpuThread`] share to fast-forward probes that provably
+//! change nothing, each supplying only its step costs, charges and extra
+//! resume triggers.
+//!
 //! # The peer-to-peer read anomaly
 //!
 //! The paper observes (citing Si/Ishikawa \[14\] and Potluri et al. \[15\]) that
@@ -34,6 +42,7 @@ pub mod config;
 pub mod endpoint;
 pub mod link;
 pub mod proc;
+pub mod spin;
 pub mod stats;
 
 pub use config::PcieConfig;

@@ -12,10 +12,11 @@ use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
 use tc_desim::Sim;
-use tc_mem::Addr;
+use tc_mem::{Addr, Bus};
 use tc_trace::Counter;
 
 use crate::endpoint::Endpoint;
+use crate::spin::{self, Op, Plan, Run, Spinner};
 
 /// How a spin [`Probe`] loads one value: the [`Processor`] method it calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,33 +129,41 @@ pub trait Processor {
     /// the number of failed probes.
     ///
     /// This default is the plain loop, one simulated probe after another.
-    /// It is the reference an override must match exactly: `GpuThread`
-    /// fast-forwards probes that provably change nothing.
-    async fn spin_until(&self, probe: &Probe<'_>, mut done: impl FnMut(&[u8]) -> bool) -> Spun {
-        let mut bytes = vec![0u8; probe.bytes()];
-        let mut failed = 0;
-        loop {
-            let mut off = 0;
-            for l in probe.loads {
-                let dst = &mut bytes[off..off + l.bytes()];
-                off += dst.len();
-                match l.kind {
-                    LoadKind::U32 => dst.copy_from_slice(&self.ld_u32(l.addr).await.to_le_bytes()),
-                    LoadKind::U64 => dst.copy_from_slice(&self.ld_u64(l.addr).await.to_le_bytes()),
-                    LoadKind::State => {
-                        dst.copy_from_slice(&self.ld_state(l.addr).await.to_le_bytes())
-                    }
-                    LoadKind::Bytes(_) => self.ld_bytes(l.addr, dst).await,
-                }
+    /// It is the reference an override must match exactly: `GpuThread` and
+    /// [`CpuThread`] override it with the spin engine ([`crate::spin`]),
+    /// which fast-forwards probes that provably change nothing.
+    async fn spin_until(&self, probe: &Probe<'_>, done: impl FnMut(&[u8]) -> bool) -> Spun {
+        spin_plain(self, probe, done).await
+    }
+}
+
+/// The plain spin loop: [`Processor::spin_until`]'s default body.
+pub(crate) async fn spin_plain<P: Processor + ?Sized>(
+    p: &P,
+    probe: &Probe<'_>,
+    mut done: impl FnMut(&[u8]) -> bool,
+) -> Spun {
+    let mut bytes = vec![0u8; probe.bytes()];
+    let mut failed = 0;
+    loop {
+        let mut off = 0;
+        for l in probe.loads {
+            let dst = &mut bytes[off..off + l.bytes()];
+            off += dst.len();
+            match l.kind {
+                LoadKind::U32 => dst.copy_from_slice(&p.ld_u32(l.addr).await.to_le_bytes()),
+                LoadKind::U64 => dst.copy_from_slice(&p.ld_u64(l.addr).await.to_le_bytes()),
+                LoadKind::State => dst.copy_from_slice(&p.ld_state(l.addr).await.to_le_bytes()),
+                LoadKind::Bytes(_) => p.ld_bytes(l.addr, dst).await,
             }
-            self.instr(probe.instr).await;
-            if done(&bytes) {
-                return Spun { bytes, failed };
-            }
-            failed += 1;
-            if let Some(c) = probe.spins {
-                c.inc();
-            }
+        }
+        p.instr(probe.instr).await;
+        if done(&bytes) {
+            return Spun { bytes, failed };
+        }
+        failed += 1;
+        if let Some(c) = probe.spins {
+            c.inc();
         }
     }
 }
@@ -323,6 +332,56 @@ impl Processor for CpuThread {
         self.store_bytes.add(8);
         self.sim.delay(self.cfg.cached).await;
         self.endpoint.bus().write(addr, &v.to_le_bytes());
+    }
+
+    async fn spin_until(&self, probe: &Probe<'_>, done: impl FnMut(&[u8]) -> bool) -> Spun {
+        // A probe that crosses PCIe keeps the plain loop.
+        if probe.loads.iter().any(|l| self.sends_read(l)) {
+            spin_plain(self, probe, done).await
+        } else {
+            spin::spin_until(self, probe, done).await
+        }
+    }
+}
+
+/// A CPU probe step costs a fixed latency: no link, no cache model.
+impl Spinner for CpuThread {
+    fn bus(&self) -> &Bus {
+        self.endpoint.bus()
+    }
+
+    fn sends_read(&self, l: &ProbeLoad) -> bool {
+        l.kind != LoadKind::State && !self.is_local_dram(l.addr)
+    }
+
+    fn step(&self, plan: &Plan, op: Op, r: &mut Run) -> Time {
+        match op {
+            Op::Issue(i) => {
+                let l = &plan.loads[i];
+                self.loads.inc();
+                self.load_bytes.add(l.bytes() as u64);
+                if l.kind == LoadKind::State {
+                    self.cfg.cached
+                } else {
+                    self.cfg.dram
+                }
+            }
+            Op::Done(i) => {
+                let buf = &mut r.bytes[plan.range(i)];
+                self.endpoint.bus().read(plan.loads[i].addr, buf);
+                0
+            }
+            Op::Instr => plan.instr * self.cfg.instr,
+            Op::Retire => 0,
+            Op::Read(_) => unreachable!("a CPU probe that crosses PCIe takes the plain loop"),
+        }
+    }
+
+    fn charge(&self, plan: &Plan, op: Op, n: u64, _last: Time) {
+        if let Op::Issue(i) = op {
+            self.loads.add(n);
+            self.load_bytes.add(n * plan.loads[i].bytes() as u64);
+        }
     }
 }
 

@@ -29,6 +29,12 @@ echo "== determinism goldens (byte-identical traces, zero-perturbation) =="
 cargo test -q --test trace_golden
 cargo test -q --test determinism
 
+echo "== spin-wait fast-forward goldens (parked spinners match the plain loop) =="
+cargo test -q -p tc-pcie --test spin_ff
+cargo test -q -p tc-gpu --test spin_ff
+cargo test -q -p tc-extoll --test velo_end_to_end \
+    mailbox_recv_matches_a_try_recv_loop_on_both_processors
+
 echo "== parallel runner golden (--jobs N output byte-identical to serial) =="
 cargo test -q --test parallel_golden
 
