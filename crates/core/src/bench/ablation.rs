@@ -2,12 +2,16 @@
 //! calls out. These go beyond the paper's measurements: they quantify, in
 //! the simulator, how much each identified bottleneck costs.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use tc_desim::time::{self, Time};
 use tc_extoll::WrFlags;
-use tc_ib::{BufLoc, VerbsTuning};
+use tc_ib::VerbsTuning;
 
 use crate::cluster::{Backend, Cluster, ClusterConfig};
 
+use super::counters::{verbs_micro, VerbsMicro};
 use super::pingpong::{extoll_pingpong_cfg, PingPongResult};
 use super::ExtollMode;
 
@@ -49,33 +53,7 @@ pub struct WarpAblation {
 /// single thread vs. a warp dividing the conversion/marshalling work.
 /// Returns `(single_thread, warp)` per-post wall times.
 pub fn ablation_warp_ib() -> (Time, Time) {
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use tc_ib::{Access, IbvContext, SendOpcode, SendWr};
-
-    let c = Cluster::new(Backend::Infiniband);
-    let ctx0 = IbvContext::new(
-        c.nodes[0].ib().clone(),
-        c.nodes[0].host_heap.clone(),
-        Some(c.nodes[0].gpu.clone()),
-        BufLoc::Gpu,
-    );
-    let ctx1 = IbvContext::new(
-        c.nodes[1].ib().clone(),
-        c.nodes[1].host_heap.clone(),
-        None,
-        BufLoc::Host,
-    );
-    let cq0 = ctx0.create_cq(BufLoc::Gpu);
-    let cq1 = ctx1.create_cq(BufLoc::Host);
-    let qp0 = ctx0.create_qp(cq0.clone(), cq0.clone(), BufLoc::Gpu);
-    let qp1 = ctx1.create_qp(cq1.clone(), cq1.clone(), BufLoc::Host);
-    qp0.connect(qp1.qpn());
-    qp1.connect(qp0.qpn());
-    let src = c.nodes[0].gpu.alloc(64, 64);
-    let dst = c.nodes[1].host_heap.alloc(64, 64);
-    let mr0 = ctx0.reg_mr(src, 64, Access::full());
-    let mr1 = ctx1.reg_mr(dst, 64, Access::full());
+    let VerbsMicro { c, qp0, cq0, wr } = verbs_micro(VerbsTuning::default(), 64);
     let gpu = c.nodes[0].gpu.clone();
     let out = Rc::new(Cell::new((0u64, 0u64)));
     let out2 = out.clone();
@@ -83,16 +61,6 @@ pub fn ablation_warp_ib() -> (Time, Time) {
     const N: u64 = 50;
     c.sim.spawn("warp-ib", async move {
         let t = gpu.thread();
-        let wr = SendWr {
-            opcode: SendOpcode::RdmaWrite,
-            laddr: mr0.addr,
-            lkey: mr0.lkey,
-            raddr: mr1.addr,
-            rkey: mr1.rkey,
-            len: 64,
-            imm: 0,
-            signaled: true,
-        };
         let t0 = sim.now();
         for _ in 0..N {
             qp0.post_send(&t, &wr).await;
@@ -115,9 +83,6 @@ pub fn ablation_warp_ib() -> (Time, Time) {
 /// issued as three dependent 64-bit stores by one thread vs. one
 /// write-combined 192-bit store assembled by a warp.
 pub fn ablation_warp() -> WarpAblation {
-    use std::cell::Cell;
-    use std::rc::Rc;
-
     let c = Cluster::new(Backend::Extoll);
     let tx = c.nodes[0].gpu.alloc(64, 256);
     let rx = c.nodes[1].gpu.alloc(64, 256);
@@ -179,34 +144,7 @@ pub struct EndianAblation {
 /// little-to-big-endian conversion work.
 pub fn ablation_endian() -> EndianAblation {
     fn one(tuning: VerbsTuning) -> (u64, Time) {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        use tc_ib::{Access, IbvContext, SendOpcode, SendWr};
-
-        let c = Cluster::new(Backend::Infiniband);
-        let ctx0 = IbvContext::new(
-            c.nodes[0].ib().clone(),
-            c.nodes[0].host_heap.clone(),
-            Some(c.nodes[0].gpu.clone()),
-            BufLoc::Gpu,
-        )
-        .with_tuning(tuning);
-        let ctx1 = IbvContext::new(
-            c.nodes[1].ib().clone(),
-            c.nodes[1].host_heap.clone(),
-            None,
-            BufLoc::Host,
-        );
-        let cq0 = ctx0.create_cq(BufLoc::Gpu);
-        let cq1 = ctx1.create_cq(BufLoc::Host);
-        let qp0 = ctx0.create_qp(cq0.clone(), cq0.clone(), BufLoc::Gpu);
-        let qp1 = ctx1.create_qp(cq1.clone(), cq1.clone(), BufLoc::Host);
-        qp0.connect(qp1.qpn());
-        qp1.connect(qp0.qpn());
-        let src = c.nodes[0].gpu.alloc(64, 64);
-        let dst = c.nodes[1].host_heap.alloc(64, 64);
-        let mr0 = ctx0.reg_mr(src, 64, Access::full());
-        let mr1 = ctx1.reg_mr(dst, 64, Access::full());
+        let VerbsMicro { c, qp0, wr, .. } = verbs_micro(tuning, 64);
         let gpu = c.nodes[0].gpu.clone();
         let out = Rc::new(Cell::new((0u64, 0u64)));
         let out2 = out.clone();
@@ -215,20 +153,7 @@ pub fn ablation_endian() -> EndianAblation {
             let t = gpu.thread();
             let before = gpu.counters().snapshot();
             let t0 = sim.now();
-            qp0.post_send(
-                &t,
-                &SendWr {
-                    opcode: SendOpcode::RdmaWrite,
-                    laddr: mr0.addr,
-                    lkey: mr0.lkey,
-                    raddr: mr1.addr,
-                    rkey: mr1.rkey,
-                    len: 64,
-                    imm: 0,
-                    signaled: true,
-                },
-            )
-            .await;
+            qp0.post_send(&t, &wr).await;
             let instr = gpu.counters().snapshot().delta(&before).instructions;
             out2.set((instr, sim.now() - t0));
         });
@@ -255,51 +180,15 @@ pub fn ablation_endian() -> EndianAblation {
 /// `((cpu_gather, cpu_inline), (gpu_gather, gpu_inline))` per-message
 /// times (post + completion).
 pub fn ablation_inline() -> ((Time, Time), (Time, Time)) {
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use tc_ib::{Access, IbvContext, SendOpcode, SendWr};
-
-    let c = Cluster::new(Backend::Infiniband);
-    let ctx0 = IbvContext::new(
-        c.nodes[0].ib().clone(),
-        c.nodes[0].host_heap.clone(),
-        Some(c.nodes[0].gpu.clone()),
-        BufLoc::Gpu,
-    );
-    let ctx1 = IbvContext::new(
-        c.nodes[1].ib().clone(),
-        c.nodes[1].host_heap.clone(),
-        None,
-        BufLoc::Host,
-    );
-    let cq0 = ctx0.create_cq(BufLoc::Gpu);
-    let cq1 = ctx1.create_cq(BufLoc::Host);
-    let qp0 = ctx0.create_qp(cq0.clone(), cq0.clone(), BufLoc::Gpu);
-    let qp1 = ctx1.create_qp(cq1.clone(), cq1.clone(), BufLoc::Host);
-    qp0.connect(qp1.qpn());
-    qp1.connect(qp0.qpn());
-    let src = c.nodes[0].gpu.alloc(64, 64);
-    let dst = c.nodes[1].host_heap.alloc(64, 64);
-    let mr0 = ctx0.reg_mr(src, 64, Access::full());
-    let mr1 = ctx1.reg_mr(dst, 64, Access::full());
+    const N: u64 = 50;
+    const LEN: u32 = 16;
+    let VerbsMicro { c, qp0, cq0, wr } = verbs_micro(VerbsTuning::default(), LEN);
     let gpu = c.nodes[0].gpu.clone();
     let cpu = c.nodes[0].cpu.clone();
     let out = Rc::new(Cell::new(((0u64, 0u64), (0u64, 0u64))));
     let out2 = out.clone();
     let sim = c.sim.clone();
-    const N: u64 = 50;
-    const LEN: u32 = 16;
     c.sim.spawn("inline-ablation", async move {
-        let wr = SendWr {
-            opcode: SendOpcode::RdmaWrite,
-            laddr: mr0.addr,
-            lkey: mr0.lkey,
-            raddr: mr1.addr,
-            rkey: mr1.rkey,
-            len: LEN,
-            imm: 0,
-            signaled: true,
-        };
         let payload = [0x5Au8; LEN as usize];
         // CPU-driven first (the sub-microsecond post where the payload
         // fetch is a visible fraction).
@@ -353,8 +242,6 @@ pub struct CombinedClaims {
 /// CPU. This is the "future GPU communication library" the paper's
 /// conclusion gears towards.
 pub fn combined_claims(size: u64, iters: u32) -> CombinedClaims {
-    use tc_extoll::WrFlags;
-
     let direct = extoll_pingpong_cfg(
         ClusterConfig::extoll(),
         ExtollMode::Dev2DevDirect,
@@ -390,8 +277,6 @@ pub fn combined_claims(size: u64, iters: u32) -> CombinedClaims {
     let p0 = c.nodes[0].extoll().open_port();
     let p1 = c.nodes[1].extoll().open_port();
     let (p0_idx, p1_idx) = (p0.index(), p1.index());
-    use std::cell::Cell;
-    use std::rc::Rc;
     let t_start = Rc::new(Cell::new(0u64));
     let t_end = Rc::new(Cell::new(0u64));
     let (ts, te) = (t_start.clone(), t_end.clone());

@@ -6,18 +6,18 @@
 //! requester/completer notifications (EXTOLL), send-queue completions
 //! (Infiniband), a CPU proxy (assisted), or full CPU control.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
+use tc_pcie::Processor;
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
-use crate::flag::{AssistChannel, DONE, REQUEST};
-use crate::transport::Transport;
+use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, DONE, REQUEST};
+use crate::transport::{AnyTransport, Transport};
 
-use super::{ExtollMode, IbMode};
+use super::{ExtollMode, IbMode, Window};
 
 /// Outstanding-message window of the streaming benchmarks.
 pub const WINDOW: u32 = 16;
@@ -46,241 +46,142 @@ impl BandwidthResult {
     }
 }
 
+/// Who posts node 0's puts. Node 1's receiver, where there is one, runs on
+/// the GPU under `Gpu` and on the host CPU otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Control {
+    Cpu,
+    Gpu,
+    /// The GPU requests each put from a CPU proxy.
+    Assisted,
+}
+
 /// EXTOLL streaming bandwidth (Fig. 1b). `Dev2DevPollOnGpu` is not part of
 /// this figure (the paper only defines it for ping-pong) and is rejected.
 pub fn extoll_bandwidth(mode: ExtollMode, size: u64, messages: u32) -> BandwidthResult {
-    assert_ne!(
-        mode,
-        ExtollMode::Dev2DevPollOnGpu,
-        "pollOnGPU is only applicable to the ping-pong test (paper §V-A.1)"
-    );
-    let c = Cluster::new(Backend::Extoll);
-    let tx = c.nodes[0].gpu.alloc(size.max(8), 256);
-    let rx = c.nodes[1].gpu.alloc(size.max(8), 256);
-    let (ep0, ep1) = create_pair(&c, tx, rx, size.max(8), QueueLoc::Host);
-    let ep0 = Rc::new(ep0);
-    let ep1 = Rc::new(ep1);
-    let t0 = Rc::new(Cell::new(0u64));
-    let t_done = Rc::new(Cell::new(0u64));
-    let reg_start: Rc<RefCell<Option<Snapshot>>> = Rc::new(RefCell::new(None));
-
-    // Receiver: consume one completer notification per message.
-    {
-        let ep1 = ep1.clone();
-        let td = t_done.clone();
-        let sim = c.sim.clone();
-        let cpu1 = c.nodes[1].cpu.clone();
-        let gpu1 = c.nodes[1].gpu.clone();
-        let host_side = matches!(
-            mode,
-            ExtollMode::HostControlled | ExtollMode::Dev2DevAssisted
-        );
-        c.sim.spawn("bw.receiver", async move {
-            let gt = gpu1.thread();
-            for _ in 0..messages {
-                if host_side {
-                    ep1.wait_arrival(&cpu1).await.unwrap();
-                } else {
-                    ep1.wait_arrival(&gt).await.unwrap();
-                }
-            }
-            td.set(sim.now());
-        });
-    }
-
-    match mode {
-        ExtollMode::Dev2DevDirect | ExtollMode::HostControlled => {
-            let ep0 = ep0.clone();
-            let ts = t0.clone();
-            let rs = reg_start.clone();
-            let sim = c.sim.clone();
-            let gpu0 = c.nodes[0].gpu.clone();
-            let cpu0 = c.nodes[0].cpu.clone();
-            let host = mode == ExtollMode::HostControlled;
-            c.sim.spawn("bw.sender", async move {
-                let gt = gpu0.thread();
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
-                let mut in_flight = 0u32;
-                for _ in 0..messages {
-                    if host {
-                        ep0.put(&cpu0, 0, 0, size as u32, true).await;
-                    } else {
-                        ep0.put(&gt, 0, 0, size as u32, true).await;
-                    }
-                    in_flight += 1;
-                    if in_flight >= WINDOW {
-                        if host {
-                            ep0.quiet(&cpu0).await.unwrap();
-                        } else {
-                            ep0.quiet(&gt).await.unwrap();
-                        }
-                        in_flight -= 1;
-                    }
-                }
-                for _ in 0..in_flight {
-                    if host {
-                        ep0.quiet(&cpu0).await.unwrap();
-                    } else {
-                        ep0.quiet(&gt).await.unwrap();
-                    }
-                }
-            });
+    let control = match mode {
+        ExtollMode::Dev2DevDirect => Control::Gpu,
+        ExtollMode::HostControlled => Control::Cpu,
+        ExtollMode::Dev2DevAssisted => Control::Assisted,
+        ExtollMode::Dev2DevPollOnGpu => {
+            panic!("pollOnGPU is only applicable to the ping-pong test (paper §V-A.1)")
         }
-        ExtollMode::Dev2DevAssisted => {
-            let ch = AssistChannel::new(&c.nodes[0].host_heap);
-            let stop = Rc::new(Cell::new(false));
-            {
-                let ep0 = ep0.clone();
-                let cpu0 = c.nodes[0].cpu.clone();
-                let stop = stop.clone();
-                let sim = c.sim.clone();
-                c.sim.spawn("bw.proxy", async move {
-                    loop {
-                        if stop.get() {
-                            break;
-                        }
-                        if let Some(arg) = ch.probe(&cpu0, REQUEST).await {
-                            ep0.put(&cpu0, 0, 0, arg as u32, true).await;
-                            ep0.quiet(&cpu0).await.unwrap();
-                            ch.respond(&cpu0, 0, DONE).await;
-                        }
-                        sim.delay(time::ns(60)).await;
-                    }
-                });
-            }
-            let ts = t0.clone();
-            let rs = reg_start.clone();
-            let sim = c.sim.clone();
-            let gpu0 = c.nodes[0].gpu.clone();
-            c.sim.spawn("bw.sender", async move {
-                let gt = gpu0.thread();
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
-                for _ in 0..messages {
-                    ch.request(&gt, size, REQUEST).await;
-                    ch.wait_state(&gt, DONE).await;
-                }
-                stop.set(true);
-            });
-        }
-        ExtollMode::Dev2DevPollOnGpu => unreachable!(),
-    }
-
-    c.sim.run();
-    let start = reg_start.borrow_mut().take().unwrap_or_default();
-    BandwidthResult {
-        size,
-        messages,
-        elapsed: t_done.get().saturating_sub(t0.get()).max(1),
-        registry: c.sim.registry().snapshot().delta(&start),
-    }
+    };
+    stream(Backend::Extoll, QueueLoc::Host, control, size, messages)
 }
 
 /// Infiniband streaming bandwidth (Fig. 4b).
 pub fn ib_bandwidth(mode: IbMode, size: u64, messages: u32) -> BandwidthResult {
-    let c = Cluster::new(Backend::Infiniband);
+    let (control, queue_loc) = match mode {
+        IbMode::Dev2DevBufOnGpu => (Control::Gpu, QueueLoc::Gpu),
+        IbMode::Dev2DevBufOnHost => (Control::Gpu, QueueLoc::Host),
+        IbMode::HostControlled => (Control::Cpu, QueueLoc::Host),
+        IbMode::Dev2DevAssisted => (Control::Assisted, QueueLoc::Host),
+    };
+    stream(Backend::Infiniband, queue_loc, control, size, messages)
+}
+
+/// Stream `messages` puts of `size` bytes from node 0's GPU memory to node
+/// 1's under `control`.
+fn stream(
+    backend: Backend,
+    queue_loc: QueueLoc,
+    control: Control,
+    size: u64,
+    messages: u32,
+) -> BandwidthResult {
+    let c = Cluster::new(backend);
     let tx = c.nodes[0].gpu.alloc(size.max(8), 256);
     let rx = c.nodes[1].gpu.alloc(size.max(8), 256);
-    let queue_loc = match mode {
-        IbMode::Dev2DevBufOnGpu => QueueLoc::Gpu,
-        _ => QueueLoc::Host,
-    };
-    let (ep0, _ep1) = create_pair(&c, tx, rx, size.max(8), queue_loc);
+    let (ep0, ep1) = create_pair(&c, tx, rx, size.max(8), queue_loc);
     let ep0 = Rc::new(ep0);
-    let t0 = Rc::new(Cell::new(0u64));
-    let t_done = Rc::new(Cell::new(0u64));
-    let reg_start: Rc<RefCell<Option<Snapshot>>> = Rc::new(RefCell::new(None));
+    let window = Rc::new(Window::new(&c.sim));
+    // EXTOLL's completer notification needs no receiver action, so node 1
+    // counts arrivals and closes the window at the last one. Infiniband
+    // would need an armed slot per notifying put; its puts go without
+    // notification, and the sender closes the window at its last send
+    // completion, which means the remote HCA acknowledged the data.
+    let notify = !backend.transport_caps().remote_notify_needs_arming;
 
-    match mode {
-        IbMode::Dev2DevBufOnGpu | IbMode::Dev2DevBufOnHost | IbMode::HostControlled => {
-            let ep0 = ep0.clone();
-            let (ts, td) = (t0.clone(), t_done.clone());
-            let rs = reg_start.clone();
-            let sim = c.sim.clone();
-            let gpu0 = c.nodes[0].gpu.clone();
-            let cpu0 = c.nodes[0].cpu.clone();
-            let host = mode == IbMode::HostControlled;
-            c.sim.spawn("bw.sender", async move {
-                let gt = gpu0.thread();
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
-                let mut in_flight = 0u32;
-                for _ in 0..messages {
-                    if host {
-                        ep0.put(&cpu0, 0, 0, size as u32, false).await;
-                    } else {
-                        ep0.put(&gt, 0, 0, size as u32, false).await;
-                    }
-                    in_flight += 1;
-                    if in_flight >= WINDOW {
-                        if host {
-                            ep0.quiet(&cpu0).await.unwrap();
-                        } else {
-                            ep0.quiet(&gt).await.unwrap();
-                        }
-                        in_flight -= 1;
-                    }
-                }
-                for _ in 0..in_flight {
-                    if host {
-                        ep0.quiet(&cpu0).await.unwrap();
-                    } else {
-                        ep0.quiet(&gt).await.unwrap();
-                    }
-                }
-                // A send completion means the remote HCA acknowledged the
-                // data, so the stream is delivered.
-                td.set(sim.now());
-            });
-        }
-        IbMode::Dev2DevAssisted => {
-            let ch = AssistChannel::new(&c.nodes[0].host_heap);
-            let stop = Rc::new(Cell::new(false));
-            {
-                let ep0 = ep0.clone();
-                let cpu0 = c.nodes[0].cpu.clone();
-                let stop = stop.clone();
-                let sim = c.sim.clone();
-                c.sim.spawn("bw.proxy", async move {
-                    loop {
-                        if stop.get() {
-                            break;
-                        }
-                        if let Some(arg) = ch.probe(&cpu0, REQUEST).await {
-                            ep0.put(&cpu0, 0, 0, arg as u32, false).await;
-                            ep0.quiet(&cpu0).await.unwrap();
-                            ch.respond(&cpu0, 0, DONE).await;
-                        }
-                        sim.delay(time::ns(60)).await;
-                    }
-                });
+    if notify {
+        let w = window.clone();
+        let cpu1 = c.nodes[1].cpu.clone();
+        let gpu1 = c.nodes[1].gpu.clone();
+        c.sim.spawn("bw.receiver", async move {
+            match control {
+                Control::Gpu => receive(&gpu1.thread(), &ep1, messages).await,
+                Control::Cpu | Control::Assisted => receive(&cpu1, &ep1, messages).await,
             }
-            let (ts, td) = (t0.clone(), t_done.clone());
-            let rs = reg_start.clone();
-            let sim = c.sim.clone();
-            let gpu0 = c.nodes[0].gpu.clone();
-            c.sim.spawn("bw.sender", async move {
+            w.close();
+        });
+    }
+
+    let cpu0 = c.nodes[0].cpu.clone();
+    let gpu0 = c.nodes[0].gpu.clone();
+    let proxy = (control == Control::Assisted).then(|| {
+        let ch = AssistChannel::new(&c.nodes[0].host_heap);
+        let stop = ProxyStop::default();
+        Proxy {
+            requests: vec![(ch, ep0.clone())],
+            arrival: None,
+            notify,
+            idle: Idle::EveryPass(time::ns(60)),
+        }
+        .spawn("bw.proxy", cpu0.clone(), &stop);
+        (ch, stop)
+    });
+    let w = window.clone();
+    c.sim.spawn("bw.sender", async move {
+        w.open();
+        match control {
+            Control::Cpu => windowed(&cpu0, &ep0, size, messages, notify).await,
+            Control::Gpu => windowed(&gpu0.thread(), &ep0, size, messages, notify).await,
+            Control::Assisted => {
+                let (ch, stop) = proxy.expect("an assisted stream spawns its proxy");
                 let gt = gpu0.thread();
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
                 for _ in 0..messages {
                     ch.request(&gt, size, REQUEST).await;
                     ch.wait_state(&gt, DONE).await;
                 }
-                td.set(sim.now());
-                stop.set(true);
-            });
+                stop.stop();
+            }
         }
-    }
+        if !notify {
+            w.close();
+        }
+    });
 
     c.sim.run();
-    let start = reg_start.borrow_mut().take().unwrap_or_default();
+    let (elapsed, registry) = window.finish();
     BandwidthResult {
         size,
         messages,
-        elapsed: t_done.get().saturating_sub(t0.get()).max(1),
-        registry: c.sim.registry().snapshot().delta(&start),
+        elapsed,
+        registry,
+    }
+}
+
+/// Post `messages` puts with at most [`WINDOW`] outstanding, then retire
+/// the rest.
+async fn windowed<P: Processor>(p: &P, ep: &AnyTransport, size: u64, messages: u32, notify: bool) {
+    let mut in_flight = 0u32;
+    for _ in 0..messages {
+        ep.put(p, 0, 0, size as u32, notify).await;
+        in_flight += 1;
+        if in_flight >= WINDOW {
+            ep.quiet(p).await.unwrap();
+            in_flight -= 1;
+        }
+    }
+    for _ in 0..in_flight {
+        ep.quiet(p).await.unwrap();
+    }
+}
+
+/// Consume one arrival notification per message.
+async fn receive<P: Processor>(p: &P, ep: &AnyTransport, messages: u32) {
+    for _ in 0..messages {
+        ep.wait_arrival(p).await.unwrap();
     }
 }
 

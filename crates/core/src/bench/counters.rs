@@ -1,8 +1,14 @@
 //! Performance-counter experiments: Table I, Table II, Fig. 3 and the
 //! §V-B.3 verbs instruction micro-measurements.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use tc_desim::time::Time;
 use tc_gpu::CounterSnapshot;
+use tc_ib::{Access, BufLoc, IbvContext, IbvCq, IbvQp, SendOpcode, SendWr, VerbsTuning};
+
+use crate::cluster::{Backend, Cluster};
 
 use super::pingpong::{extoll_pingpong, ib_pingpong};
 use super::{ExtollMode, IbMode};
@@ -60,21 +66,27 @@ pub fn fig3_point(size: u64, iters: u32) -> ((Time, Time), (Time, Time)) {
     )
 }
 
-/// §V-B.3: instructions for one `ibv_post_send` and one successful
-/// `ibv_poll_cq` on the GPU. Paper: 442 and 283.
-pub fn verbs_instruction_counts() -> (u64, u64) {
-    use crate::cluster::{Backend, Cluster};
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use tc_ib::{Access, BufLoc, IbvContext, SendOpcode, SendWr};
+/// The raw-verbs micro-setup of the §V-B.3 measurements and the verbs
+/// ablations: node 0's context, CQ and QP in GPU memory, node 1's on the
+/// host, 64 B MRs from node 0's GPU memory to node 1's host memory, and a
+/// signaled RDMA write of `len` bytes between them. `tuning` applies to
+/// node 0's context.
+pub(crate) struct VerbsMicro {
+    pub(crate) c: Cluster,
+    pub(crate) qp0: IbvQp,
+    pub(crate) cq0: Rc<IbvCq>,
+    pub(crate) wr: SendWr,
+}
 
+pub(crate) fn verbs_micro(tuning: VerbsTuning, len: u32) -> VerbsMicro {
     let c = Cluster::new(Backend::Infiniband);
     let ctx0 = IbvContext::new(
         c.nodes[0].ib().clone(),
         c.nodes[0].host_heap.clone(),
         Some(c.nodes[0].gpu.clone()),
         BufLoc::Gpu,
-    );
+    )
+    .with_tuning(tuning);
     let ctx1 = IbvContext::new(
         c.nodes[1].ib().clone(),
         c.nodes[1].host_heap.clone(),
@@ -91,6 +103,23 @@ pub fn verbs_instruction_counts() -> (u64, u64) {
     let dst = c.nodes[1].host_heap.alloc(64, 64);
     let mr0 = ctx0.reg_mr(src, 64, Access::full());
     let mr1 = ctx1.reg_mr(dst, 64, Access::full());
+    let wr = SendWr {
+        opcode: SendOpcode::RdmaWrite,
+        laddr: mr0.addr,
+        lkey: mr0.lkey,
+        raddr: mr1.addr,
+        rkey: mr1.rkey,
+        len,
+        imm: 0,
+        signaled: true,
+    };
+    VerbsMicro { c, qp0, cq0, wr }
+}
+
+/// §V-B.3: instructions for one `ibv_post_send` and one successful
+/// `ibv_poll_cq` on the GPU. Paper: 442 and 283.
+pub fn verbs_instruction_counts() -> (u64, u64) {
+    let VerbsMicro { c, qp0, cq0, wr } = verbs_micro(VerbsTuning::default(), 64);
     let gpu = c.nodes[0].gpu.clone();
     let post = Rc::new(Cell::new(0u64));
     let poll = Rc::new(Cell::new(0u64));
@@ -98,20 +127,7 @@ pub fn verbs_instruction_counts() -> (u64, u64) {
     let t = gpu.thread();
     c.sim.spawn("micro", async move {
         let before = gpu.counters().snapshot();
-        qp0.post_send(
-            &t,
-            &SendWr {
-                opcode: SendOpcode::RdmaWrite,
-                laddr: mr0.addr,
-                lkey: mr0.lkey,
-                raddr: mr1.addr,
-                rkey: mr1.rkey,
-                len: 64,
-                imm: 0,
-                signaled: true,
-            },
-        )
-        .await;
+        qp0.post_send(&t, &wr).await;
         post2.set(gpu.counters().snapshot().delta(&before).instructions);
         // Wait until the CQE is certainly there, then measure exactly one
         // successful poll.

@@ -19,7 +19,12 @@ pub mod twosided;
 pub mod velo;
 pub mod workload;
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
+
+use tc_desim::time::Time;
+use tc_desim::Sim;
+use tc_trace::Snapshot;
 
 /// The communication-control configurations of the EXTOLL experiments
 /// (Fig. 1), named as in the paper's legends.
@@ -95,6 +100,47 @@ impl RateMode {
             RateMode::Dev2DevAssisted => "dev2dev-assisted",
             RateMode::HostControlled => "dev2dev-hostControlled",
         }
+    }
+}
+
+/// The timed window of a run: opened at the first timed post, closed at
+/// the last confirmed delivery.
+pub(crate) struct Window {
+    sim: Sim,
+    start: Cell<Time>,
+    end: Cell<Time>,
+    registry_at_start: RefCell<Snapshot>,
+}
+
+impl Window {
+    pub(crate) fn new(sim: &Sim) -> Self {
+        Window {
+            sim: sim.clone(),
+            start: Cell::new(0),
+            end: Cell::new(0),
+            registry_at_start: RefCell::default(),
+        }
+    }
+
+    pub(crate) fn open(&self) {
+        self.start.set(self.sim.now());
+        *self.registry_at_start.borrow_mut() = self.sim.registry().snapshot();
+    }
+
+    pub(crate) fn close(&self) {
+        self.end.set(self.sim.now());
+    }
+
+    /// The window's length (at least 1 ps) and the delta of every registry
+    /// counter (all layers, all nodes) from its opening to now.
+    pub(crate) fn finish(&self) -> (Time, Snapshot) {
+        let elapsed = self.end.get().saturating_sub(self.start.get()).max(1);
+        let registry = self
+            .sim
+            .registry()
+            .snapshot()
+            .delta(&self.registry_at_start.borrow());
+        (elapsed, registry)
     }
 }
 

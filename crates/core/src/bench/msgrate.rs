@@ -2,7 +2,6 @@
 //! messages over 1..32 connection pairs, posted from parallel CUDA blocks,
 //! concurrent kernels, a host-assisted proxy, or the host CPU.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
@@ -10,10 +9,10 @@ use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
-use crate::flag::{AssistChannel, DONE, REQUEST};
+use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, DONE, REQUEST};
 use crate::transport::{AnyTransport, Transport};
 
-use super::RateMode;
+use super::{RateMode, Window};
 
 /// Message size of the message-rate experiments (64 bytes, as in §V-A.2).
 pub const MSG_SIZE: u64 = 64;
@@ -73,39 +72,29 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
         QueueLoc::Host
     };
     let eps = build_pairs(&c, pairs, queue_loc);
-    let t0 = Rc::new(Cell::new(0u64));
-    let t1 = Rc::new(Cell::new(0u64));
-    let reg_start: Rc<RefCell<Option<Snapshot>>> = Rc::new(RefCell::new(None));
+    let window = Rc::new(Window::new(&c.sim));
+    let w = window.clone();
 
     match mode {
         RateMode::Dev2DevBlocks => {
             let gpu = c.nodes[0].gpu.clone();
-            let sim = c.sim.clone();
-            let (ts, te) = (t0.clone(), t1.clone());
-            let rs = reg_start.clone();
             c.sim.spawn("rate.host", async move {
                 let stream = gpu.stream();
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
-                let eps2 = eps.clone();
+                w.open();
                 let k = gpu.launch(&stream, "rate", pairs as usize, move |b, t| {
-                    let ep = eps2[b].clone();
+                    let ep = eps[b].clone();
                     async move {
                         agent_loop(&ep, &t, per_pair).await;
                     }
                 });
                 k.wait().await;
-                te.set(sim.now());
+                w.close();
             });
         }
         RateMode::Dev2DevKernels => {
             let gpu = c.nodes[0].gpu.clone();
-            let sim = c.sim.clone();
-            let (ts, te) = (t0.clone(), t1.clone());
-            let rs = reg_start.clone();
             c.sim.spawn("rate.host", async move {
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
+                w.open();
                 let handles: Vec<_> = (0..pairs as usize)
                     .map(|b| {
                         let stream = gpu.stream();
@@ -121,17 +110,13 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
                 for h in handles {
                     h.wait().await;
                 }
-                te.set(sim.now());
+                w.close();
             });
         }
         RateMode::HostControlled => {
             let cpu = c.nodes[0].cpu.clone();
-            let sim = c.sim.clone();
-            let (ts, te) = (t0.clone(), t1.clone());
-            let rs = reg_start.clone();
             c.sim.spawn("rate.host", async move {
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
+                w.open();
                 // The single CPU thread pipelines across all pairs: post a
                 // round of puts, then reap a round of completions.
                 for _ in 0..per_pair {
@@ -142,7 +127,7 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
                         ep.quiet(&cpu).await.unwrap();
                     }
                 }
-                te.set(sim.now());
+                w.close();
             });
         }
         RateMode::Dev2DevAssisted => {
@@ -152,44 +137,20 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
             let chans: Vec<AssistChannel> = (0..pairs)
                 .map(|_| AssistChannel::new(&c.nodes[0].host_heap))
                 .collect();
-            let stop = Rc::new(Cell::new(false));
-            {
-                let cpu = c.nodes[0].cpu.clone();
-                let eps = eps.clone();
-                let chans = chans.clone();
-                let stop = stop.clone();
-                let sim = c.sim.clone();
-                c.sim.spawn("rate.proxy", async move {
-                    loop {
-                        if stop.get() {
-                            break;
-                        }
-                        let mut served = false;
-                        for (k, ch) in chans.iter().enumerate() {
-                            if let Some(arg) = ch.probe(&cpu, REQUEST).await {
-                                eps[k].put(&cpu, 0, 0, arg as u32, false).await;
-                                eps[k].quiet(&cpu).await.unwrap();
-                                ch.respond(&cpu, 0, DONE).await;
-                                served = true;
-                            }
-                        }
-                        if !served {
-                            sim.delay(time::ns(80)).await;
-                        }
-                    }
-                });
+            let stop = ProxyStop::default();
+            Proxy {
+                requests: chans.iter().copied().zip(eps).collect(),
+                arrival: None,
+                notify: false,
+                idle: Idle::WhenEmpty(time::ns(80)),
             }
+            .spawn("rate.proxy", c.nodes[0].cpu.clone(), &stop);
             let gpu = c.nodes[0].gpu.clone();
-            let sim = c.sim.clone();
-            let (ts, te) = (t0.clone(), t1.clone());
-            let rs = reg_start.clone();
             c.sim.spawn("rate.host", async move {
                 let stream = gpu.stream();
-                ts.set(sim.now());
-                *rs.borrow_mut() = Some(sim.registry().snapshot());
-                let chans2 = chans.clone();
+                w.open();
                 let k = gpu.launch(&stream, "rate", pairs as usize, move |b, t| {
-                    let ch = chans2[b];
+                    let ch = chans[b];
                     async move {
                         for _ in 0..per_pair {
                             ch.request(&t, MSG_SIZE, REQUEST).await;
@@ -198,19 +159,19 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
                     }
                 });
                 k.wait().await;
-                te.set(sim.now());
-                stop.set(true);
+                w.close();
+                stop.stop();
             });
         }
     }
 
     c.sim.run();
-    let start = reg_start.borrow_mut().take().unwrap_or_default();
+    let (elapsed, registry) = window.finish();
     RateResult {
         pairs,
         per_pair,
-        elapsed: t1.get().saturating_sub(t0.get()).max(1),
-        registry: c.sim.registry().snapshot().delta(&start),
+        elapsed,
+        registry,
     }
 }
 

@@ -1,11 +1,10 @@
 //! Ping-pong latency microbenchmarks (Figs. 1a and 4a) and the polling
 //! time-split instrumentation behind Table I and Fig. 3.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
-use tc_desim::Sim;
 use tc_gpu::{CounterSnapshot, Gpu};
 use tc_ib::{BufLoc, IbvContext, SendOpcode, SendWr};
 use tc_mem::Addr;
@@ -14,10 +13,10 @@ use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
-use crate::flag::{AssistChannel, ARRIVED, DONE, REQUEST};
-use crate::transport::Transport;
+use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, ARRIVED, DONE, REQUEST};
+use crate::transport::{AnyTransport, Transport};
 
-use super::{ExtollMode, IbMode};
+use super::{ExtollMode, IbMode, Window};
 
 /// Result of one ping-pong run.
 #[derive(Debug, Clone)]
@@ -80,46 +79,39 @@ pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u6
 }
 
 /// Node 0's measurement of the timed region, shared by every ping-pong
-/// loop: the start instant and snapshots at the first timed iteration,
-/// the end instant, and the per-iteration put and poll sums.
+/// loop: the window opened at the first timed iteration with a snapshot
+/// of node 0's GPU counters, and the per-iteration put and poll sums.
 struct Timing {
-    sim: Sim,
+    window: Window,
     gpu: Gpu,
     warmup: u32,
-    t_start: Cell<Time>,
-    t_end: Cell<Time>,
     put_sum: Cell<Time>,
     poll_sum: Cell<Time>,
     counters_at_start: Cell<CounterSnapshot>,
-    registry_at_start: RefCell<Snapshot>,
 }
 
 impl Timing {
     fn new(c: &Cluster, warmup: u32) -> Rc<Self> {
         Rc::new(Timing {
-            sim: c.sim.clone(),
+            window: Window::new(&c.sim),
             gpu: c.nodes[0].gpu.clone(),
             warmup,
-            t_start: Cell::new(0),
-            t_end: Cell::new(0),
             put_sum: Cell::new(0),
             poll_sum: Cell::new(0),
             counters_at_start: Cell::default(),
-            registry_at_start: RefCell::default(),
         })
     }
 
     fn now(&self) -> Time {
-        self.sim.now()
+        self.window.sim.now()
     }
 
     /// Start of iteration `i`: the timed region opens at iteration
     /// `warmup`. Returns the iteration's start instant.
     fn begin(&self, i: u32) -> Time {
         if i == self.warmup {
-            self.t_start.set(self.now());
+            self.window.open();
             self.counters_at_start.set(self.gpu.counters().snapshot());
-            *self.registry_at_start.borrow_mut() = self.sim.registry().snapshot();
         }
         self.now()
     }
@@ -136,11 +128,12 @@ impl Timing {
 
     /// After the last iteration.
     fn end(&self) {
-        self.t_end.set(self.now());
+        self.window.close();
     }
 
     fn finish(&self, size: u64, iters: u32) -> PingPongResult {
-        let span = self.t_end.get().saturating_sub(self.t_start.get());
+        // An empty window reads as 1 ps, which still halves to 0.
+        let (span, registry) = self.window.finish();
         PingPongResult {
             size,
             iters,
@@ -150,11 +143,7 @@ impl Timing {
                 .counters()
                 .snapshot()
                 .delta(&self.counters_at_start.get()),
-            registry: self
-                .sim
-                .registry()
-                .snapshot()
-                .delta(&self.registry_at_start.borrow()),
+            registry,
             put_time: self.put_sum.get() / iters as u64,
             poll_time: self.poll_sum.get() / iters as u64,
         }
@@ -202,57 +191,18 @@ pub fn extoll_pingpong_cfg(
     let gpu0 = c.nodes[0].gpu.clone();
 
     match mode {
-        ExtollMode::Dev2DevDirect | ExtollMode::HostControlled => {
-            // Same protocol, different processor.
-            let host = mode == ExtollMode::HostControlled;
-            {
-                let tm = tm.clone();
-                let gpu = gpu0.clone();
-                let cpu0 = c.nodes[0].cpu.clone();
-                c.sim.spawn("pp.node0", async move {
-                    let gt = gpu.thread();
-                    for i in 0..total {
-                        let t0 = tm.begin(i);
-                        if host {
-                            a0.put(&cpu0, 0, 0, size as u32, true).await;
-                        } else {
-                            // The device kernel refreshes its payload before
-                            // sending (as the paper's benchmark does).
-                            write_marker(&gt, tx0, buf_len, i as u64 + 1).await;
-                            gt.fence_system().await;
-                            a0.put(&gt, 0, 0, size as u32, true).await;
-                        }
-                        let t1 = tm.now();
-                        if host {
-                            a0.quiet(&cpu0).await.unwrap();
-                            b0.wait_arrival(&cpu0).await.unwrap();
-                        } else {
-                            a0.quiet(&gt).await.unwrap();
-                            b0.wait_arrival(&gt).await.unwrap();
-                        }
-                        tm.split(i, t0, t1);
-                    }
-                    tm.end();
-                });
-            }
-            {
-                let cpu1 = c.nodes[1].cpu.clone();
-                let gpu1 = c.nodes[1].gpu.clone();
-                c.sim.spawn("pp.node1", async move {
-                    let gt = gpu1.thread();
-                    for _ in 0..total {
-                        if host {
-                            a1.wait_arrival(&cpu1).await.unwrap();
-                            b1.put(&cpu1, 0, 0, size as u32, true).await;
-                            b1.quiet(&cpu1).await.unwrap();
-                        } else {
-                            a1.wait_arrival(&gt).await.unwrap();
-                            b1.put(&gt, 0, 0, size as u32, true).await;
-                            b1.quiet(&gt).await.unwrap();
-                        }
-                    }
-                });
-            }
+        // Same protocol, different processor.
+        ExtollMode::Dev2DevDirect => {
+            let (gt0, gt1) = (gpu0.thread(), c.nodes[1].gpu.thread());
+            let node0 = ping(gt0, tm.clone(), a0, b0, size, total, Some(tx0));
+            c.sim.spawn("pp.node0", node0);
+            c.sim.spawn("pp.node1", pong(gt1, a1, b1, size, total));
+        }
+        ExtollMode::HostControlled => {
+            let (cpu0, cpu1) = (c.nodes[0].cpu.clone(), c.nodes[1].cpu.clone());
+            let node0 = ping(cpu0, tm.clone(), a0, b0, size, total, None);
+            c.sim.spawn("pp.node0", node0);
+            c.sim.spawn("pp.node1", pong(cpu1, a1, b1, size, total));
         }
         ExtollMode::Dev2DevPollOnGpu => {
             // No notifications at all: poll the last payload element.
@@ -311,50 +261,26 @@ pub fn extoll_pingpong_cfg(
             }
         }
         ExtollMode::Dev2DevAssisted => {
-            let a0 = Rc::new(a0);
-            let a1 = Rc::new(a1);
-            let b0 = Rc::new(b0);
-            let b1 = Rc::new(b1);
-            let stop = Rc::new(Cell::new(false));
-            // One proxy per node: services put requests and forwards
-            // arrival notifications. The channels are plain copies into
-            // both the proxy task and the GPU loops below.
-            let mut chans: Vec<(AssistChannel, AssistChannel)> = Vec::new();
-            for node in 0..2 {
-                let cpu = c.nodes[node].cpu.clone();
-                let (snd, arr) = (
-                    AssistChannel::new(&c.nodes[node].host_heap),
-                    AssistChannel::new(&c.nodes[node].host_heap),
-                );
-                chans.push((snd, arr));
-                let put_ep = if node == 0 { a0.clone() } else { b1.clone() };
-                let arr_ep = if node == 0 { b0.clone() } else { a1.clone() };
-                let stop = stop.clone();
-                let sim = c.sim.clone();
-                c.sim.spawn(&format!("pp.proxy{node}"), async move {
-                    loop {
-                        if stop.get() {
-                            break;
-                        }
-                        if let Some(arg) = snd.probe(&cpu, REQUEST).await {
-                            put_ep.put(&cpu, 0, 0, arg as u32, true).await;
-                            put_ep.quiet(&cpu).await.unwrap();
-                            snd.respond(&cpu, 0, DONE).await;
-                        }
-                        if let Some(r) = arr_ep.try_arrival(&cpu).await {
-                            let len = r.unwrap();
-                            arr.respond(&cpu, len as u64, ARRIVED).await;
-                        }
-                        sim.delay(time::ns(60)).await;
+            // One proxy per node: serves put requests and forwards arrival
+            // notifications. The channels are plain copies into both the
+            // proxy and the GPU loops below.
+            let stop = ProxyStop::default();
+            let [(snd0, arr0), (snd1, arr1)] =
+                [(0, a0, b0), (1, b1, a1)].map(|(node, put_ep, arr_ep)| {
+                    let (heap, cpu) = (&c.nodes[node].host_heap, c.nodes[node].cpu.clone());
+                    let (snd, arr) = (AssistChannel::new(heap), AssistChannel::new(heap));
+                    Proxy {
+                        requests: vec![(snd, Rc::new(put_ep))],
+                        arrival: Some((arr, Rc::new(arr_ep))),
+                        notify: true,
+                        idle: Idle::EveryPass(time::ns(60)),
                     }
+                    .spawn(&format!("pp.proxy{node}"), cpu, &stop);
+                    (snd, arr)
                 });
-            }
-            let (snd0, arr0) = chans[0];
-            let (snd1, arr1) = chans[1];
             {
                 let tm = tm.clone();
                 let gpu = gpu0.clone();
-                let stop = stop.clone();
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
@@ -366,7 +292,7 @@ pub fn extoll_pingpong_cfg(
                         tm.split(i, t0, t1);
                     }
                     tm.end();
-                    stop.set(true);
+                    stop.stop();
                 });
             }
             {
@@ -385,6 +311,44 @@ pub fn extoll_pingpong_cfg(
 
     c.sim.run();
     tm.finish(size, iters)
+}
+
+/// Node 0's side of the notifying ping-pong on processor `p`: post the
+/// ping, then wait for its local completion and for the pong. A device
+/// kernel refreshes the marker of its payload buffer `refresh` before each
+/// put, as the paper's benchmark does; the host sends without.
+async fn ping<P: Processor>(
+    p: P,
+    tm: Rc<Timing>,
+    a0: AnyTransport,
+    b0: AnyTransport,
+    size: u64,
+    total: u32,
+    refresh: Option<Addr>,
+) {
+    for i in 0..total {
+        let t0 = tm.begin(i);
+        if let Some(tx0) = refresh {
+            write_marker(&p, tx0, size.max(8), i as u64 + 1).await;
+            p.fence().await;
+        }
+        a0.put(&p, 0, 0, size as u32, true).await;
+        let t1 = tm.now();
+        a0.quiet(&p).await.unwrap();
+        b0.wait_arrival(&p).await.unwrap();
+        tm.split(i, t0, t1);
+    }
+    tm.end();
+}
+
+/// Node 1's side: wait for each ping, answer it and wait for the answer's
+/// local completion.
+async fn pong<P: Processor>(p: P, a1: AnyTransport, b1: AnyTransport, size: u64, total: u32) {
+    for _ in 0..total {
+        a1.wait_arrival(&p).await.unwrap();
+        b1.put(&p, 0, 0, size as u32, true).await;
+        b1.quiet(&p).await.unwrap();
+    }
 }
 
 fn extoll_nlas(c: &Cluster, local: Addr, remote: Addr, len: u64) -> (u64, u64) {
@@ -514,35 +478,22 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
             // polls arrival in its device memory.
             let (a0, _a1) = create_pair(&c, tx0, rx1, buf_len, QueueLoc::Host);
             let (_b0, b1) = create_pair(&c, rx0, tx1, buf_len, QueueLoc::Host);
-            let a0 = Rc::new(a0);
-            let b1 = Rc::new(b1);
-            let stop = Rc::new(Cell::new(false));
+            let stop = ProxyStop::default();
             let snd0 = AssistChannel::new(&c.nodes[0].host_heap);
             let snd1 = AssistChannel::new(&c.nodes[1].host_heap);
-            for node in 0..2 {
+            for (node, ep, ch) in [(0, a0, snd0), (1, b1, snd1)] {
                 let cpu = c.nodes[node].cpu.clone();
-                let ep = if node == 0 { a0.clone() } else { b1.clone() };
-                let ch = if node == 0 { snd0 } else { snd1 };
-                let stop = stop.clone();
-                let sim = c.sim.clone();
-                c.sim.spawn(&format!("pp.proxy{node}"), async move {
-                    loop {
-                        if stop.get() {
-                            break;
-                        }
-                        if let Some(arg) = ch.probe(&cpu, REQUEST).await {
-                            ep.put(&cpu, 0, 0, arg as u32, false).await;
-                            ep.quiet(&cpu).await.unwrap();
-                            ch.respond(&cpu, 0, DONE).await;
-                        }
-                        sim.delay(time::ns(60)).await;
-                    }
-                });
+                Proxy {
+                    requests: vec![(ch, Rc::new(ep))],
+                    arrival: None,
+                    notify: false,
+                    idle: Idle::EveryPass(time::ns(60)),
+                }
+                .spawn(&format!("pp.proxy{node}"), cpu, &stop);
             }
             {
                 let tm = tm.clone();
                 let gpu = gpu0.clone();
-                let stop = stop.clone();
                 c.sim.spawn("pp.node0", async move {
                     let gt = gpu.thread();
                     for i in 0..total {
@@ -557,7 +508,7 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
                         tm.split(i, t0, t1);
                     }
                     tm.end();
-                    stop.set(true);
+                    stop.stop();
                 });
             }
             {

@@ -99,4 +99,7 @@ cargo run --release -p tc-bench --bin reproduce -- \
     --bench-compare BENCH_desim.json "$metrics_dir/BENCH_desim.json"
 cp "$metrics_dir/BENCH_desim.json" BENCH_desim.json
 
+echo "== Rust line count (information only, not a gate) =="
+scripts/loc.sh || true
+
 echo "verify: OK"
