@@ -839,10 +839,11 @@ fn render_pingpong(r: &PingPongResult, interconnect: &str) -> String {
 /// its plan produces one — the figures, the rate sweeps and `workload`
 /// all do. Experiments whose points only carry bare counter snapshots
 /// (the tables, the claims check, ...) fall back to a fixed
-/// [`representative_run`] on their registry row's fabric. Either way the
-/// section is a function of deterministic simulations only —
-/// byte-identical across runs and `--jobs` widths; only the `runner`
-/// section (the pool self-profile passed in) is host wall-clock.
+/// representative ping-pong (`representative_run`) on their registry
+/// row's fabric. Either way the section is a function of deterministic
+/// simulations only — byte-identical across runs and `--jobs` widths;
+/// only the `runner` section (the pool self-profile passed in) is host
+/// wall-clock.
 pub fn metrics_report(
     id: &str,
     scale_name: &str,

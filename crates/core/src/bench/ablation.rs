@@ -12,7 +12,7 @@ use tc_ib::VerbsTuning;
 use crate::cluster::{Backend, Cluster, ClusterConfig};
 
 use super::counters::{verbs_micro, VerbsMicro};
-use super::pingpong::{extoll_pingpong_cfg, PingPongResult};
+use super::pingpong::{extoll_pingpong_cfg, ping, pong, PingPongResult, RmaPair, Timing};
 use super::ExtollMode;
 
 /// `ablation-notify` (paper claim 3: "notification queues in GPU memory"):
@@ -260,63 +260,35 @@ pub fn combined_claims(size: u64, iters: u32) -> CombinedClaims {
     .half_rtt;
 
     // The optimized interface: GPU-resident notification queues + warp
-    // posting. Hand-rolled ping-pong over the raw port API.
+    // posting, over raw RMA ports.
     let c = Cluster::with_config(ClusterConfig {
         extoll_notif_on_gpu: true,
         ..ClusterConfig::extoll()
     });
-    let buf_len = size.max(8);
-    let tx0 = c.nodes[0].gpu.alloc(buf_len, 256);
-    let rx0 = c.nodes[0].gpu.alloc(buf_len, 256);
-    let tx1 = c.nodes[1].gpu.alloc(buf_len, 256);
-    let rx1 = c.nodes[1].gpu.alloc(buf_len, 256);
-    let nla_tx0 = c.nodes[0].extoll().register_memory(tx0, buf_len);
-    let nla_rx0 = c.nodes[0].extoll().register_memory(rx0, buf_len);
-    let nla_tx1 = c.nodes[1].extoll().register_memory(tx1, buf_len);
-    let nla_rx1 = c.nodes[1].extoll().register_memory(rx1, buf_len);
-    let p0 = c.nodes[0].extoll().open_port();
-    let p1 = c.nodes[1].extoll().open_port();
-    let (p0_idx, p1_idx) = (p0.index(), p1.index());
-    let t_start = Rc::new(Cell::new(0u64));
-    let t_end = Rc::new(Cell::new(0u64));
-    let (ts, te) = (t_start.clone(), t_end.clone());
-    let gpu0 = c.nodes[0].gpu.clone();
-    let gpu1 = c.nodes[1].gpu.clone();
-    let sim = c.sim.clone();
+    let rig = Rc::new(RmaPair::new(&c, size.max(8)));
     let warmup = 2u32;
+    let total = iters + warmup;
+    let tm = Timing::new(&c, warmup);
+    let [gt0, gt1] = [0, 1].map(|n| c.nodes[n].gpu.thread());
+    let len = size as u32;
     let flags = WrFlags {
         notify_requester: true,
         notify_completer: true,
         notify_responder: false,
     };
-    c.sim.spawn("opt.node0", async move {
-        let t = gpu0.thread();
-        for i in 0..(iters + warmup) {
-            if i == warmup {
-                ts.set(sim.now());
-            }
-            p0.post_put_warp(&t, p1_idx, nla_tx0, nla_rx1, size as u32, flags)
-                .await;
-            p0.requester.wait(&t).await;
-            p0.requester.free(&t).await;
-            p0.completer.wait(&t).await;
-            p0.completer.free(&t).await;
-        }
-        te.set(sim.now());
-    });
+    {
+        let (rig, tm) = (rig.clone(), tm.clone());
+        c.sim.spawn("opt.node0", async move {
+            let send = async |_| rig.put(&gt0, 0, len, flags, true).await;
+            ping(&tm, total, send, async |_| rig.arrival(&gt0, 0).await).await;
+        });
+    }
     c.sim.spawn("opt.node1", async move {
-        let t = gpu1.thread();
-        for _ in 0..(iters + warmup) {
-            p1.completer.wait(&t).await;
-            p1.completer.free(&t).await;
-            p1.post_put_warp(&t, p0_idx, nla_tx1, nla_rx0, size as u32, flags)
-                .await;
-            p1.requester.wait(&t).await;
-            p1.requester.free(&t).await;
-        }
+        let answer = async |_| rig.put(&gt1, 1, len, flags, true).await;
+        pong(total, async |_| rig.arrival(&gt1, 1).await, answer).await;
     });
     c.sim.run();
-    let optimized = (t_end.get() - t_start.get()) / iters as u64 / 2;
+    let optimized = tm.finish(size, iters).half_rtt;
 
     CombinedClaims {
         direct,
@@ -327,8 +299,8 @@ pub fn combined_claims(size: u64, iters: u32) -> CombinedClaims {
 
 /// Number of independent report sections. Each section runs its own
 /// simulations and renders its own text, so a job pool can schedule the
-/// sections concurrently; concatenating them in index order reproduces
-/// [`report`] byte for byte.
+/// sections concurrently; concatenated in index order they make the
+/// ablation report.
 pub const SECTIONS: usize = 6;
 
 /// Render section `i` (`0..SECTIONS`) of the ablation report.
@@ -342,12 +314,6 @@ pub fn section(i: usize, size: u64, iters: u32) -> String {
         5 => section_combined(size, iters),
         other => panic!("ablation section {other} out of range (0..{SECTIONS})"),
     }
-}
-
-/// Render the ablations as a text report (serial; see [`section`] for the
-/// parallel decomposition).
-pub fn report(size: u64, iters: u32) -> String {
-    (0..SECTIONS).map(|i| section(i, size, iters)).collect()
 }
 
 fn section_notify(size: u64, iters: u32) -> String {

@@ -239,13 +239,6 @@ pub fn render_claims(claims: &[Claim]) -> (String, bool) {
     (out, all)
 }
 
-/// Render the self-check as a text report (serial; see [`probe`] /
-/// [`render_claims`] for the parallel decomposition). The second return
-/// value is `true` when every claim passed.
-pub fn report(iters: u32) -> (String, bool) {
-    render_claims(&evaluate(iters))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,18 +1,31 @@
 //! Ping-pong latency microbenchmarks (Figs. 1a and 4a) and the polling
 //! time-split instrumentation behind Table I and Fig. 3.
+//!
+//! Every two-node latency driver runs one loop pair: `ping` on node 0 and
+//! `pong` on node 1. The configurations differ only in who posts the work
+//! request and how the arrival is detected (§V), so each passes those
+//! steps in as async closures. `Timing` measures node 0's side: it opens
+//! the timed window at the first timed iteration, splits each iteration
+//! at the instant `send` returns into put time and poll time, and closes
+//! after the last. Drivers that bypass the transport seam build their
+//! endpoints with one of two rigs below it: `RmaPair` (raw EXTOLL ports)
+//! and `VerbsPair` (raw verbs).
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use tc_desim::time::{self, Time};
-use tc_gpu::{CounterSnapshot, Gpu};
-use tc_ib::{BufLoc, IbvContext, SendOpcode, SendWr};
+use tc_extoll::{RmaPort, WrFlags};
+use tc_gpu::{CounterSnapshot, Gpu, GpuThread};
+use tc_ib::{
+    Access, BufLoc, CqeStatus, IbvContext, IbvCq, IbvQp, MemoryRegion, SendOpcode, SendWr,
+};
 use tc_mem::Addr;
 use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
-use crate::cluster::{Backend, Cluster};
+use crate::cluster::{Backend, Cluster, ClusterConfig};
 use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, ARRIVED, DONE, REQUEST};
 use crate::transport::{AnyTransport, Transport};
 
@@ -47,27 +60,22 @@ impl PingPongResult {
     }
 }
 
-/// Write the iteration marker into the tail of a payload buffer.
-pub(crate) async fn write_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u64) {
-    if size >= 8 {
-        p.st_u64(buf + size - 8, v).await;
-    } else {
-        p.st_u32(buf + size.max(4) - 4, v as u32).await;
+/// Stamp iteration `i`'s marker (`i + 1`, so zeroed memory never matches)
+/// into the last 8 bytes of the `len`-byte payload buffer `buf`. `fence`
+/// orders the stamp before the NIC reads the buffer, as a device kernel
+/// must; the host's stores need no fence.
+pub(crate) async fn write_marker<P: Processor>(p: &P, buf: Addr, len: u64, i: u32, fence: bool) {
+    p.st_u64(buf + len - 8, u64::from(i) + 1).await;
+    if fence {
+        p.fence().await;
     }
 }
 
-/// Spin until the marker at the tail of `buf` reaches `v`.
-pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u64) {
-    let marker = if size >= 8 {
-        ProbeLoad {
-            addr: buf + size - 8,
-            kind: LoadKind::U64,
-        }
-    } else {
-        ProbeLoad {
-            addr: buf + size.max(4) - 4,
-            kind: LoadKind::U32,
-        }
+/// Spin until the marker at the tail of `buf` reaches iteration `i`'s.
+pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, len: u64, i: u32) {
+    let marker = ProbeLoad {
+        addr: buf + len - 8,
+        kind: LoadKind::U64,
     };
     // Compare, branch, recompute the volatile pointer: 4 instructions.
     let probe = Probe {
@@ -75,13 +83,13 @@ pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, size: u64, v: u6
         instr: 4,
         spins: None,
     };
-    p.spin_until(&probe, |b| le(b) == v).await;
+    p.spin_until(&probe, |b| le(b) == u64::from(i) + 1).await;
 }
 
-/// Node 0's measurement of the timed region, shared by every ping-pong
-/// loop: the window opened at the first timed iteration with a snapshot
-/// of node 0's GPU counters, and the per-iteration put and poll sums.
-struct Timing {
+/// Node 0's measurement of the timed region, shared by every ping-pong:
+/// the window opened at the first timed iteration with a snapshot of node
+/// 0's GPU counters, and the per-iteration put and poll sums.
+pub(crate) struct Timing {
     window: Window,
     gpu: Gpu,
     warmup: u32,
@@ -91,7 +99,8 @@ struct Timing {
 }
 
 impl Timing {
-    fn new(c: &Cluster, warmup: u32) -> Rc<Self> {
+    /// Time the iterations after the first `warmup`.
+    pub(crate) fn new(c: &Cluster, warmup: u32) -> Rc<Self> {
         Rc::new(Timing {
             window: Window::new(&c.sim),
             gpu: c.nodes[0].gpu.clone(),
@@ -126,12 +135,8 @@ impl Timing {
         }
     }
 
-    /// After the last iteration.
-    fn end(&self) {
-        self.window.close();
-    }
-
-    fn finish(&self, size: u64, iters: u32) -> PingPongResult {
+    /// The measurement of `iters` timed iterations of `size` bytes.
+    pub(crate) fn finish(&self, size: u64, iters: u32) -> PingPongResult {
         // An empty window reads as 1 ps, which still halves to 0.
         let (span, registry) = self.window.finish();
         PingPongResult {
@@ -150,25 +155,149 @@ impl Timing {
     }
 }
 
+/// Node 0's side of every ping-pong: iteration `i` runs `send(i)`, which
+/// posts the ping, then `wait(i)`, which waits for whatever the mode
+/// completes locally and for the pong. `tm` times the iterations and
+/// closes its window after the last.
+pub(crate) async fn ping(
+    tm: &Timing,
+    total: u32,
+    mut send: impl AsyncFnMut(u32),
+    mut wait: impl AsyncFnMut(u32),
+) {
+    for i in 0..total {
+        let t0 = tm.begin(i);
+        send(i).await;
+        let t1 = tm.now();
+        wait(i).await;
+        tm.split(i, t0, t1);
+    }
+    tm.window.close();
+}
+
+/// Node 1's side: `wait(i)` for each ping, then `answer(i)` it.
+pub(crate) async fn pong(
+    total: u32,
+    mut wait: impl AsyncFnMut(u32),
+    mut answer: impl AsyncFnMut(u32),
+) {
+    for i in 0..total {
+        wait(i).await;
+        answer(i).await;
+    }
+}
+
+/// Raw EXTOLL endpoints below the transport seam: four `len`-byte GPU
+/// buffers `tx0, rx0, tx1, rx1`, registered in that order, then one RMA
+/// port per node.
+pub(crate) struct RmaPair {
+    port: [RmaPort; 2],
+    nla: [u64; 4],
+}
+
+impl RmaPair {
+    pub(crate) fn new(c: &Cluster, len: u64) -> Self {
+        let bufs = [0, 0, 1, 1].map(|n| c.nodes[n].gpu.alloc(len, 256));
+        let nla = [0, 1, 2, 3].map(|k| c.nodes[k / 2].extoll().register_memory(bufs[k], len));
+        let port = [0, 1].map(|n| c.nodes[n].extoll().open_port());
+        RmaPair { port, nla }
+    }
+
+    /// Node `n` puts `len` bytes from its `tx` into the peer's `rx` with
+    /// `flags` (as one warp-collective store if `warp`), then retires the
+    /// requester notification.
+    pub(crate) async fn put(&self, t: &GpuThread, n: usize, len: u32, flags: WrFlags, warp: bool) {
+        let (port, peer) = (&self.port[n], self.port[1 - n].index());
+        let (src, dst) = (self.nla[2 * n], self.nla[3 - 2 * n]);
+        if warp {
+            port.post_put_warp(t, peer, src, dst, len, flags).await;
+        } else {
+            port.post_put(t, peer, src, dst, len, flags).await;
+        }
+        port.requester.wait(t).await;
+        port.requester.free(t).await;
+    }
+
+    /// Node `n` waits for and retires a completer notification: the
+    /// peer's put has landed.
+    pub(crate) async fn arrival(&self, t: &GpuThread, n: usize) {
+        self.port[n].completer.wait(t).await;
+        self.port[n].completer.free(t).await;
+    }
+}
+
+/// Raw verbs endpoints below the transport seam, set up in this order:
+/// both contexts, their CQs, their QPs (one CQ serves both directions of
+/// a node), the connection, and MRs over `bufs` (`tx0, rx0, tx1, rx1`).
+/// `write[n]` is node `n`'s signaled RDMA write of its whole `tx` buffer
+/// into the peer's `rx`.
+pub(crate) struct VerbsPair {
+    pub(crate) qp: [IbvQp; 2],
+    pub(crate) cq: [Rc<IbvCq>; 2],
+    pub(crate) bufs: [Addr; 4],
+    pub(crate) rx_mr: [MemoryRegion; 2],
+    pub(crate) write: [SendWr; 2],
+}
+
+impl VerbsPair {
+    /// `gpu_driven` keeps the contexts' software state in device memory,
+    /// as GPU-controlled communication does; `queues` places the CQ and
+    /// QP buffers.
+    pub(crate) fn new(
+        c: &Cluster,
+        bufs: [Addr; 4],
+        len: u64,
+        gpu_driven: bool,
+        queues: BufLoc,
+    ) -> Self {
+        let ctx = [0, 1].map(|n| {
+            let node = &c.nodes[n];
+            let (gpu, state) = if gpu_driven {
+                (Some(node.gpu.clone()), BufLoc::Gpu)
+            } else {
+                (None, BufLoc::Host)
+            };
+            IbvContext::new(node.ib().clone(), node.host_heap.clone(), gpu, state)
+        });
+        let cq = ctx.each_ref().map(|x| x.create_cq(queues));
+        let qp = [0, 1].map(|n| ctx[n].create_qp(cq[n].clone(), cq[n].clone(), queues));
+        qp[0].connect(qp[1].qpn());
+        qp[1].connect(qp[0].qpn());
+        let [tx0, rx0, tx1, rx1] =
+            [0, 1, 2, 3].map(|k| ctx[k / 2].reg_mr(bufs[k], len, Access::full()));
+        let write = |tx: MemoryRegion, rx: MemoryRegion| SendWr {
+            opcode: SendOpcode::RdmaWrite,
+            laddr: tx.addr,
+            lkey: tx.lkey,
+            raddr: rx.addr,
+            rkey: rx.rkey,
+            len: len as u32,
+            imm: 0,
+            signaled: true,
+        };
+        VerbsPair {
+            qp,
+            cq,
+            bufs,
+            rx_mr: [rx0, rx1],
+            write: [write(tx0, rx1), write(tx1, rx0)],
+        }
+    }
+}
+
 /// Run the EXTOLL ping-pong of Fig. 1a.
 ///
 /// `warmup` untimed iterations precede `iters` timed ones. Both GPUs hold
 /// their payload buffers in device memory; what varies per [`ExtollMode`]
 /// is who posts the put and how completion/arrival is detected.
 pub fn extoll_pingpong(mode: ExtollMode, size: u64, iters: u32, warmup: u32) -> PingPongResult {
-    extoll_pingpong_cfg(
-        crate::cluster::ClusterConfig::extoll(),
-        mode,
-        size,
-        iters,
-        warmup,
-    )
+    extoll_pingpong_cfg(ClusterConfig::extoll(), mode, size, iters, warmup)
 }
 
 /// [`extoll_pingpong`] with an explicit cluster configuration (used by the
 /// ablation experiments).
 pub fn extoll_pingpong_cfg(
-    cluster_cfg: crate::cluster::ClusterConfig,
+    cluster_cfg: ClusterConfig,
     mode: ExtollMode,
     size: u64,
     iters: u32,
@@ -177,10 +306,7 @@ pub fn extoll_pingpong_cfg(
     assert_eq!(cluster_cfg.backend, Backend::Extoll);
     let c = Cluster::with_config(cluster_cfg);
     let buf_len = size.max(8);
-    let tx0 = c.nodes[0].gpu.alloc(buf_len, 256);
-    let rx0 = c.nodes[0].gpu.alloc(buf_len, 256);
-    let tx1 = c.nodes[1].gpu.alloc(buf_len, 256);
-    let rx1 = c.nodes[1].gpu.alloc(buf_len, 256);
+    let [tx0, rx0, tx1, rx1] = [0, 0, 1, 1].map(|n| c.nodes[n].gpu.alloc(buf_len, 256));
     // Pair "a" is the ping path (node0 tx0 -> node1 rx1): a0 posts, a1
     // observes arrival. Pair "b" is the pong path (node1 tx1 -> node0 rx0):
     // b1 posts, b0 observes arrival.
@@ -188,21 +314,18 @@ pub fn extoll_pingpong_cfg(
     let (b0, b1) = create_pair(&c, rx0, tx1, buf_len, QueueLoc::Host);
     let total = warmup + iters;
     let tm = Timing::new(&c, warmup);
-    let gpu0 = c.nodes[0].gpu.clone();
+    let [gpu0, gpu1] = [0, 1].map(|n| c.nodes[n].gpu.clone());
 
     match mode {
         // Same protocol, different processor.
         ExtollMode::Dev2DevDirect => {
-            let (gt0, gt1) = (gpu0.thread(), c.nodes[1].gpu.thread());
-            let node0 = ping(gt0, tm.clone(), a0, b0, size, total, Some(tx0));
-            c.sim.spawn("pp.node0", node0);
-            c.sim.spawn("pp.node1", pong(gt1, a1, b1, size, total));
+            let threads = [gpu0.thread(), gpu1.thread()];
+            let eps = [a0, a1, b0, b1];
+            transport_pingpong(&c, &tm, threads, eps, size as u32, total, Some(tx0));
         }
         ExtollMode::HostControlled => {
-            let (cpu0, cpu1) = (c.nodes[0].cpu.clone(), c.nodes[1].cpu.clone());
-            let node0 = ping(cpu0, tm.clone(), a0, b0, size, total, None);
-            c.sim.spawn("pp.node0", node0);
-            c.sim.spawn("pp.node1", pong(cpu1, a1, b1, size, total));
+            let cpus = [0, 1].map(|n| c.nodes[n].cpu.clone());
+            transport_pingpong(&c, &tm, cpus, [a0, a1, b0, b1], size as u32, total, None);
         }
         ExtollMode::Dev2DevPollOnGpu => {
             // No notifications at all: poll the last payload element.
@@ -212,53 +335,28 @@ pub fn extoll_pingpong_cfg(
             let (nla_tx1, nla_rx0) = extoll_nlas(&c, tx1, rx0, buf_len);
             let peer0 = a1.extoll().rma_port().index();
             let peer1 = b0.extoll().rma_port().index();
-            {
-                let tm = tm.clone();
-                let gpu = gpu0.clone();
-                c.sim.spawn("pp.node0", async move {
-                    let gt = gpu.thread();
-                    for i in 0..total {
-                        let t0 = tm.begin(i);
-                        let marker = i as u64 + 1;
-                        write_marker(&gt, tx0, buf_len, marker).await;
-                        gt.fence_system().await;
-                        p0.post_put(
-                            &gt,
-                            peer0,
-                            nla_tx0,
-                            nla_rx1,
-                            buf_len as u32,
-                            tc_extoll::WrFlags::default(),
-                        )
+            let flags = WrFlags::default();
+            let tm = tm.clone();
+            c.sim.spawn("pp.node0", async move {
+                let gt = gpu0.thread();
+                let send = async |i| {
+                    write_marker(&gt, tx0, buf_len, i, true).await;
+                    p0.post_put(&gt, peer0, nla_tx0, nla_rx1, buf_len as u32, flags)
                         .await;
-                        let t1 = tm.now();
-                        poll_marker(&gt, rx0, buf_len, marker).await;
-                        tm.split(i, t0, t1);
-                    }
-                    tm.end();
-                });
-            }
-            {
-                let gpu1 = c.nodes[1].gpu.clone();
-                c.sim.spawn("pp.node1", async move {
-                    let gt = gpu1.thread();
-                    for i in 0..total {
-                        let marker = i as u64 + 1;
-                        poll_marker(&gt, rx1, buf_len, marker).await;
-                        write_marker(&gt, tx1, buf_len, marker).await;
-                        gt.fence_system().await;
-                        p1.post_put(
-                            &gt,
-                            peer1,
-                            nla_tx1,
-                            nla_rx0,
-                            buf_len as u32,
-                            tc_extoll::WrFlags::default(),
-                        )
+                };
+                let wait = async |i| poll_marker(&gt, rx0, buf_len, i).await;
+                ping(&tm, total, send, wait).await;
+            });
+            c.sim.spawn("pp.node1", async move {
+                let gt = gpu1.thread();
+                let wait = async |i| poll_marker(&gt, rx1, buf_len, i).await;
+                let answer = async |i| {
+                    write_marker(&gt, tx1, buf_len, i, true).await;
+                    p1.post_put(&gt, peer1, nla_tx1, nla_rx0, buf_len as u32, flags)
                         .await;
-                    }
-                });
-            }
+                };
+                pong(total, wait, answer).await;
+            });
         }
         ExtollMode::Dev2DevAssisted => {
             // One proxy per node: serves put requests and forwards arrival
@@ -278,34 +376,28 @@ pub fn extoll_pingpong_cfg(
                     .spawn(&format!("pp.proxy{node}"), cpu, &stop);
                     (snd, arr)
                 });
-            {
-                let tm = tm.clone();
-                let gpu = gpu0.clone();
-                c.sim.spawn("pp.node0", async move {
-                    let gt = gpu.thread();
-                    for i in 0..total {
-                        let t0 = tm.begin(i);
-                        snd0.request(&gt, size, REQUEST).await;
-                        let t1 = tm.now();
-                        snd0.wait_state(&gt, DONE).await;
-                        arr0.wait_state(&gt, ARRIVED).await;
-                        tm.split(i, t0, t1);
-                    }
-                    tm.end();
-                    stop.stop();
-                });
-            }
-            {
-                let gpu1 = c.nodes[1].gpu.clone();
-                c.sim.spawn("pp.node1", async move {
-                    let gt = gpu1.thread();
-                    for _ in 0..total {
-                        arr1.wait_state(&gt, ARRIVED).await;
-                        snd1.request(&gt, size, REQUEST).await;
-                        snd1.wait_state(&gt, DONE).await;
-                    }
-                });
-            }
+            let tm = tm.clone();
+            c.sim.spawn("pp.node0", async move {
+                let gt = gpu0.thread();
+                let send = async |_| snd0.request(&gt, size, REQUEST).await;
+                let wait = async |_| {
+                    snd0.wait_state(&gt, DONE).await;
+                    arr0.wait_state(&gt, ARRIVED).await;
+                };
+                ping(&tm, total, send, wait).await;
+                stop.stop();
+            });
+            c.sim.spawn("pp.node1", async move {
+                let gt = gpu1.thread();
+                let wait = async |_| {
+                    arr1.wait_state(&gt, ARRIVED).await;
+                };
+                let answer = async |_| {
+                    snd1.request(&gt, size, REQUEST).await;
+                    snd1.wait_state(&gt, DONE).await;
+                };
+                pong(total, wait, answer).await;
+            });
         }
     }
 
@@ -313,42 +405,94 @@ pub fn extoll_pingpong_cfg(
     tm.finish(size, iters)
 }
 
-/// Node 0's side of the notifying ping-pong on processor `p`: post the
-/// ping, then wait for its local completion and for the pong. A device
-/// kernel refreshes the marker of its payload buffer `refresh` before each
-/// put, as the paper's benchmark does; the host sends without.
-async fn ping<P: Processor>(
-    p: P,
-    tm: Rc<Timing>,
-    a0: AnyTransport,
-    b0: AnyTransport,
-    size: u64,
+/// The notifying ping-pong over the transport seam, on processors `p`:
+/// node 0 puts `len` bytes over `a0` and waits for the local completion
+/// and for the pong on `b0`; node 1 answers each arrival on `a1` over `b1`.
+/// Arrivals are armed up front and after each one, which posts a receive
+/// for InfiniBand's write-with-immediate and does nothing on EXTOLL. A
+/// device kernel stamps its payload buffer `refresh` before each put, as
+/// the paper's benchmark does; the host sends without.
+fn transport_pingpong<P: Processor + 'static>(
+    c: &Cluster,
+    tm: &Rc<Timing>,
+    [p0, p1]: [P; 2],
+    [a0, a1, b0, b1]: [AnyTransport; 4],
+    len: u32,
     total: u32,
     refresh: Option<Addr>,
 ) {
-    for i in 0..total {
-        let t0 = tm.begin(i);
-        if let Some(tx0) = refresh {
-            write_marker(&p, tx0, size.max(8), i as u64 + 1).await;
-            p.fence().await;
-        }
-        a0.put(&p, 0, 0, size as u32, true).await;
-        let t1 = tm.now();
-        a0.quiet(&p).await.unwrap();
-        b0.wait_arrival(&p).await.unwrap();
-        tm.split(i, t0, t1);
-    }
-    tm.end();
+    let tm = tm.clone();
+    c.sim.spawn("pp.node0", async move {
+        b0.arm_arrival(&p0).await;
+        let send = async |i| {
+            if let Some(tx0) = refresh {
+                write_marker(&p0, tx0, u64::from(len).max(8), i, true).await;
+            }
+            a0.put(&p0, 0, 0, len, true).await;
+        };
+        let wait = async |_| {
+            a0.quiet(&p0).await.unwrap();
+            b0.wait_arrival(&p0).await.unwrap();
+            b0.arm_arrival(&p0).await;
+        };
+        ping(&tm, total, send, wait).await;
+    });
+    c.sim.spawn("pp.node1", async move {
+        a1.arm_arrival(&p1).await;
+        let wait = async |_| {
+            a1.wait_arrival(&p1).await.unwrap();
+            a1.arm_arrival(&p1).await;
+        };
+        let answer = async |_| {
+            b1.put(&p1, 0, 0, len, true).await;
+            b1.quiet(&p1).await.unwrap();
+        };
+        pong(total, wait, answer).await;
+    });
 }
 
-/// Node 1's side: wait for each ping, answer it and wait for the answer's
-/// local completion.
-async fn pong<P: Processor>(p: P, a1: AnyTransport, b1: AnyTransport, size: u64, total: u32) {
-    for _ in 0..total {
-        a1.wait_arrival(&p).await.unwrap();
-        b1.put(&p, 0, 0, size as u32, true).await;
-        b1.quiet(&p).await.unwrap();
-    }
+/// The RDMA-write ping-pong over `v`, spawned as `{name}.node0` and
+/// `{name}.node1` on processors `p`: each side stamps its `tx` buffer
+/// (fenced if `fence`, see [`write_marker`]), posts its write and waits
+/// for the send completion, and the receiver polls the stamp in its `rx`.
+pub(crate) fn write_pingpong<P: Processor + 'static>(
+    c: &Cluster,
+    tm: &Rc<Timing>,
+    name: &str,
+    [p0, p1]: [P; 2],
+    v: VerbsPair,
+    total: u32,
+    fence: bool,
+) {
+    let VerbsPair {
+        qp: [qp0, qp1],
+        cq: [cq0, cq1],
+        bufs: [tx0, rx0, tx1, rx1],
+        write: [w0, w1],
+        ..
+    } = v;
+    let len = u64::from(w0.len);
+    let tm = tm.clone();
+    c.sim.spawn(&format!("{name}.node0"), async move {
+        let send = async |i| {
+            write_marker(&p0, tx0, len, i, fence).await;
+            qp0.post_send(&p0, &w0).await;
+        };
+        let wait = async |i| {
+            assert_eq!(cq0.wait(&p0).await.status, CqeStatus::Success);
+            poll_marker(&p0, rx0, len, i).await;
+        };
+        ping(&tm, total, send, wait).await;
+    });
+    c.sim.spawn(&format!("{name}.node1"), async move {
+        let wait = async |i| poll_marker(&p1, rx1, len, i).await;
+        let answer = async |i| {
+            write_marker(&p1, tx1, len, i, fence).await;
+            qp1.post_send(&p1, &w1).await;
+            assert_eq!(cq1.wait(&p1).await.status, CqeStatus::Success);
+        };
+        pong(total, wait, answer).await;
+    });
 }
 
 fn extoll_nlas(c: &Cluster, local: Addr, remote: Addr, len: u64) -> (u64, u64) {
@@ -372,13 +516,11 @@ fn extoll_nlas(c: &Cluster, local: Addr, remote: Addr, len: u64) -> (u64, u64) {
 pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPongResult {
     let c = Cluster::new(Backend::Infiniband);
     let buf_len = size.max(8);
-    let tx0 = c.nodes[0].gpu.alloc(buf_len, 256);
-    let rx0 = c.nodes[0].gpu.alloc(buf_len, 256);
-    let tx1 = c.nodes[1].gpu.alloc(buf_len, 256);
-    let rx1 = c.nodes[1].gpu.alloc(buf_len, 256);
+    let bufs = [0, 0, 1, 1].map(|n| c.nodes[n].gpu.alloc(buf_len, 256));
+    let [tx0, rx0, tx1, rx1] = bufs;
     let total = warmup + iters;
     let tm = Timing::new(&c, warmup);
-    let gpu0 = c.nodes[0].gpu.clone();
+    let [gpu0, gpu1] = [0, 1].map(|n| c.nodes[n].gpu.clone());
 
     match mode {
         IbMode::Dev2DevBufOnGpu | IbMode::Dev2DevBufOnHost => {
@@ -388,90 +530,9 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
                 BufLoc::Host
             };
             // GPU-driven contexts: software state lives in device memory.
-            let ctx0 = IbvContext::new(
-                c.nodes[0].ib().clone(),
-                c.nodes[0].host_heap.clone(),
-                Some(c.nodes[0].gpu.clone()),
-                BufLoc::Gpu,
-            );
-            let ctx1 = IbvContext::new(
-                c.nodes[1].ib().clone(),
-                c.nodes[1].host_heap.clone(),
-                Some(c.nodes[1].gpu.clone()),
-                BufLoc::Gpu,
-            );
-            let cq0 = ctx0.create_cq(loc);
-            let cq1 = ctx1.create_cq(loc);
-            let qp0 = Rc::new(ctx0.create_qp(cq0.clone(), cq0.clone(), loc));
-            let qp1 = Rc::new(ctx1.create_qp(cq1.clone(), cq1.clone(), loc));
-            qp0.connect(qp1.qpn());
-            qp1.connect(qp0.qpn());
-            let mr_tx0 = ctx0.reg_mr(tx0, buf_len, tc_ib::Access::full());
-            let mr_rx0 = ctx0.reg_mr(rx0, buf_len, tc_ib::Access::full());
-            let mr_tx1 = ctx1.reg_mr(tx1, buf_len, tc_ib::Access::full());
-            let mr_rx1 = ctx1.reg_mr(rx1, buf_len, tc_ib::Access::full());
-            {
-                let tm = tm.clone();
-                let gpu = gpu0.clone();
-                let (qp0, cq0) = (qp0.clone(), cq0.clone());
-                c.sim.spawn("pp.node0", async move {
-                    let gt = gpu.thread();
-                    for i in 0..total {
-                        let t0 = tm.begin(i);
-                        let marker = i as u64 + 1;
-                        write_marker(&gt, tx0, buf_len, marker).await;
-                        gt.fence_system().await;
-                        qp0.post_send(
-                            &gt,
-                            &SendWr {
-                                opcode: SendOpcode::RdmaWrite,
-                                laddr: mr_tx0.addr,
-                                lkey: mr_tx0.lkey,
-                                raddr: mr_rx1.addr,
-                                rkey: mr_rx1.rkey,
-                                len: buf_len as u32,
-                                imm: 0,
-                                signaled: true,
-                            },
-                        )
-                        .await;
-                        let t1 = tm.now();
-                        let wc = cq0.wait(&gt).await;
-                        assert_eq!(wc.status, tc_ib::CqeStatus::Success);
-                        poll_marker(&gt, rx0, buf_len, marker).await;
-                        tm.split(i, t0, t1);
-                    }
-                    tm.end();
-                });
-            }
-            {
-                let gpu1 = c.nodes[1].gpu.clone();
-                c.sim.spawn("pp.node1", async move {
-                    let gt = gpu1.thread();
-                    for i in 0..total {
-                        let marker = i as u64 + 1;
-                        poll_marker(&gt, rx1, buf_len, marker).await;
-                        write_marker(&gt, tx1, buf_len, marker).await;
-                        gt.fence_system().await;
-                        qp1.post_send(
-                            &gt,
-                            &SendWr {
-                                opcode: SendOpcode::RdmaWrite,
-                                laddr: mr_tx1.addr,
-                                lkey: mr_tx1.lkey,
-                                raddr: mr_rx0.addr,
-                                rkey: mr_rx0.rkey,
-                                len: buf_len as u32,
-                                imm: 0,
-                                signaled: true,
-                            },
-                        )
-                        .await;
-                        let wc = cq1.wait(&gt).await;
-                        assert_eq!(wc.status, tc_ib::CqeStatus::Success);
-                    }
-                });
-            }
+            let v = VerbsPair::new(&c, bufs, buf_len, true, loc);
+            let threads = [gpu0.thread(), gpu1.thread()];
+            write_pingpong(&c, &tm, "pp", threads, v, total, true);
         }
         IbMode::Dev2DevAssisted => {
             // CPU-driven verbs (host queues), GPU triggers via flags and
@@ -491,76 +552,39 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
                 }
                 .spawn(&format!("pp.proxy{node}"), cpu, &stop);
             }
-            {
-                let tm = tm.clone();
-                let gpu = gpu0.clone();
-                c.sim.spawn("pp.node0", async move {
-                    let gt = gpu.thread();
-                    for i in 0..total {
-                        let t0 = tm.begin(i);
-                        let marker = i as u64 + 1;
-                        write_marker(&gt, tx0, buf_len, marker).await;
-                        gt.fence_system().await;
-                        snd0.request(&gt, buf_len, REQUEST).await;
-                        let t1 = tm.now();
-                        snd0.wait_state(&gt, DONE).await;
-                        poll_marker(&gt, rx0, buf_len, marker).await;
-                        tm.split(i, t0, t1);
-                    }
-                    tm.end();
-                    stop.stop();
-                });
-            }
-            {
-                let gpu1 = c.nodes[1].gpu.clone();
-                c.sim.spawn("pp.node1", async move {
-                    let gt = gpu1.thread();
-                    for i in 0..total {
-                        let marker = i as u64 + 1;
-                        poll_marker(&gt, rx1, buf_len, marker).await;
-                        write_marker(&gt, tx1, buf_len, marker).await;
-                        gt.fence_system().await;
-                        snd1.request(&gt, buf_len, REQUEST).await;
-                        snd1.wait_state(&gt, DONE).await;
-                    }
-                });
-            }
+            let tm = tm.clone();
+            c.sim.spawn("pp.node0", async move {
+                let gt = gpu0.thread();
+                let send = async |i| {
+                    write_marker(&gt, tx0, buf_len, i, true).await;
+                    snd0.request(&gt, buf_len, REQUEST).await;
+                };
+                let wait = async |i| {
+                    snd0.wait_state(&gt, DONE).await;
+                    poll_marker(&gt, rx0, buf_len, i).await;
+                };
+                ping(&tm, total, send, wait).await;
+                stop.stop();
+            });
+            c.sim.spawn("pp.node1", async move {
+                let gt = gpu1.thread();
+                let wait = async |i| poll_marker(&gt, rx1, buf_len, i).await;
+                let answer = async |i| {
+                    write_marker(&gt, tx1, buf_len, i, true).await;
+                    snd1.request(&gt, buf_len, REQUEST).await;
+                    snd1.wait_state(&gt, DONE).await;
+                };
+                pong(total, wait, answer).await;
+            });
         }
         IbMode::HostControlled => {
             // CPU-driven with write-with-immediate synchronization, since
             // the GPUDirect patch does not let the host poll GPU memory.
             let (a0, a1) = create_pair(&c, tx0, rx1, buf_len, QueueLoc::Host);
             let (b0, b1) = create_pair(&c, rx0, tx1, buf_len, QueueLoc::Host);
-            {
-                let tm = tm.clone();
-                let cpu0 = c.nodes[0].cpu.clone();
-                c.sim.spawn("pp.node0", async move {
-                    // Arm the first pong arrival.
-                    b0.arm_arrival(&cpu0).await;
-                    for i in 0..total {
-                        let t0 = tm.begin(i);
-                        a0.put(&cpu0, 0, 0, buf_len as u32, true).await;
-                        let t1 = tm.now();
-                        a0.quiet(&cpu0).await.unwrap();
-                        b0.wait_arrival(&cpu0).await.unwrap();
-                        b0.arm_arrival(&cpu0).await;
-                        tm.split(i, t0, t1);
-                    }
-                    tm.end();
-                });
-            }
-            {
-                let cpu1 = c.nodes[1].cpu.clone();
-                c.sim.spawn("pp.node1", async move {
-                    a1.arm_arrival(&cpu1).await;
-                    for _ in 0..total {
-                        a1.wait_arrival(&cpu1).await.unwrap();
-                        a1.arm_arrival(&cpu1).await;
-                        b1.put(&cpu1, 0, 0, buf_len as u32, true).await;
-                        b1.quiet(&cpu1).await.unwrap();
-                    }
-                });
-            }
+            let cpus = [0, 1].map(|n| c.nodes[n].cpu.clone());
+            let eps = [a0, a1, b0, b1];
+            transport_pingpong(&c, &tm, cpus, eps, buf_len as u32, total, None);
         }
     }
 

@@ -470,7 +470,7 @@ pub fn msg_attr(proto: Proto, size: u64, rounds: u32) -> AttrRun {
 }
 
 /// The sampled workload telemetry point: an open-loop EXTOLL Poisson
-/// load sampled every [`SERIES_WINDOW`] of simulated time.
+/// load sampled every 25 µs (`SERIES_WINDOW`) of simulated time.
 pub fn workload_series() -> SeriesRun {
     let spec = WorkloadSpec {
         backend: Backend::Extoll,

@@ -221,14 +221,6 @@ pub fn render(elements: usize, results: &[ScalingResult]) -> String {
     out
 }
 
-/// Render the scaling experiment as a text report (serial; see [`point`] /
-/// [`render`] for the parallel decomposition).
-pub fn report(elements: usize) -> String {
-    let counts = node_counts(false);
-    let results: Vec<ScalingResult> = counts.iter().map(|&n| point(n, elements)).collect();
-    render(elements, &results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -150,12 +150,6 @@ pub fn render(results: &[SensitivityResult]) -> String {
     out
 }
 
-/// Render the sensitivity sweep as a text report (serial; see [`knobs`] /
-/// [`check`] / [`render`] for the parallel decomposition).
-pub fn report(iters: u32) -> String {
-    render(&sweep(iters))
-}
-
 fn tick(b: bool) -> &'static str {
     if b {
         "yes"

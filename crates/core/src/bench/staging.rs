@@ -112,7 +112,7 @@ fn run_once(backend: Backend, size: u64, messages: u32, staged: bool) -> Time {
     (done.get() - started.get()).max(1)
 }
 
-/// Message sizes swept by [`report`]: 4 KiB to 16 MiB in ×4 steps.
+/// Message sizes of the sweep: 4 KiB to 16 MiB in ×4 steps.
 pub fn sizes() -> Vec<u64> {
     let mut v = Vec::new();
     let mut size = 4096u64;
@@ -123,8 +123,8 @@ pub fn sizes() -> Vec<u64> {
     v
 }
 
-/// One sweep point of [`report`]: `size` bytes, with the message count
-/// clamped so a single point never streams more than 64 MiB.
+/// One sweep point: `size` bytes, with the message count clamped so a
+/// single point never streams more than 64 MiB.
 pub fn point(size: u64, messages: u32) -> StagingResult {
     let msgs = messages.min(((64u64 << 20) / size).max(4) as u32);
     staged_vs_direct(Backend::Extoll, size, msgs)
@@ -159,13 +159,6 @@ pub fn render(results: &[StagingResult]) -> String {
          [14,15] documented.\n",
     );
     out
-}
-
-/// Render the extension experiment as a text report (serial sweep; the
-/// parallel runner fans out [`point`] per size instead).
-pub fn report(messages: u32) -> String {
-    let results: Vec<StagingResult> = sizes().into_iter().map(|s| point(s, messages)).collect();
-    render(&results)
 }
 
 #[cfg(test)]

@@ -12,13 +12,12 @@
 //!   and every message pays the receive-WQE fetch on the wire-to-memory
 //!   path plus the receive-side completion.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use tc_desim::time::Time;
-use tc_ib::{Access, BufLoc, IbvContext, SendOpcode, SendWr};
+use tc_ib::{BufLoc, SendOpcode, SendWr};
 
 use crate::cluster::{Backend, Cluster};
+
+use super::pingpong::{ping, pong, write_pingpong, Timing, VerbsPair};
 
 /// Result of the one-sided vs two-sided comparison.
 #[derive(Debug, Clone)]
@@ -45,155 +44,72 @@ fn run(size: u64, iters: u32, two_sided: bool) -> Time {
     let buf_len = size.max(8);
     // Host-resident buffers: this experiment isolates the *communication
     // style*, so the receiver can poll payload memory directly.
-    let tx0 = c.nodes[0].host_heap.alloc(buf_len, 256);
-    let rx0 = c.nodes[0].host_heap.alloc(buf_len, 256);
-    let tx1 = c.nodes[1].host_heap.alloc(buf_len, 256);
-    let rx1 = c.nodes[1].host_heap.alloc(buf_len, 256);
-    let ctx0 = IbvContext::new(
-        c.nodes[0].ib().clone(),
-        c.nodes[0].host_heap.clone(),
-        None,
-        BufLoc::Host,
-    );
-    let ctx1 = IbvContext::new(
-        c.nodes[1].ib().clone(),
-        c.nodes[1].host_heap.clone(),
-        None,
-        BufLoc::Host,
-    );
-    let cq0 = ctx0.create_cq(BufLoc::Host);
-    let cq1 = ctx1.create_cq(BufLoc::Host);
-    let qp0 = Rc::new(ctx0.create_qp(cq0.clone(), cq0.clone(), BufLoc::Host));
-    let qp1 = Rc::new(ctx1.create_qp(cq1.clone(), cq1.clone(), BufLoc::Host));
-    qp0.connect(qp1.qpn());
-    qp1.connect(qp0.qpn());
-    let m_tx0 = ctx0.reg_mr(tx0, buf_len, Access::full());
-    let m_rx0 = ctx0.reg_mr(rx0, buf_len, Access::full());
-    let m_tx1 = ctx1.reg_mr(tx1, buf_len, Access::full());
-    let m_rx1 = ctx1.reg_mr(rx1, buf_len, Access::full());
+    let bufs = [0, 0, 1, 1].map(|n| c.nodes[n].host_heap.alloc(buf_len, 256));
+    let v = VerbsPair::new(&c, bufs, buf_len, false, BufLoc::Host);
     let warmup = 2u32;
     let total = iters + warmup;
-    let t_start = Rc::new(Cell::new(0u64));
-    let t_end = Rc::new(Cell::new(0u64));
-    let (ts, te) = (t_start.clone(), t_end.clone());
-    let cpu0 = c.nodes[0].cpu.clone();
-    let cpu1 = c.nodes[1].cpu.clone();
-    let sim = c.sim.clone();
+    let tm = Timing::new(&c, warmup);
+    let cpus = [0, 1].map(|n| c.nodes[n].cpu.clone());
 
     if two_sided {
+        let VerbsPair {
+            qp: [qp0, qp1],
+            cq: [cq0, cq1],
+            rx_mr: [rx0, rx1],
+            write,
+            ..
+        } = v;
+        let [s0, s1] = write.map(|w| SendWr {
+            opcode: SendOpcode::Send,
+            raddr: 0,
+            rkey: 0,
+            len: size as u32,
+            ..w
+        });
+        let [cpu0, cpu1] = cpus;
+        let tm = tm.clone();
         c.sim.spawn("ts.node0", async move {
             // Keep one receive pre-posted at all times.
-            qp0.post_recv(&cpu0, m_rx0.addr, m_rx0.lkey, buf_len as u32)
-                .await;
-            for i in 0..total {
-                if i == warmup {
-                    ts.set(sim.now());
-                }
-                qp0.post_send(
-                    &cpu0,
-                    &SendWr {
-                        opcode: SendOpcode::Send,
-                        laddr: m_tx0.addr,
-                        lkey: m_tx0.lkey,
-                        raddr: 0,
-                        rkey: 0,
-                        len: size as u32,
-                        imm: 0,
-                        signaled: true,
-                    },
-                )
-                .await;
+            let post_recv = async || {
+                qp0.post_recv(&cpu0, rx0.addr, rx0.lkey, buf_len as u32)
+                    .await
+            };
+            post_recv().await;
+            let wait = async |_| {
                 // Local send completion + the pong's receive completion.
                 cq0.wait(&cpu0).await;
                 cq0.wait(&cpu0).await;
-                qp0.post_recv(&cpu0, m_rx0.addr, m_rx0.lkey, buf_len as u32)
-                    .await;
-            }
-            te.set(sim.now());
+                post_recv().await;
+            };
+            ping(&tm, total, async |_| qp0.post_send(&cpu0, &s0).await, wait).await;
         });
         c.sim.spawn("ts.node1", async move {
-            qp1.post_recv(&cpu1, m_rx1.addr, m_rx1.lkey, buf_len as u32)
-                .await;
-            for _ in 0..total {
-                // Wait for the ping's receive completion.
+            let post_recv = async || {
+                qp1.post_recv(&cpu1, rx1.addr, rx1.lkey, buf_len as u32)
+                    .await
+            };
+            post_recv().await;
+            // Wait for the ping's receive completion.
+            let wait = async |_| {
                 cq1.wait(&cpu1).await;
-                qp1.post_recv(&cpu1, m_rx1.addr, m_rx1.lkey, buf_len as u32)
-                    .await;
-                qp1.post_send(
-                    &cpu1,
-                    &SendWr {
-                        opcode: SendOpcode::Send,
-                        laddr: m_tx1.addr,
-                        lkey: m_tx1.lkey,
-                        raddr: 0,
-                        rkey: 0,
-                        len: size as u32,
-                        imm: 0,
-                        signaled: true,
-                    },
-                )
-                .await;
+            };
+            let answer = async |_| {
+                post_recv().await;
+                qp1.post_send(&cpu1, &s1).await;
                 cq1.wait(&cpu1).await; // local send completion
-            }
+            };
+            pong(total, wait, answer).await;
         });
     } else {
         // One-sided: plain RDMA write; the receiver polls the last payload
         // element — no receive posting, no matching, no receive CQEs.
-        use super::pingpong::{poll_marker, write_marker};
-        c.sim.spawn("os.node0", async move {
-            for i in 0..total {
-                if i == warmup {
-                    ts.set(sim.now());
-                }
-                let marker = i as u64 + 1;
-                write_marker(&cpu0, tx0, buf_len, marker).await;
-                qp0.post_send(
-                    &cpu0,
-                    &SendWr {
-                        opcode: SendOpcode::RdmaWrite,
-                        laddr: m_tx0.addr,
-                        lkey: m_tx0.lkey,
-                        raddr: m_rx1.addr,
-                        rkey: m_rx1.rkey,
-                        len: buf_len as u32,
-                        imm: 0,
-                        signaled: true,
-                    },
-                )
-                .await;
-                cq0.wait(&cpu0).await; // send completion
-                poll_marker(&cpu0, rx0, buf_len, marker).await;
-            }
-            te.set(sim.now());
-        });
-        c.sim.spawn("os.node1", async move {
-            for i in 0..total {
-                let marker = i as u64 + 1;
-                poll_marker(&cpu1, rx1, buf_len, marker).await;
-                write_marker(&cpu1, tx1, buf_len, marker).await;
-                qp1.post_send(
-                    &cpu1,
-                    &SendWr {
-                        opcode: SendOpcode::RdmaWrite,
-                        laddr: m_tx1.addr,
-                        lkey: m_tx1.lkey,
-                        raddr: m_rx0.addr,
-                        rkey: m_rx0.rkey,
-                        len: buf_len as u32,
-                        imm: 0,
-                        signaled: true,
-                    },
-                )
-                .await;
-                cq1.wait(&cpu1).await;
-            }
-        });
+        write_pingpong(&c, &tm, "os", cpus, v, total, false);
     }
     c.sim.run();
-    (t_end.get() - t_start.get()) / iters as u64 / 2
+    tm.finish(size, iters).half_rtt
 }
 
-/// Message sizes swept by [`report`]: 4 B to 256 KiB in ×16 steps.
+/// Message sizes of the sweep: 4 B to 256 KiB in ×16 steps.
 pub fn sizes() -> Vec<u64> {
     let mut v = Vec::new();
     let mut size = 4u64;
@@ -204,7 +120,7 @@ pub fn sizes() -> Vec<u64> {
     v
 }
 
-/// One sweep point of [`report`].
+/// One sweep point: both styles at `size` bytes.
 pub fn point(size: u64, iters: u32) -> TwoSidedResult {
     one_vs_two_sided(size, iters)
 }
@@ -233,13 +149,6 @@ pub fn render(results: &[TwoSidedResult]) -> String {
          need nothing from the receiver's CPU on the data path.\n",
     );
     out
-}
-
-/// Render the extension experiment as a text report (serial sweep; the
-/// parallel runner fans out [`point`] per size instead).
-pub fn report(iters: u32) -> String {
-    let results: Vec<TwoSidedResult> = sizes().into_iter().map(|s| point(s, iters)).collect();
-    render(&results)
 }
 
 #[cfg(test)]

@@ -8,13 +8,15 @@
 //! natural hardware answer to the paper's §VI claims for small messages —
 //! this experiment quantifies it against RMA puts in the same harness.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
-use tc_desim::time::Time;
+use tc_desim::time::{self, Time};
 use tc_extoll::WrFlags;
 
 use crate::cluster::{Backend, Cluster};
+
+use super::pingpong::{ping, pong, RmaPair, Timing};
+use super::Window;
 
 /// Result of the VELO-vs-RMA comparison at one payload size.
 #[derive(Debug, Clone)]
@@ -46,79 +48,51 @@ pub fn velo_vs_rma(size: u64, iters: u32) -> VeloResult {
     }
 }
 
+/// Each side's result: the ping-pong's half round trip, then the rate of
+/// the `iters` messages node 0 sends in `rate`'s window.
+fn outcome(tm: &Timing, rate: &Window, size: u64, iters: u32) -> (Time, f64) {
+    let (rate_span, _) = rate.finish();
+    (
+        tm.finish(size, iters).half_rtt,
+        iters as f64 / time::to_sec_f64(rate_span),
+    )
+}
+
 fn rma_side(size: u64, iters: u32) -> (Time, f64) {
     let c = Cluster::new(Backend::Extoll);
-    let tx0 = c.nodes[0].gpu.alloc(size.max(8), 256);
-    let rx0 = c.nodes[0].gpu.alloc(size.max(8), 256);
-    let tx1 = c.nodes[1].gpu.alloc(size.max(8), 256);
-    let rx1 = c.nodes[1].gpu.alloc(size.max(8), 256);
-    let nla_tx0 = c.nodes[0].extoll().register_memory(tx0, size.max(8));
-    let nla_rx0 = c.nodes[0].extoll().register_memory(rx0, size.max(8));
-    let nla_tx1 = c.nodes[1].extoll().register_memory(tx1, size.max(8));
-    let nla_rx1 = c.nodes[1].extoll().register_memory(rx1, size.max(8));
-    let p0 = c.nodes[0].extoll().open_port();
-    let p1 = c.nodes[1].extoll().open_port();
-    let (i0, i1) = (p0.index(), p1.index());
-    let span = Rc::new(Cell::new((0u64, 0u64)));
-    let sp = span.clone();
-    let gpu0 = c.nodes[0].gpu.clone();
-    let gpu1 = c.nodes[1].gpu.clone();
-    let sim = c.sim.clone();
+    let rig = Rc::new(RmaPair::new(&c, size.max(8)));
+    let (tm, rate) = (Timing::new(&c, 0), Rc::new(Window::new(&c.sim)));
+    let [gt0, gt1] = [0, 1].map(|n| c.nodes[n].gpu.thread());
+    let len = size as u32;
     let flags = WrFlags {
         notify_requester: true,
         notify_completer: true,
         notify_responder: false,
     };
-    c.sim.spawn("rma.node0", async move {
-        let t = gpu0.thread();
-        // Latency phase: ping-pong.
-        let t0 = sim.now();
-        for _ in 0..iters {
-            p0.post_put(&t, i1, nla_tx0, nla_rx1, size as u32, flags)
-                .await;
-            p0.requester.wait(&t).await;
-            p0.requester.free(&t).await;
-            p0.completer.wait(&t).await;
-            p0.completer.free(&t).await;
-        }
-        let lat_span = sim.now() - t0;
-        // Rate phase: back-to-back puts with requester flow control.
-        let t0 = sim.now();
-        for _ in 0..iters {
-            p0.post_put(
-                &t,
-                i1,
-                nla_tx0,
-                nla_rx1,
-                size as u32,
-                WrFlags {
-                    notify_requester: true,
-                    ..Default::default()
-                },
-            )
-            .await;
-            p0.requester.wait(&t).await;
-            p0.requester.free(&t).await;
-        }
-        sp.set((lat_span, sim.now() - t0));
-    });
+    {
+        let (rig, tm, rate) = (rig.clone(), tm.clone(), rate.clone());
+        c.sim.spawn("rma.node0", async move {
+            // Latency phase: ping-pong.
+            let send = async |_| rig.put(&gt0, 0, len, flags, false).await;
+            ping(&tm, iters, send, async |_| rig.arrival(&gt0, 0).await).await;
+            // Rate phase: back-to-back puts with requester flow control.
+            let requester_only = WrFlags {
+                notify_requester: true,
+                ..Default::default()
+            };
+            rate.open();
+            for _ in 0..iters {
+                rig.put(&gt0, 0, len, requester_only, false).await;
+            }
+            rate.close();
+        });
+    }
     c.sim.spawn("rma.node1", async move {
-        let t = gpu1.thread();
-        for _ in 0..iters {
-            p1.completer.wait(&t).await;
-            p1.completer.free(&t).await;
-            p1.post_put(&t, i0, nla_tx1, nla_rx0, size as u32, flags)
-                .await;
-            p1.requester.wait(&t).await;
-            p1.requester.free(&t).await;
-        }
+        let answer = async |_| rig.put(&gt1, 1, len, flags, false).await;
+        pong(iters, async |_| rig.arrival(&gt1, 1).await, answer).await;
     });
     c.sim.run();
-    let (lat_span, rate_span) = span.get();
-    (
-        lat_span / iters as u64 / 2,
-        iters as f64 / tc_desim::time::to_sec_f64(rate_span.max(1)),
-    )
+    outcome(&tm, &rate, size, iters)
 }
 
 fn velo_side(size: u64, iters: u32) -> (Time, f64) {
@@ -126,62 +100,49 @@ fn velo_side(size: u64, iters: u32) -> (Time, f64) {
     let v0 = c.nodes[0].extoll().open_velo_port();
     let v1 = c.nodes[1].extoll().open_velo_port();
     let (i0, i1) = (v0.index(), v1.index());
-    let span = Rc::new(Cell::new((0u64, 0u64)));
-    let sp = span.clone();
-    let gpu0 = c.nodes[0].gpu.clone();
-    let gpu1 = c.nodes[1].gpu.clone();
-    let sim = c.sim.clone();
+    let (tm, rate) = (Timing::new(&c, 0), Rc::new(Window::new(&c.sim)));
+    let [gt0, gt1] = [0, 1].map(|n| c.nodes[n].gpu.thread());
     let payload: Vec<u8> = (0..size).map(|i| i as u8).collect();
     let payload2 = payload.clone();
-    c.sim.spawn("velo.node0", async move {
-        let t = gpu0.thread();
-        let t0 = sim.now();
-        for _ in 0..iters {
-            v0.send(&t, i1, &payload).await;
-            let _ = v0.recv(&t).await; // pong
-        }
-        let lat_span = sim.now() - t0;
-        // Rate phase: blast messages; the peer drains (mailbox is 64 deep,
-        // so pace every 48 messages by waiting for an ack).
-        let t0 = sim.now();
-        for k in 0..iters {
-            v0.send(&t, i1, &payload).await;
-            if k % 48 == 47 {
-                let _ = v0.recv(&t).await;
+    {
+        let (tm, rate) = (tm.clone(), rate.clone());
+        c.sim.spawn("velo.node0", async move {
+            let send = async |_| v0.send(&gt0, i1, &payload).await;
+            let wait = async |_| drop(v0.recv(&gt0).await); // pong
+            ping(&tm, iters, send, wait).await;
+            // Rate phase: blast messages; the peer drains (mailbox is 64
+            // deep, so pace every 48 messages by waiting for an ack).
+            rate.open();
+            for k in 0..iters {
+                v0.send(&gt0, i1, &payload).await;
+                if k % 48 == 47 {
+                    let _ = v0.recv(&gt0).await;
+                }
             }
-        }
-        sp.set((lat_span, sim.now() - t0));
-    });
+            rate.close();
+        });
+    }
     c.sim.spawn("velo.node1", async move {
-        let t = gpu1.thread();
-        for _ in 0..iters {
-            let _ = v1.recv(&t).await;
-            v1.send(&t, i0, &payload2).await;
-        }
+        let wait = async |_| drop(v1.recv(&gt1).await);
+        pong(iters, wait, async |_| v1.send(&gt1, i0, &payload2).await).await;
         // Rate phase: drain and ack every 48th message.
-        let mut k = 0u32;
-        while k < iters {
-            let _ = v1.recv(&t).await;
+        for k in 0..iters {
+            let _ = v1.recv(&gt1).await;
             if k % 48 == 47 {
-                v1.send(&t, i0, b"ack").await;
+                v1.send(&gt1, i0, b"ack").await;
             }
-            k += 1;
         }
     });
     c.sim.run();
-    let (lat_span, rate_span) = span.get();
-    (
-        lat_span / iters as u64 / 2,
-        iters as f64 / tc_desim::time::to_sec_f64(rate_span.max(1)),
-    )
+    outcome(&tm, &rate, size, iters)
 }
 
-/// Payload sizes swept by [`report`].
+/// Payload sizes of the sweep.
 pub fn sizes() -> Vec<u64> {
     vec![8, 32, 64]
 }
 
-/// One sweep point of [`report`].
+/// One sweep point: both engines at `size` bytes.
 pub fn point(size: u64, iters: u32) -> VeloResult {
     velo_vs_rma(size, iters)
 }
@@ -198,8 +159,8 @@ pub fn render(results: &[VeloResult]) -> String {
         out.push_str(&format!(
             "{:>8} {:>14.2} {:>14.2} {:>14.0} {:>14.0}\n",
             r.size,
-            tc_desim::time::to_us_f64(r.rma_latency),
-            tc_desim::time::to_us_f64(r.velo_latency),
+            time::to_us_f64(r.rma_latency),
+            time::to_us_f64(r.velo_latency),
             r.rma_rate,
             r.velo_rate,
         ));
@@ -210,13 +171,6 @@ pub fn render(results: &[VeloResult]) -> String {
          the hardware embodiment of the paper's SVI claims.\n",
     );
     out
-}
-
-/// Render the extension experiment as a text report (serial sweep; the
-/// parallel runner fans out [`point`] per size instead).
-pub fn report(iters: u32) -> String {
-    let results: Vec<VeloResult> = sizes().into_iter().map(|s| point(s, iters)).collect();
-    render(&results)
 }
 
 #[cfg(test)]

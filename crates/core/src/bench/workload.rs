@@ -16,10 +16,17 @@
 //!
 //! With [`WorkloadSpec::app`] set, operations are whole application
 //! iterations driven through the message layer instead of raw transport
-//! ops: each connection gets a [`Messenger`] pair, the worker runs
-//! halo/allreduce/RPC steps ([`apps`]), and the node-1 server turns into
-//! the matching responder — so the latency-under-load picture composes
-//! with the eager/rendezvous protocol.
+//! ops: each connection gets a [`Messenger`](crate::msg::Messenger) pair,
+//! the worker runs halo/allreduce/RPC steps ([`apps`]), and the node-1
+//! server turns into the matching responder — so the latency-under-load
+//! picture composes with the eager/rendezvous protocol.
+//!
+//! Each connection runs three processes over one shared state: the
+//! generator, the worker loop (it drains the queue one operation at a
+//! time and books latency and counters; the operation is a closure, a raw
+//! put/get/send or an application iteration) and the server poll loop on
+//! node 1 (it drains what has arrived, tests its exit condition, then
+//! idles `SRV_POLL`).
 //!
 //! Everything is deterministic: arrivals are pre-generated from an
 //! in-tree [`XorShift64`] stream per connection, and the simulation is
@@ -29,7 +36,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use tc_desim::sync::Signal;
 use tc_desim::time::{self, Time};
+use tc_desim::Sim;
 use tc_trace::rng::XorShift64;
 use tc_trace::series::{Sampler, SeriesSet};
 use tc_trace::Snapshot;
@@ -40,7 +49,7 @@ use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
 use crate::msg::apps::{self, AppKind};
 use crate::msg::{messenger_pair, MsgConfig};
-use crate::transport::Transport;
+use crate::transport::{CommError, Transport};
 
 /// Arrival process of the open-loop generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +134,7 @@ pub struct ConnStats {
     pub received: u64,
 }
 
-/// Shared mutable cells behind one connection's [`ConnStats`].
+/// The cells behind one connection's [`ConnStats`].
 #[derive(Default)]
 struct ConnCells {
     arrivals: Cell<u64>,
@@ -278,7 +287,7 @@ fn run_inner(spec: &WorkloadSpec, window_ps: Option<Time>) -> (WorkloadResult, O
     let latency_hist = scope.histogram("latency_ps");
 
     let last_done = Rc::new(Cell::new(0u64));
-    let mut conn_cells: Vec<Rc<ConnCells>> = Vec::with_capacity(spec.conns as usize);
+    let mut conns: Vec<Rc<Conn>> = Vec::with_capacity(spec.conns as usize);
 
     let mut msg_cfg = MsgConfig::for_caps(&spec.backend.transport_caps());
     if let Some(t) = spec.eager_threshold {
@@ -286,88 +295,60 @@ fn run_inner(spec: &WorkloadSpec, window_ps: Option<Time>) -> (WorkloadResult, O
     }
 
     let mut last_arrival: Time = 0;
-    for conn in 0..spec.conns {
-        let plan = schedule(spec, conn);
+    for id in 0..spec.conns {
+        let plan = schedule(spec, id);
         last_arrival = last_arrival.max(plan.last().map_or(0, |p| p.0));
-        let cells = Rc::new(ConnCells::default());
-        conn_cells.push(cells.clone());
-
-        let queue: Rc<RefCell<VecDeque<(Time, Op)>>> = Rc::new(RefCell::new(VecDeque::new()));
-        let wakeup = c.sim.signal();
-        let gen_done = Rc::new(Cell::new(false));
-        let conn_done = Rc::new(Cell::new(false));
+        let conn = Rc::new(Conn {
+            sim: c.sim.clone(),
+            books: ConnCells::default(),
+            queue: RefCell::default(),
+            wakeup: c.sim.signal(),
+            gen_done: Cell::new(false),
+            worker_done: Cell::new(false),
+            ctrs: WorkerCtrs {
+                completed: completed_ctr.clone(),
+                errors: errors_ctr.clone(),
+                depth: depth_gauge.clone(),
+                latency: latency_hist.clone(),
+                last_done: last_done.clone(),
+            },
+        });
+        conns.push(conn.clone());
 
         // Generator: open-loop arrivals into the bounded queue. Pure
         // simulated-time delays — an arrival source, not a processor.
         {
-            let sim = c.sim.clone();
-            let (q, wake, done) = (queue.clone(), wakeup.clone(), gen_done.clone());
-            let (arrivals, dropped, depth) = (
-                arrivals_ctr.clone(),
-                dropped_ctr.clone(),
-                depth_gauge.clone(),
-            );
-            let cells = cells.clone();
+            let conn = conn.clone();
+            let (arrivals, dropped) = (arrivals_ctr.clone(), dropped_ctr.clone());
             let cap = spec.queue_cap;
-            c.sim.spawn(&format!("workload.gen{conn}"), async move {
+            c.sim.spawn(&format!("workload.gen{id}"), async move {
+                let sim = &conn.sim;
                 for (t_arr, op) in plan {
                     let now = sim.now();
                     if t_arr > now {
                         sim.delay(t_arr - now).await;
                     }
                     arrivals.add(1);
-                    ConnCells::bump(&cells.arrivals);
-                    let mut q = q.borrow_mut();
+                    ConnCells::bump(&conn.books.arrivals);
+                    let mut q = conn.queue.borrow_mut();
                     if q.len() >= cap {
                         dropped.add(1);
-                        ConnCells::bump(&cells.dropped);
+                        ConnCells::bump(&conn.books.dropped);
                     } else {
                         q.push_back((sim.now(), op));
-                        depth.add(1);
+                        conn.ctrs.depth.add(1);
                     }
                     drop(q);
-                    wake.notify_all();
+                    conn.wakeup.notify_all();
                 }
-                done.set(true);
-                wake.notify_all();
+                conn.gen_done.set(true);
+                conn.wakeup.notify_all();
             });
         }
 
         match spec.app {
-            None => spawn_raw_conn(
-                &c,
-                conn,
-                &queue,
-                &wakeup,
-                &gen_done,
-                &conn_done,
-                &cells,
-                WorkerCtrs {
-                    completed: completed_ctr.clone(),
-                    errors: errors_ctr.clone(),
-                    depth: depth_gauge.clone(),
-                    latency: latency_hist.clone(),
-                    last_done: last_done.clone(),
-                },
-            ),
-            Some(kind) => spawn_app_conn(
-                &c,
-                conn,
-                kind,
-                msg_cfg,
-                &queue,
-                &wakeup,
-                &gen_done,
-                &conn_done,
-                &cells,
-                WorkerCtrs {
-                    completed: completed_ctr.clone(),
-                    errors: errors_ctr.clone(),
-                    depth: depth_gauge.clone(),
-                    latency: latency_hist.clone(),
-                    last_done: last_done.clone(),
-                },
-            ),
+            None => spawn_raw_conn(&c, id, conn),
+            Some(kind) => spawn_app_conn(&c, id, kind, msg_cfg, conn),
         }
     }
 
@@ -424,9 +405,10 @@ fn run_inner(spec: &WorkloadSpec, window_ps: Option<Time>) -> (WorkloadResult, O
     // events still scheduled at the horizon (a poll loop that will never
     // satisfy its condition), or a connection whose books do not balance
     // (a generator or worker blocked forever with no timer).
-    let books_balance = conn_cells.iter().all(|cc| {
-        cc.arrivals.get() == spec.ops_per_conn as u64
-            && cc.arrivals.get() == cc.completed.get() + cc.dropped.get()
+    let books_balance = conns.iter().all(|conn| {
+        let b = &conn.books;
+        b.arrivals.get() == spec.ops_per_conn as u64
+            && b.arrivals.get() == b.completed.get() + b.dropped.get()
     });
     if c.sim.next_event_time().is_some() || !books_balance {
         panic!(
@@ -462,7 +444,7 @@ fn run_inner(spec: &WorkloadSpec, window_ps: Option<Time>) -> (WorkloadResult, O
         p99_ps: lat.p99(),
         p999_ps: lat.p999(),
         elapsed,
-        per_conn: conn_cells.iter().map(|c| c.stats()).collect(),
+        per_conn: conns.iter().map(|conn| conn.books.stats()).collect(),
         registry,
     };
     (result, series)
@@ -477,230 +459,182 @@ struct WorkerCtrs {
     last_done: Rc<Cell<u64>>,
 }
 
-type OpQueue = Rc<RefCell<VecDeque<(Time, Op)>>>;
-
-/// Raw-mix connection: worker drains put/get/send ops through a
-/// transport pair, server drains two-sided messages on node 1.
-#[allow(clippy::too_many_arguments)]
-fn spawn_raw_conn(
-    c: &Cluster,
-    conn: u32,
-    queue: &OpQueue,
-    wakeup: &tc_desim::sync::Signal,
-    gen_done: &Rc<Cell<bool>>,
-    conn_done: &Rc<Cell<bool>>,
-    cells: &Rc<ConnCells>,
+/// One connection's state, shared by its generator, worker and server:
+/// the books, the bounded queue the generator fills and its wakeup, and
+/// whether the generator and the worker have finished.
+struct Conn {
+    sim: Sim,
+    books: ConnCells,
+    queue: RefCell<VecDeque<(Time, Op)>>,
+    wakeup: Signal,
+    gen_done: Cell<bool>,
+    worker_done: Cell<bool>,
     ctrs: WorkerCtrs,
-) {
+}
+
+impl Conn {
+    /// The worker loop: issue the queued operations through `op`, one at a
+    /// time in arrival order, until the generator is done and the queue
+    /// is empty. Latency is measured from *arrival*, so time spent queued
+    /// counts.
+    async fn work(&self, mut op: impl AsyncFnMut(Op) -> Result<(), CommError>) {
+        loop {
+            let item = self.queue.borrow_mut().pop_front();
+            match item {
+                Some((t_arr, next)) => {
+                    self.ctrs.depth.sub(1);
+                    if op(next).await.is_err() {
+                        self.ctrs.errors.add(1);
+                        ConnCells::bump(&self.books.errors);
+                    }
+                    let now = self.sim.now();
+                    self.ctrs.latency.record(now - t_arr);
+                    self.ctrs.completed.add(1);
+                    ConnCells::bump(&self.books.completed);
+                    if now > self.ctrs.last_done.get() {
+                        self.ctrs.last_done.set(now);
+                    }
+                }
+                None if self.gen_done.get() => break,
+                None => {
+                    let ready = || self.gen_done.get() || !self.queue.borrow().is_empty();
+                    self.wakeup.wait_until(ready).await
+                }
+            }
+        }
+        self.worker_done.set(true);
+    }
+
+    /// The server poll loop: `drain` serves everything that has arrived
+    /// and returns `false` on an error that ends the service. Otherwise
+    /// the loop ends once `done` holds after a drain, and idles
+    /// [`SRV_POLL`] between drains.
+    async fn serve(&self, mut drain: impl AsyncFnMut() -> bool, done: impl Fn() -> bool) {
+        while drain().await && !done() {
+            self.sim.delay(SRV_POLL).await;
+        }
+    }
+}
+
+/// Raw-mix connection: the worker issues put/get/send ops through a
+/// transport pair from a GPU thread on node 0 (the paper's GPU-controlled
+/// mode), and the server drains two-sided messages on node 1's CPU.
+fn spawn_raw_conn(c: &Cluster, id: u32, conn: Rc<Conn>) {
     let buf_a = c.nodes[0].gpu.alloc(BUF_LEN, 256);
     let buf_b = c.nodes[1].gpu.alloc(BUF_LEN, 256);
     let (ep0, ep1) = create_pair(c, buf_a, buf_b, BUF_LEN, QueueLoc::Host);
 
-    // Worker: drain the queue through the transport, one operation at a
-    // time (a GPU thread on node 0 — the paper's GPU-controlled mode).
-    // Latency is measured from *arrival*, so time spent queued counts.
     {
-        let sim = c.sim.clone();
+        let conn = conn.clone();
         let gpu = c.nodes[0].gpu.clone();
-        let (q, wake, gdone, cdone) = (
-            queue.clone(),
-            wakeup.clone(),
-            gen_done.clone(),
-            conn_done.clone(),
-        );
-        let cells = cells.clone();
-        c.sim.spawn(&format!("workload.conn{conn}"), async move {
+        c.sim.spawn(&format!("workload.conn{id}"), async move {
             let t = gpu.thread();
-            loop {
-                let item = q.borrow_mut().pop_front();
-                match item {
-                    Some((t_arr, op)) => {
-                        ctrs.depth.sub(1);
-                        let mut sent_msg = false;
-                        let res = match op {
-                            Op::Put(len) => {
-                                ep0.put(&t, 0, 0, len, false).await;
-                                ep0.quiet(&t).await
-                            }
-                            Op::Get(len) => ep0.get(&t, 0, 0, len).await,
-                            Op::Msg => {
-                                let r = ep0.send(&t, &[0xA5u8; MSG_LEN]).await;
-                                sent_msg = r.is_ok();
-                                r
-                            }
-                            Op::App(_) => unreachable!("raw mix has no app ops"),
-                        };
-                        if sent_msg {
-                            ConnCells::bump(&cells.sent);
-                        }
-                        if res.is_err() {
-                            ctrs.errors.add(1);
-                            ConnCells::bump(&cells.errors);
-                        }
-                        let now = sim.now();
-                        ctrs.latency.record(now - t_arr);
-                        ctrs.completed.add(1);
-                        ConnCells::bump(&cells.completed);
-                        if now > ctrs.last_done.get() {
-                            ctrs.last_done.set(now);
-                        }
-                    }
-                    None if gdone.get() => break,
-                    None => {
-                        wake.wait_until(|| gdone.get() || !q.borrow().is_empty())
-                            .await
-                    }
+            let issue = async |op| match op {
+                Op::Put(len) => {
+                    ep0.put(&t, 0, 0, len, false).await;
+                    ep0.quiet(&t).await
                 }
-            }
-            cdone.set(true);
+                Op::Get(len) => ep0.get(&t, 0, 0, len).await,
+                Op::Msg => {
+                    let r = ep0.send(&t, &[0xA5u8; MSG_LEN]).await;
+                    if r.is_ok() {
+                        ConnCells::bump(&conn.books.sent);
+                    }
+                    r
+                }
+                Op::App(_) => unreachable!("raw mix has no app ops"),
+            };
+            conn.work(issue).await;
         });
     }
 
-    // Server: drain two-sided messages on node 1 (host-assisted
-    // receiver). Termination is *explicit quiescence*, not a settle
-    // delay: the worker must have finished every operation, and every
-    // message it successfully sent must be either drained here or
-    // provably lost to a receive-side overflow (`recv_drops` — an upper
-    // bound shared across connections, so it can only end the drain
-    // early when a drop really happened somewhere). A fixed delay would
-    // strand late messages on a slow fabric or deep backlog.
-    {
-        let sim = c.sim.clone();
-        let cpu = c.nodes[1].cpu.clone();
-        let cdone = conn_done.clone();
-        let cells = cells.clone();
-        c.sim.spawn(&format!("workload.srv{conn}"), async move {
-            ep1.prime_recv(&cpu, RECV_WINDOW).await;
-            loop {
-                while ep1.try_recv(&cpu).await.is_some() {
-                    ConnCells::bump(&cells.received);
-                }
-                if cdone.get() && cells.received.get() + ep1.recv_drops() >= cells.sent.get() {
-                    break;
-                }
-                sim.delay(SRV_POLL).await;
+    // Termination is *explicit quiescence*, not a settle delay: the worker
+    // must have finished every operation, and every message it
+    // successfully sent must be either drained here or provably lost to a
+    // receive-side overflow (`recv_drops` — an upper bound shared across
+    // connections, so it can only end the drain early when a drop really
+    // happened somewhere). A fixed delay would strand late messages on a
+    // slow fabric or deep backlog.
+    let cpu = c.nodes[1].cpu.clone();
+    c.sim.spawn(&format!("workload.srv{id}"), async move {
+        ep1.prime_recv(&cpu, RECV_WINDOW).await;
+        let b = &conn.books;
+        let drain = async || {
+            while ep1.try_recv(&cpu).await.is_some() {
+                ConnCells::bump(&b.received);
             }
-        });
-    }
+            true
+        };
+        let done = || conn.worker_done.get() && b.received.get() + ep1.recv_drops() >= b.sent.get();
+        conn.serve(drain, done).await;
+    });
 }
 
-/// App-mode connection: worker drives application iterations through a
-/// messenger pair, server runs the matching responder.
-#[allow(clippy::too_many_arguments)]
-fn spawn_app_conn(
-    c: &Cluster,
-    conn: u32,
-    kind: AppKind,
-    cfg: MsgConfig,
-    queue: &OpQueue,
-    wakeup: &tc_desim::sync::Signal,
-    gen_done: &Rc<Cell<bool>>,
-    conn_done: &Rc<Cell<bool>>,
-    cells: &Rc<ConnCells>,
-    ctrs: WorkerCtrs,
-) {
+/// App-mode connection: the worker drives application iterations through
+/// a messenger pair from a GPU thread on node 0, and the server runs the
+/// matching responder on node 1's CPU.
+fn spawn_app_conn(c: &Cluster, id: u32, kind: AppKind, cfg: MsgConfig, conn: Rc<Conn>) {
     let (m0, m1) = messenger_pair(c, APP_BUF_LEN, cfg);
     let ready = Rc::new(Cell::new(false));
     let ready_sig = c.sim.signal();
 
-    // Worker: one app iteration per queued op, on a GPU thread of node 0.
-    // Waits for the server's receive window before the first request so
-    // pre-posted-receive fabrics cannot bounce it.
+    // The worker waits for the server's receive window before the first
+    // request so pre-posted-receive fabrics cannot bounce it.
     {
-        let sim = c.sim.clone();
+        let conn = conn.clone();
         let gpu = c.nodes[0].gpu.clone();
-        let (q, wake, gdone, cdone) = (
-            queue.clone(),
-            wakeup.clone(),
-            gen_done.clone(),
-            conn_done.clone(),
-        );
         let (ready, rsig) = (ready.clone(), ready_sig.clone());
-        let cells = cells.clone();
-        c.sim.spawn(&format!("workload.conn{conn}"), async move {
+        c.sim.spawn(&format!("workload.conn{id}"), async move {
             let t = gpu.thread();
             rsig.wait_until(|| ready.get()).await;
-            loop {
-                let item = q.borrow_mut().pop_front();
-                match item {
-                    Some((t_arr, op)) => {
-                        ctrs.depth.sub(1);
-                        let bytes = match op {
-                            Op::App(b) => b,
-                            _ => unreachable!("app mode generates only app ops"),
-                        };
-                        let res = match kind {
-                            AppKind::Halo => apps::halo_iter(&m0, &t, bytes).await,
-                            AppKind::Allreduce => apps::allreduce_iter(&m0, &t, bytes).await,
-                            AppKind::Rpc => apps::rpc_call(&m0, &t, bytes).await.map(|_| ()),
-                        };
-                        if res.is_err() {
-                            ctrs.errors.add(1);
-                            ConnCells::bump(&cells.errors);
-                        }
-                        let now = sim.now();
-                        ctrs.latency.record(now - t_arr);
-                        ctrs.completed.add(1);
-                        ConnCells::bump(&cells.completed);
-                        if now > ctrs.last_done.get() {
-                            ctrs.last_done.set(now);
-                        }
-                    }
-                    None if gdone.get() => break,
-                    None => {
-                        wake.wait_until(|| gdone.get() || !q.borrow().is_empty())
-                            .await
-                    }
+            let issue = async |op| {
+                let Op::App(bytes) = op else {
+                    unreachable!("app mode generates only app ops")
+                };
+                match kind {
+                    AppKind::Halo => apps::halo_iter(&m0, &t, bytes).await,
+                    AppKind::Allreduce => apps::allreduce_iter(&m0, &t, bytes).await,
+                    AppKind::Rpc => apps::rpc_call(&m0, &t, bytes).await.map(|_| ()),
                 }
-            }
-            cdone.set(true);
+            };
+            conn.work(issue).await;
         });
     }
 
-    // Responder: serve requests on node 1's CPU until the worker is done
-    // and no request is left (the worker blocks per iteration, so after
-    // `cdone` nothing new can arrive — quiescence needs no settle delay).
-    {
-        let sim = c.sim.clone();
-        let cpu = c.nodes[1].cpu.clone();
-        let cdone = conn_done.clone();
-        let cells = cells.clone();
-        c.sim.spawn(&format!("workload.srv{conn}"), async move {
-            m1.init(&cpu).await;
-            ready.set(true);
-            ready_sig.notify_all();
-            loop {
-                match m1.try_recv_desc(&cpu).await {
-                    Ok(Some(d)) => {
-                        ConnCells::bump(&cells.received);
-                        let res = match kind {
-                            AppKind::Halo => m1.send_staged(&cpu, d.len() as u32).await,
-                            AppKind::Allreduce => {
-                                // Reduce the received chunk, mirroring the
-                                // worker's side of the exchange.
-                                cpu.instr((d.len() as u64).div_ceil(8)).await;
-                                m1.send_staged(&cpu, d.len() as u32).await
-                            }
-                            AppKind::Rpc => apps::rpc_serve(&m1, &cpu, &d).await,
-                        };
-                        if res.is_err() {
-                            ConnCells::bump(&cells.errors);
-                        }
-                    }
-                    Ok(None) => {
-                        if cdone.get() {
-                            break;
-                        }
-                        sim.delay(SRV_POLL).await;
-                    }
-                    Err(_) => {
-                        ConnCells::bump(&cells.errors);
-                        break;
-                    }
+    // The worker blocks per iteration, so once it is done nothing new can
+    // arrive: quiescence needs no settle delay.
+    let cpu = c.nodes[1].cpu.clone();
+    c.sim.spawn(&format!("workload.srv{id}"), async move {
+        m1.init(&cpu).await;
+        ready.set(true);
+        ready_sig.notify_all();
+        let b = &conn.books;
+        let drain = async || loop {
+            let d = match m1.try_recv_desc(&cpu).await {
+                Ok(Some(d)) => d,
+                Ok(None) => return true,
+                Err(_) => {
+                    ConnCells::bump(&b.errors);
+                    return false;
                 }
+            };
+            ConnCells::bump(&b.received);
+            let res = match kind {
+                AppKind::Halo => m1.send_staged(&cpu, d.len() as u32).await,
+                AppKind::Allreduce => {
+                    // Reduce the received chunk, mirroring the worker's
+                    // side of the exchange.
+                    cpu.instr((d.len() as u64).div_ceil(8)).await;
+                    m1.send_staged(&cpu, d.len() as u32).await
+                }
+                AppKind::Rpc => apps::rpc_serve(&m1, &cpu, &d).await,
+            };
+            if res.is_err() {
+                ConnCells::bump(&b.errors);
             }
-        });
-    }
+        };
+        conn.serve(drain, || conn.worker_done.get()).await;
+    });
 }
 
 /// Render one sweep (grouped by backend and arrival process, assumed to

@@ -6,7 +6,7 @@
 //! [`crate::sync`]), which keeps scheduling fully deterministic.
 //!
 //! The hot path is allocation- and borrow-lean: timers live in the slab of
-//! the [timing wheel](crate::queue), process names are interned (see
+//! the timing wheel (see `queue.rs`), process names are interned (see
 //! `intern.rs`), `now()`/`current_proc()` read `Cell`s without touching the
 //! `RefCell`-guarded state, and polling a process takes exactly two
 //! `borrow_mut`s (take the future out, put it back). The seed binary-heap

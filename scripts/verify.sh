@@ -25,6 +25,9 @@ cargo fmt --check
 echo "== lint: clippy (all targets, warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== lint: rustdoc (broken and private intra-doc links denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== determinism goldens (byte-identical traces, zero-perturbation) =="
 cargo test -q --test trace_golden
 cargo test -q --test determinism
