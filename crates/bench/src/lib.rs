@@ -33,7 +33,7 @@ use tc_putget::bench::pingpong::{extoll_pingpong, ib_pingpong, PingPongResult};
 use tc_putget::bench::scaling as scaling_mod;
 use tc_putget::bench::sensitivity as sensitivity_mod;
 use tc_putget::bench::workload::{self, ArrivalProcess, WorkloadSpec};
-use tc_putget::bench::{ablation, crossover, profile, staging, timeline, twosided, velo};
+use tc_putget::bench::{ablation, crossover, profile, staging, twosided, velo};
 use tc_putget::bench::{
     bandwidth_sizes, latency_sizes, pair_counts, pollratio_sizes, render_series_table, ExtollMode,
     IbMode, RateMode, Series,
@@ -656,10 +656,6 @@ fn plan_velo(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     )
 }
 
-fn plan_timeline(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
-    single_plan(|| timeline::report(1024))
-}
-
 fn plan_scaling(_: Scale, knobs: &WorkloadKnobs) -> ExperimentPlan {
     let counts = knobs.nodes.clone();
     plan_points(
@@ -860,40 +856,14 @@ pub fn metrics_report(
 }
 
 /// The Chrome-trace JSON for one experiment (`--trace ID`), loadable in
-/// `chrome://tracing` or Perfetto. Traces one round trip of the fixed
-/// 1 KiB GPU-controlled ping-pong on the experiment's registry fabric;
-/// hardware layers group into one process per node (`node0/gpu`,
-/// `node0/pcie`, ...). Deterministic — byte-identical across runs.
+/// `chrome://tracing` or Perfetto: the recorded events of one round trip
+/// of [`profile::direct_pingpong`], the GPU-controlled 1 KiB put/notify
+/// ping-pong that `profile` attributes, on the experiment's registry
+/// fabric. Hardware layers group into one process per node
+/// (`node0/gpu`, `node0/pcie`, ...). Deterministic — byte-identical
+/// across runs.
 pub fn trace_report(id: &str) -> String {
-    use tc_putget::{create_pair, Cluster, QueueLoc, Transport};
-    const LEN: u64 = 1024;
-    let cluster = Cluster::new(experiment(id).fabric);
-    let tx0 = cluster.nodes[0].gpu.alloc(LEN, 256);
-    let rx1 = cluster.nodes[1].gpu.alloc(LEN, 256);
-    let rx0 = cluster.nodes[0].gpu.alloc(LEN, 256);
-    let tx1 = cluster.nodes[1].gpu.alloc(LEN, 256);
-    let (a0, a1) = create_pair(&cluster, tx0, rx1, LEN, QueueLoc::Host);
-    let (b0, b1) = create_pair(&cluster, rx0, tx1, LEN, QueueLoc::Host);
-    cluster.sim.trace_enable();
-    let gpu0 = cluster.nodes[0].gpu.clone();
-    let gpu1 = cluster.nodes[1].gpu.clone();
-    cluster.sim.spawn("ping", async move {
-        let t = gpu0.thread();
-        // On Infiniband the notify-put is write-with-immediate, so each
-        // receiver arms a slot up front (no-op on EXTOLL).
-        b0.arm_arrival(&t).await;
-        a0.put(&t, 0, 0, LEN as u32, true).await;
-        a0.quiet(&t).await.unwrap();
-        b0.wait_arrival(&t).await.unwrap();
-    });
-    cluster.sim.spawn("pong", async move {
-        let t = gpu1.thread();
-        a1.arm_arrival(&t).await;
-        a1.wait_arrival(&t).await.unwrap();
-        b1.put(&t, 0, 0, LEN as u32, true).await;
-        b1.quiet(&t).await.unwrap();
-    });
-    cluster.sim.run();
+    let (cluster, _) = profile::direct_pingpong(experiment(id).fabric, 1);
     let mut events = cluster.sim.recorder().take_events();
     if id == "profile" {
         // The profile experiment's telemetry windows ride along as
@@ -936,7 +906,7 @@ const fn row(
 /// Every experiment `reproduce` accepts, in the order it runs them all.
 /// Dispatch, CLI id validation, the `--help` list, the `--metrics` and
 /// `--trace` fabric and the exit gate all read this table.
-pub static EXPERIMENTS: [Experiment; 22] = [
+pub static EXPERIMENTS: [Experiment; 21] = [
     row("pingpong", plan_pingpong, Extoll, false),
     row("workload", plan_workload, Extoll, false),
     row("crossover", plan_crossover, Extoll, false),
@@ -955,7 +925,6 @@ pub static EXPERIMENTS: [Experiment; 22] = [
     row("staging", plan_staging, Extoll, false),
     row("twosided", plan_twosided, Extoll, false),
     row("velo", plan_velo, Extoll, false),
-    row("timeline", plan_timeline, Extoll, false),
     row("scaling", plan_scaling, Extoll, false),
     row("sensitivity", plan_sensitivity, Extoll, false),
     row("check", plan_check, Extoll, true),
@@ -1051,9 +1020,9 @@ mod tests {
         }
         // The figures decompose point-wise, not mode-wise.
         assert_eq!(tasks("fig1a"), 4 * 9);
-        // profile: serial/sharded pingpong, two crossover points, one
-        // telemetry-sampled workload run.
-        assert_eq!(tasks("profile"), 5);
+        // profile: serial/sharded tag pingpong, two crossover points, the
+        // put/notify pingpong, one telemetry-sampled workload run.
+        assert_eq!(tasks("profile"), 6);
         assert_eq!(tasks("table1"), 2);
         // The extension sweeps decompose per size, so a wide --jobs run
         // is not serialized behind one long task.

@@ -14,7 +14,6 @@ pub mod profile;
 pub mod scaling;
 pub mod sensitivity;
 pub mod staging;
-pub mod timeline;
 pub mod twosided;
 pub mod velo;
 pub mod workload;

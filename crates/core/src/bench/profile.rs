@@ -1,8 +1,7 @@
 //! The `profile` experiment: causal critical-path attribution plus
 //! simulated-time telemetry series.
 //!
-//! Where the `timeline` experiment *lists* the events of one put, this
-//! one *explains a measurement*: it runs representative scenarios with
+//! It *explains a measurement*: it runs representative scenarios with
 //! causal recording on ([`tc_desim::Sim::causal_enable`]), walks the
 //! causal graph backward from the completion mark
 //! ([`tc_trace::causal::critical_path`]), and bins every picosecond of
@@ -13,14 +12,17 @@
 //! — both checked like paper claims (`[ OK ]`/`[FAIL]` lines gated by
 //! `scripts/verify.sh`).
 //!
-//! The same scenario runs serially and sharded across two workers; the
-//! causal machinery bridges shard boundaries with export/import edges,
-//! and the rendered attributions are compared byte-for-byte. A workload
-//! point sampled with [`workload::run_with_series`] contributes the
-//! experiment's `tc-timeseries-v1` telemetry (offered vs achieved
-//! throughput, queue depth, credit stalls per window), alongside
-//! per-shard envelope-exchange series from the sharded run's
-//! [`WindowStat`]s.
+//! Two ping-pongs are attributed: fig1a's pollOnGPU-style device-memory
+//! tag ping-pong, and the GPU-controlled put/notify round trip of
+//! [`direct_pingpong`] (the paper's §V-A.3 case), whose recorded events
+//! are also what `reproduce --trace ID` exports. The tag ping-pong runs
+//! serially and sharded across two workers; the causal machinery bridges
+//! shard boundaries with export/import edges, and the rendered
+//! attributions are compared byte-for-byte. A workload point sampled with
+//! [`workload::run_with_series`] contributes the experiment's
+//! `tc-timeseries-v1` telemetry (offered vs achieved throughput, queue
+//! depth, credit stalls per window), alongside per-shard
+//! envelope-exchange series from the sharded run's [`WindowStat`]s.
 
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -34,6 +36,7 @@ use tc_trace::causal::{self, Attribution, BinSpan, CausalDump};
 use tc_trace::series::SeriesSet;
 use tc_trace::{Phase, TraceEvent};
 
+use crate::api::{create_pair, QueueLoc};
 use crate::bench::crossover::Proto;
 use crate::bench::workload::{self, ArrivalProcess, WorkloadSpec};
 use crate::cluster::{Backend, Cluster};
@@ -118,8 +121,8 @@ pub enum ProfilePoint {
 
 /// Convert recorded spans into attribution bins. `nic` spans split into
 /// `extoll`/`ib` by track prefix; layers outside [`PRIORITY`] (pure
-/// scheduling, user markers) are dropped — time under them must be
-/// claimed by a hardware span or show up as stall.
+/// scheduling) are dropped — time under them must be claimed by a
+/// hardware span or show up as stall.
 pub fn bin_spans(events: &[TraceEvent]) -> Vec<BinSpan> {
     let mut out = Vec::new();
     for e in events {
@@ -299,7 +302,7 @@ async fn pp_responder<P: Processor>(
 /// recorder both on.
 pub fn pingpong_serial(rounds: u32) -> AttrRun {
     let c = Cluster::new(Backend::Extoll);
-    c.sim.trace_enable();
+    c.sim.recorder().enable();
     c.causal_enable();
     let layout = RingLayout::for_u64(2, 2);
     let bufs: Vec<Addr> = (0..2)
@@ -350,7 +353,7 @@ pub fn pingpong_serial(rounds: u32) -> AttrRun {
 pub fn pingpong_sharded(rounds: u32) -> AttrRun {
     let plan = Cluster::sharded(Backend::Extoll, 2, 2);
     let results = plan.run(|sc| {
-        sc.cluster.sim.trace_enable();
+        sc.cluster.sim.recorder().enable();
         sc.causal_enable();
         let layout = RingLayout::for_u64(2, 2);
         let owned = sc.owned();
@@ -410,12 +413,83 @@ pub fn pingpong_sharded(rounds: u32) -> AttrRun {
     )
 }
 
+/// The GPU-controlled put/notify ping-pong: each node's GPU thread puts
+/// 1 KiB through [`create_pair`] endpoints (host-memory queues) with a
+/// notification and polls for the peer's, `rounds` times. The recorder
+/// and the causal log are on from the first operation. Returns the
+/// finished cluster and the instant of node 0's last arrival, where the
+/// completion mark is.
+pub fn direct_pingpong(fabric: Backend, rounds: u32) -> (Cluster, Time) {
+    const LEN: u64 = 1024;
+    let c = Cluster::new(fabric);
+    let tx0 = c.nodes[0].gpu.alloc(LEN, 256);
+    let rx1 = c.nodes[1].gpu.alloc(LEN, 256);
+    let rx0 = c.nodes[0].gpu.alloc(LEN, 256);
+    let tx1 = c.nodes[1].gpu.alloc(LEN, 256);
+    let (a0, a1) = create_pair(&c, tx0, rx1, LEN, QueueLoc::Host);
+    let (b0, b1) = create_pair(&c, rx0, tx1, LEN, QueueLoc::Host);
+    c.sim.recorder().enable();
+    c.causal_enable();
+    let end = Rc::new(Cell::new(0u64));
+    {
+        let sim = c.sim.clone();
+        let gpu = c.nodes[0].gpu.clone();
+        let end = end.clone();
+        c.sim.spawn("ping", async move {
+            let t = gpu.thread();
+            for _ in 0..rounds {
+                // On Infiniband the notify-put is write-with-immediate, so
+                // each receiver arms a slot before it can arrive (no-op on
+                // EXTOLL).
+                b0.arm_arrival(&t).await;
+                a0.put(&t, 0, 0, LEN as u32, true).await;
+                a0.quiet(&t).await.unwrap();
+                b0.wait_arrival(&t).await.unwrap();
+            }
+            sim.causal_mark(MARK);
+            end.set(sim.now());
+        });
+    }
+    let gpu = c.nodes[1].gpu.clone();
+    c.sim.spawn("pong", async move {
+        let t = gpu.thread();
+        for _ in 0..rounds {
+            a1.arm_arrival(&t).await;
+            a1.wait_arrival(&t).await.unwrap();
+            b1.put(&t, 0, 0, LEN as u32, true).await;
+            b1.quiet(&t).await.unwrap();
+        }
+    });
+    c.sim.run();
+    (c, end.get())
+}
+
+/// [`direct_pingpong`] on EXTOLL, attributed with the claims the tag
+/// ping-pong makes.
+pub fn direct_attr(rounds: u32) -> AttrRun {
+    let (c, end) = direct_pingpong(Backend::Extoll, rounds);
+    let dumps = vec![c.sim.causal_dump()];
+    let events = vec![c.sim.recorder().take_events()];
+    finish_attr(
+        "dev2dev-direct/extoll",
+        rounds,
+        end,
+        &dumps,
+        &events,
+        AttrClaims {
+            crossings: Some(2 * rounds as usize),
+            named_min: Some(0.95),
+        },
+        Vec::new(),
+    )
+}
+
 /// A message-layer ping-pong point with the protocol forced, attributed
 /// the same way (the software protocol cost shows up as stall — the CPU
 /// has no hardware spans — so no named-fraction floor is claimed).
 pub fn msg_attr(proto: Proto, size: u64, rounds: u32) -> AttrRun {
     let c = Cluster::new(Backend::Extoll);
-    c.sim.trace_enable();
+    c.sim.recorder().enable();
     c.causal_enable();
     let cfg = MsgConfig {
         eager_threshold: match proto {
@@ -495,17 +569,19 @@ pub fn workload_series() -> SeriesRun {
 }
 
 /// Number of sweep points in the experiment plan.
-pub const POINTS: usize = 5;
+pub const POINTS: usize = 6;
 
 /// Run sweep point `i` (see [`POINTS`]); the grid is fixed so points can
-/// run in parallel on any pool width.
+/// run in parallel on any pool width. The telemetry point is the last,
+/// where `--trace profile` finds it.
 pub fn point(i: usize) -> ProfilePoint {
     match i {
         0 => ProfilePoint::Attr(pingpong_serial(PP_ROUNDS)),
         1 => ProfilePoint::Attr(pingpong_sharded(PP_ROUNDS)),
         2 => ProfilePoint::Attr(msg_attr(Proto::Eager, 1024, 2)),
         3 => ProfilePoint::Attr(msg_attr(Proto::Rndv, 16384, 2)),
-        4 => ProfilePoint::Series(Box::new(workload_series())),
+        4 => ProfilePoint::Attr(direct_attr(PP_ROUNDS)),
+        5 => ProfilePoint::Series(Box::new(workload_series())),
         _ => panic!("profile has {POINTS} points, asked for {i}"),
     }
 }

@@ -23,8 +23,6 @@ pub enum Knob {
     GpuInstr(u32),
     /// Scale the EXTOLL FPGA processing cycles.
     NicProcessing(u32),
-    /// Scale the cable latency.
-    WireLatency(u32),
 }
 
 impl Knob {
@@ -34,7 +32,6 @@ impl Knob {
             Knob::PcieReadRtt(p) => format!("PCIe read RTT x{}%", p),
             Knob::GpuInstr(p) => format!("GPU instr latency x{}%", p),
             Knob::NicProcessing(p) => format!("NIC processing x{}%", p),
-            Knob::WireLatency(p) => format!("wire latency x{}%", p),
         }
     }
 
@@ -52,11 +49,6 @@ impl Knob {
             Knob::NicProcessing(p) => {
                 cfg.rma.requester_cycles = scale(cfg.rma.requester_cycles, p).max(1);
                 cfg.rma.completer_cycles = scale(cfg.rma.completer_cycles, p).max(1);
-            }
-            Knob::WireLatency(_) => {
-                // The cable config is baked into the cluster builder;
-                // wire-latency sensitivity is exercised through the NIC
-                // knob instead (both sit on the same serial path).
             }
         }
         cfg
@@ -175,7 +167,6 @@ mod tests {
             Knob::PcieReadRtt(50),
             Knob::GpuInstr(50),
             Knob::NicProcessing(50),
-            Knob::WireLatency(50),
         ]
         .iter()
         .map(|k| k.label())

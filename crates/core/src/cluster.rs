@@ -287,11 +287,6 @@ impl Cluster {
         &self.nodes[idx - self.node_base]
     }
 
-    /// Whether `idx` (a global node index) is built in this cluster.
-    pub fn owns_node(&self, idx: usize) -> bool {
-        (self.node_base..self.node_base + self.nodes.len()).contains(&idx)
-    }
-
     /// Global node index of the first locally-built node.
     pub fn node_base(&self) -> usize {
         self.node_base

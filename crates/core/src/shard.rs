@@ -198,11 +198,6 @@ impl<'c> ShardCluster<'c> {
         }
     }
 
-    /// This shard's index.
-    pub fn shard_index(&self) -> usize {
-        self.handle.index()
-    }
-
     /// Number of shards in the run.
     pub fn shards(&self) -> usize {
         self.handle.shards()

@@ -108,7 +108,7 @@ struct Shared {
     /// the value a full `run()` would have returned so far.
     last_event: Cell<Time>,
     /// Process currently being polled, if any (fast path for
-    /// `current_proc()` and trace track names).
+    /// `current_proc()`).
     current: Cell<Option<ProcId>>,
     inner: RefCell<Inner>,
     registry: Registry,
@@ -345,13 +345,6 @@ impl Sim {
     /// Number of processes that have been spawned and not yet finished.
     pub fn live_processes(&self) -> usize {
         self.shared.inner.borrow().live
-    }
-
-    /// Number of timers currently scheduled. (On the reference heap this
-    /// includes abandoned timers that will fire into the void, mirroring
-    /// the seed's accounting; the wheel frees cancelled timers eagerly.)
-    pub fn pending_timers(&self) -> usize {
-        self.shared.inner.borrow().queue.len()
     }
 
     /// Spawn a process. It becomes runnable at the current simulated time.
@@ -779,61 +772,6 @@ impl Sim {
         Signal::new(self.clone())
     }
 
-    /// Start recording trace events (see [`Sim::trace`]). This is a shim
-    /// over [`Sim::recorder`]: it enables the structured recorder and
-    /// discards any previously recorded events.
-    pub fn trace_enable(&self) {
-        self.shared.recorder.clear();
-        self.shared.recorder.enable();
-    }
-
-    /// Record a timestamped string label. A no-op unless recording is
-    /// enabled — hardware models and drivers sprinkle these at interesting
-    /// points and pay one branch (and zero allocation) when tracing is off.
-    /// Labels land in the structured recorder as instants on layer
-    /// `"user"`, tracked by the emitting process, so they appear alongside
-    /// hardware events in a Chrome trace export.
-    pub fn trace(&self, label: impl FnOnce() -> String) {
-        if !self.shared.recorder.on() {
-            return;
-        }
-        let now = self.shared.now.get();
-        match self.current_proc_name() {
-            Some(name) => self
-                .shared
-                .recorder
-                .instant(now, "user", &*name, label(), vec![]),
-            None => self
-                .shared
-                .recorder
-                .instant(now, "user", "main", label(), vec![]),
-        }
-    }
-
-    /// Whether trace recording is currently enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.shared.recorder.on()
-    }
-
-    /// Take the recorded string labels (layer `"user"` only — structured
-    /// hardware events stay in the recorder), leaving tracing enabled.
-    pub fn take_trace(&self) -> Vec<(Time, String)> {
-        self.shared
-            .recorder
-            .take_layer("user")
-            .into_iter()
-            .map(|ev| (ev.ts, ev.name))
-            .collect()
-    }
-
-    /// Name of the process currently being polled, if any.
-    fn current_proc_name(&self) -> Option<Rc<str>> {
-        let pid = self.shared.current.get()?;
-        let inner = self.shared.inner.borrow();
-        let slot = inner.procs.get(pid.0)?.as_ref()?;
-        Some(inner.names.get(slot.name).clone())
-    }
-
     /// Names of processes that are still alive (useful to diagnose
     /// deadlocks after [`Sim::run`] returns with live processes). A process
     /// parked by spin fast-forward also says what it spins on.
@@ -1243,29 +1181,6 @@ mod tests {
         let t = sim.run();
         assert_eq!(t, us(100));
         assert_eq!(sim.live_processes(), 0);
-    }
-
-    #[test]
-    fn tracing_records_in_time_order_and_is_free_when_off() {
-        let sim = Sim::new();
-        // Off: no-op.
-        sim.trace(|| "ignored".to_string());
-        assert!(sim.take_trace().is_empty());
-        sim.trace_enable();
-        let h = sim.clone();
-        sim.spawn("t", async move {
-            h.trace(|| "start".to_string());
-            h.delay(ns(100)).await;
-            h.trace(|| "after-delay".to_string());
-        });
-        sim.run();
-        let t = sim.take_trace();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0], (0, "start".to_string()));
-        assert_eq!(t[1], (ns(100), "after-delay".to_string()));
-        // take_trace drained it but kept tracing on.
-        assert!(sim.trace_enabled());
-        assert!(sim.take_trace().is_empty());
     }
 
     #[test]

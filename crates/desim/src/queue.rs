@@ -446,15 +446,6 @@ impl TimerQueue {
         }
     }
 
-    /// Number of pending timers (stale reference-heap entries included,
-    /// matching the seed's accounting).
-    pub(crate) fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.len,
-            Imp::Heap(h) => h.queue.len(),
-        }
-    }
-
     pub(crate) fn schedule(&mut self, at: Time, waiter: ProcId) -> TimerRef {
         let seq = self.take_seqs(1);
         self.schedule_seq(at, waiter, seq)

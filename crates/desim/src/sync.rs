@@ -301,11 +301,6 @@ impl<T> Channel<T> {
         self.inner.changed.notify_all();
     }
 
-    /// True once [`Channel::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.closed.get()
-    }
-
     /// Attempt to enqueue without blocking. Returns the value back if the
     /// channel is bounded and full.
     pub fn try_send(&self, v: T) -> Result<(), T> {

@@ -135,15 +135,15 @@ fn semaphore_fifo_under_heavy_contention() {
 #[test]
 fn trace_interleaves_multiple_processes_by_time() {
     let sim = Sim::new();
-    sim.trace_enable();
+    let woke = Rc::new(RefCell::new(Vec::new()));
     for (name, d) in [("a", 30u64), ("b", 10), ("c", 20)] {
         let h = sim.clone();
+        let woke = woke.clone();
         sim.spawn(name, async move {
             h.delay(ns(d)).await;
-            h.trace(|| name.to_string());
+            woke.borrow_mut().push(name);
         });
     }
     sim.run();
-    let t: Vec<String> = sim.take_trace().into_iter().map(|(_, l)| l).collect();
-    assert_eq!(t, vec!["b", "c", "a"]);
+    assert_eq!(*woke.borrow(), ["b", "c", "a"]);
 }

@@ -4,6 +4,7 @@
 
 use std::cell::Cell;
 
+use tc_gpu::GpuThread;
 use tc_mem::{layout, Addr, RegionKind};
 use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
@@ -295,17 +296,15 @@ impl RmaPort {
     /// §VI): three lanes of a warp each prepare one descriptor word and the
     /// warp issues a single write-combined 192-bit store to the requester
     /// page. One store-path transaction instead of three.
-    pub async fn post_put_warp<G>(
+    pub async fn post_put_warp(
         &self,
-        t: &G,
+        t: &GpuThread,
         dst_port: u16,
         local_nla: u64,
         remote_nla: u64,
         len: u32,
         flags: WrFlags,
-    ) where
-        G: Processor + WarpCapable,
-    {
+    ) {
         let wr = WorkRequest {
             command: RmaCommand::Put,
             flags,
@@ -316,26 +315,13 @@ impl RmaPort {
             remote_nla,
         };
         // The assembly work is spread over the lanes.
-        t.warp_instr(6, 3).await;
+        t.instr_parallel(6, 3).await;
         let w = wr.encode();
         let mut bytes = [0u8; 24];
         bytes[..8].copy_from_slice(&w[0].to_le_bytes());
         bytes[8..16].copy_from_slice(&w[1].to_le_bytes());
         bytes[16..].copy_from_slice(&w[2].to_le_bytes());
         t.st_bytes(self.bar_page, &bytes).await;
-    }
-}
-
-/// A processor that can execute instructions warp-cooperatively.
-pub trait WarpCapable {
-    /// Execute `n` instructions spread over `width` lanes.
-    #[allow(async_fn_in_trait)]
-    async fn warp_instr(&self, n: u64, width: u64);
-}
-
-impl WarpCapable for tc_gpu::GpuThread {
-    async fn warp_instr(&self, n: u64, width: u64) {
-        self.instr_parallel(n, width).await;
     }
 }
 

@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tc_desim::sync::Channel;
-use tc_desim::time::{self, Freq};
+use tc_desim::time::Freq;
 use tc_desim::Sim;
 use tc_link::Port;
 use tc_mem::{layout, Addr, Bus, Heap, Payload, RegionKind};
@@ -661,10 +661,4 @@ impl NicStats {
     fn bump(c: &Counter) {
         c.inc();
     }
-}
-
-/// Rough service time of one small put in the requester pipeline — used by
-/// capacity sanity tests, not by the simulation itself.
-pub fn small_put_service_estimate(cfg: &RmaConfig) -> tc_desim::time::Time {
-    cfg.clock.cycles(cfg.requester_cycles) + time::ns(400)
 }

@@ -58,11 +58,6 @@ impl KernelHandle {
         let done = self.done.clone();
         self.completion.wait_until(|| done.get()).await;
     }
-
-    /// Whether the kernel has finished.
-    pub fn is_done(&self) -> bool {
-        self.done.get()
-    }
 }
 
 impl Gpu {

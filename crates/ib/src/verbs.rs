@@ -16,7 +16,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use tc_gpu::Gpu;
+use tc_gpu::{Gpu, GpuThread};
 use tc_mem::{layout, Addr, Heap, RegionKind, Ring};
 use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
 
@@ -27,21 +27,6 @@ use crate::wqe::{
     Cqe, CqeOpcode, CqeStatus, RecvWqe, SendOpcode, SendWqe, CQ_STRIDE, RQ_STRIDE, SQ_STRIDE,
     WQE_STAMP,
 };
-
-/// A processor that can execute instructions warp-cooperatively (the GPU;
-/// a CPU thread has no warp, so this is only implemented for device
-/// threads).
-#[allow(async_fn_in_trait)]
-pub trait WarpCapable {
-    /// Execute `n` instructions spread over `width` lanes.
-    async fn warp_instr(&self, n: u64, width: u64);
-}
-
-impl WarpCapable for tc_gpu::GpuThread {
-    async fn warp_instr(&self, n: u64, width: u64) {
-        self.instr_parallel(n, width).await;
-    }
-}
 
 /// A work completion, as returned by [`IbvCq::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -538,17 +523,14 @@ impl IbvQp {
     /// marshalling, endianness conversion and context walk across its
     /// lanes, and the WQE leaves as one wide store. The doorbell remains a
     /// single 64-bit MMIO store — hardware gives a warp nothing better.
-    pub async fn post_send_warp<G>(&self, t: &G, wr: &SendWr)
-    where
-        G: Processor + crate::verbs::WarpCapable,
-    {
-        t.warp_instr(38, 8).await;
+    pub async fn post_send_warp(&self, t: &GpuThread, wr: &SendWr) {
+        t.instr_parallel(38, 8).await;
         let pi = t.ld_state(self.state).await as u32;
         // The context walk parallelizes across lanes (independent loads).
         for k in 0..4u64 {
             let _ = t.ld_state(self.state + 16 + k * 8).await;
         }
-        t.warp_instr(24 * 8, 8).await;
+        t.instr_parallel(24 * 8, 8).await;
         for k in 0..6u64 {
             t.st_state(self.state + 16 + k * 8, pi as u64 + k).await;
         }
@@ -574,12 +556,12 @@ impl IbvQp {
             inline: None,
         };
         // All three segments converted in parallel lanes.
-        t.warp_instr(58 + 46 + 52, 8).await;
+        t.instr_parallel(58 + 46 + 52, 8).await;
         let bytes = wqe.encode();
         let slot = self.sq.slot(pi as u64);
         // One wide cooperative store for the whole 48-byte WQE.
         t.st_bytes(slot, &bytes[0..48]).await;
-        t.warp_instr(18, 8).await;
+        t.instr_parallel(18, 8).await;
         let next = self.sq.slot(pi as u64 + 1);
         t.st_bytes(next, &[WQE_STAMP; 16]).await;
         t.fence().await;
@@ -587,7 +569,7 @@ impl IbvQp {
         let db = ((self.qpn as u64) << 32) | (pi as u64 + 1);
         t.st_u64(self.db_addr, db).await;
         t.st_state(self.state, pi.wrapping_add(1) as u64).await;
-        t.warp_instr(138, 8).await;
+        t.instr_parallel(138, 8).await;
     }
 
     /// `ibv_post_recv`: write one receive WQE and publish the RQ doorbell

@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn tracing_records_serialize_and_deserialize_spans() {
         let sim = Sim::new();
-        sim.trace_enable();
+        sim.recorder().enable();
         let cable: Cable<u64> = Cable::new(&sim, cfg());
         let tx = cable.port(0);
         let rx = cable.port(1);

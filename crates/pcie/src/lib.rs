@@ -103,11 +103,6 @@ impl Pcie {
         }
     }
 
-    /// This fabric's registry scope name (`pcie0`, `pcie1`, …).
-    pub fn scope_name(&self) -> &str {
-        &self.scope
-    }
-
     /// Create the endpoint for one device (its private upstream link).
     pub fn endpoint(&self, name: &str) -> Endpoint {
         Endpoint::new(

@@ -176,11 +176,6 @@ impl CausalLog {
         i.on.set(true);
     }
 
-    /// Stop recording (captured data is kept).
-    pub fn disable(&self) {
-        self.inner.on.set(false);
-    }
-
     /// The node currently executing, if any.
     #[inline]
     pub fn current(&self) -> Option<NodeId> {

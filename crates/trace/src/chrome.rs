@@ -71,7 +71,7 @@ fn args_obj(out: &mut String, args: &[(&'static str, ArgVal)]) {
 /// The process an event belongs to: `node<N>/<layer>` when the track's
 /// first dotted segment carries an instance index (`gpu0.warp` → node 0,
 /// `pcie1.nic0` → node 1, `extoll0.requester` → node 0), else the bare
-/// layer name (`desim`, `link`, `user`).
+/// layer name (`desim`, `link`).
 fn process_key(layer: &str, track: &str) -> String {
     let seg = track.split('.').next().unwrap_or("");
     if let Some(i) = seg.find(|c: char| c.is_ascii_digit()) {

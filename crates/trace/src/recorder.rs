@@ -6,7 +6,7 @@
 //! wake, a notification enqueue). Events carry:
 //!
 //! * `layer` — which architectural layer emitted it (`"desim"`, `"gpu"`,
-//!   `"pcie"`, `"nic"`, `"user"`). Layers become *processes* in the Chrome
+//!   `"pcie"`, `"nic"`). Layers become *processes* in the Chrome
 //!   trace export.
 //! * `track` — the emitting instance/engine (`"gpu0.warp"`,
 //!   `"extoll0.requester"`, `"pcie0.nic0"`). Tracks become *threads*.
@@ -76,7 +76,7 @@ pub struct TraceEvent {
     pub ts: Ts,
     /// Span-with-duration or instant.
     pub phase: Phase,
-    /// Architectural layer (`"desim"`, `"gpu"`, `"pcie"`, `"nic"`, `"user"`).
+    /// Architectural layer (`"desim"`, `"gpu"`, `"pcie"`, `"nic"`, ...).
     pub layer: &'static str,
     /// Emitting instance/engine, e.g. `"extoll0.requester"`.
     pub track: String,
@@ -114,11 +114,6 @@ impl Recorder {
     /// Start recording.
     pub fn enable(&self) {
         self.inner.on.set(true);
-    }
-
-    /// Stop recording (already-captured events are kept).
-    pub fn disable(&self) {
-        self.inner.on.set(false);
     }
 
     /// Record a point event at `ts`. No-op while disabled.
@@ -188,32 +183,9 @@ impl Recorder {
         std::mem::take(&mut *self.inner.events.borrow_mut())
     }
 
-    /// Drain only the events of one layer, leaving the rest in place and
-    /// in order. Used by the legacy string-trace shim in `tc-desim`, which
-    /// stores user labels under layer `"user"`.
-    pub fn take_layer(&self, layer: &str) -> Vec<TraceEvent> {
-        let mut events = self.inner.events.borrow_mut();
-        let mut taken = Vec::new();
-        let mut kept = Vec::new();
-        for ev in events.drain(..) {
-            if ev.layer == layer {
-                taken.push(ev);
-            } else {
-                kept.push(ev);
-            }
-        }
-        *events = kept;
-        taken
-    }
-
     /// Copy of the captured events, leaving the log intact.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner.events.borrow().clone()
-    }
-
-    /// Drop all captured events.
-    pub fn clear(&self) {
-        self.inner.events.borrow_mut().clear();
     }
 }
 

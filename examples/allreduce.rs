@@ -8,13 +8,14 @@
 //!
 //! The exchange is symmetric: each GPU puts its vector into the peer's
 //! staging area (tag last, relying on in-order delivery), waits for the
-//! peer's vector, and reduces locally. Works identically over EXTOLL and
+//! peer's vector, and reduces locally — the library's
+//! `collectives::allreduce_sum_u64`. Works identically over EXTOLL and
 //! Infiniband because it is written against the `Transport` seam.
 
 use tc_repro::putget::api::{create_pair, QueueLoc};
 use tc_repro::putget::cluster::{Backend, Cluster};
+use tc_repro::putget::collectives::{allreduce_sum_u64, scratch_bytes};
 use tc_repro::putget::time;
-use tc_repro::putget::{AnyTransport, Processor, Transport};
 
 const N: usize = 256; // u64 elements per GPU
 
@@ -29,12 +30,9 @@ fn main() {
     // Device layout per node:
     // [own vector | staging for peer vector | tag_out | tag_in].
     let vec_bytes = (N * 8) as u64;
-    let total = 2 * vec_bytes + 16;
+    let total = vec_bytes + scratch_bytes(vec_bytes);
     let buf0 = cluster.nodes[0].gpu.alloc(total, 256);
     let buf1 = cluster.nodes[1].gpu.alloc(total, 256);
-    let stage_off = vec_bytes;
-    let tag_out = 2 * vec_bytes;
-    let tag_in = 2 * vec_bytes + 8;
 
     let (ep0, ep1) = create_pair(&cluster, buf0, buf1, total, QueueLoc::Host);
 
@@ -53,67 +51,12 @@ fn main() {
     }
     let expected: Vec<u64> = v0.iter().zip(&v1).map(|(a, b)| a + b).collect();
 
-    #[allow(clippy::too_many_arguments)]
-    async fn rank<P: Processor>(
-        t: P,
-        my_buf: u64,
-        ep: AnyTransport,
-        stage_off: u64,
-        tag_out: u64,
-        tag_in: u64,
-        vec_bytes: u64,
-    ) {
-        // Publish the tag value, then ship vector + tag (in-order delivery
-        // means tag-arrival implies vector-arrival).
-        t.st_u64(my_buf + tag_out, 1).await;
-        t.fence().await;
-        ep.put(&t, 0, stage_off, vec_bytes as u32, false).await;
-        ep.put(&t, tag_out, tag_in, 8, false).await;
-        ep.quiet(&t).await.unwrap();
-        ep.quiet(&t).await.unwrap();
-        // Wait for the peer's tag: only its put writes our tag_in slot.
-        loop {
-            let tag = t.ld_u64(my_buf + tag_in).await;
-            t.instr(4).await;
-            if tag >= 1 {
-                break;
-            }
-        }
-        // Reduce: own[i] += staged[i].
-        for i in 0..(vec_bytes / 8) {
-            let a = t.ld_u64(my_buf + i * 8).await;
-            let b = t.ld_u64(my_buf + stage_off + i * 8).await;
-            t.instr(2).await;
-            t.st_u64(my_buf + i * 8, a + b).await;
-        }
+    for (name, node, buf, ep) in [("rank0", 0, buf0, ep0), ("rank1", 1, buf1, ep1)] {
+        let t = cluster.nodes[node].gpu.thread();
+        cluster.sim.spawn(name, async move {
+            allreduce_sum_u64(&t, &ep, buf, vec_bytes, 1).await;
+        });
     }
-
-    let g0 = cluster.nodes[0].gpu.clone();
-    let g1 = cluster.nodes[1].gpu.clone();
-    cluster.sim.spawn(
-        "rank0",
-        rank(
-            g0.thread(),
-            buf0,
-            ep0,
-            stage_off,
-            tag_out,
-            tag_in,
-            vec_bytes,
-        ),
-    );
-    cluster.sim.spawn(
-        "rank1",
-        rank(
-            g1.thread(),
-            buf1,
-            ep1,
-            stage_off,
-            tag_out,
-            tag_in,
-            vec_bytes,
-        ),
-    );
     let end = cluster.sim.run();
 
     for (node, buf) in [(0usize, buf0), (1, buf1)] {

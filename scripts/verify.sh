@@ -47,6 +47,19 @@ cargo test -q --test shard_golden
 echo "== backend + message-layer conformance (both fabrics, put/get rendezvous) =="
 cargo test -q -p tc-putget --test conformance
 
+echo "== examples (self-checking scenarios, both fabrics where they take --ib) =="
+# cargo test compiles the examples but never runs them; each one asserts
+# its own result, so a broken example fails here.
+run_example() { cargo run --release -q --example "$@" > /dev/null; }
+run_example quickstart
+run_example allreduce
+run_example allreduce -- --ib
+run_example halo_exchange
+run_example halo_exchange -- --ib
+run_example velo_rpc
+run_example ring_allreduce
+run_example pingpong_scan
+
 echo "== paper-claims self-check (reproduce check --quick; fails on any [FAIL]) =="
 cargo run --release -p tc-bench --bin reproduce -- check --quick > /dev/null
 

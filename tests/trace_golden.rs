@@ -26,7 +26,7 @@ fn pingpong_run(traced: bool) -> (String, Snapshot, u64) {
     let (a0, a1) = create_pair(&cluster, tx0, rx1, LEN, QueueLoc::Host);
     let (b0, b1) = create_pair(&cluster, rx0, tx1, LEN, QueueLoc::Host);
     if traced {
-        cluster.sim.trace_enable();
+        cluster.sim.recorder().enable();
     }
     let gpu0 = cluster.nodes[0].gpu.clone();
     let gpu1 = cluster.nodes[1].gpu.clone();
@@ -107,6 +107,32 @@ fn metrics_json_is_byte_identical_across_runs_and_jobs() {
     metrics::validate(&a).expect("golden metrics JSON must pass the schema self-check");
     // The trace export is a golden artifact under the same contract.
     assert_eq!(trace_report("pingpong"), trace_report("pingpong"));
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `--trace` exports one round of `profile`'s put/notify ping-pong rig;
+/// its byte length and hash pin the rig on both fabrics, so a change to
+/// its setup, process order or recording shows here.
+#[test]
+fn trace_report_matches_golden_length_and_hash() {
+    for (id, len, hash) in [
+        ("pingpong", 34_708, 0xbcef_a9cb_72b0_3c35),
+        ("fig4a", 156_477, 0x3878_24b2_4f27_b8fe),
+    ] {
+        let json = trace_report(id);
+        let got = fnv1a(json.as_bytes());
+        assert_eq!(
+            (json.len(), got),
+            (len, hash),
+            "{id}: trace export drifted (hash {got:#018x})"
+        );
+    }
 }
 
 /// Zero-perturbation: rendering the metrics JSON only *reads* a snapshot,
