@@ -18,14 +18,18 @@
 //!                      "high_water": 2 }, ... }
 //!   },
 //!   "runner": { "jobs": 4, "tasks": 36, "wall_ns": 1, "busy_ns": 1,
-//!               "queue_wait_ns": 0, "max_task_ns": 1, "utilization": 0.93 }
+//!               "queue_wait_ns": 0, "max_task_ns": 1, "utilization": 0.93,
+//!               "polls": 1200, "ffwd_steps": 800 }
 //! }
 //! ```
 //!
 //! The `sim` section is a function of the deterministic simulation only —
 //! byte-identical across runs and across `--jobs` widths. The `runner`
-//! section is host wall-clock (the pool's self-profile) and varies run to
-//! run; trend tooling should treat it as advisory.
+//! section is the pool's self-profile of the whole invocation: host
+//! wall-clock, which varies run to run (trend tooling should treat it as
+//! advisory), then the experiment's own executor work — process polls and
+//! fast-forwarded spin steps summed over its tasks — which is
+//! deterministic.
 //!
 //! [`validate`] re-parses an emitted report with a minimal hand-rolled
 //! JSON reader (the workspace is zero-external-crate) and checks the
@@ -47,7 +51,8 @@ pub const SCHEMA: &str = "tc-metrics-v1";
 ///
 /// `snapshot` is the experiment's registry view (counters, histograms,
 /// gauges), `simulated_ps` the simulated duration of the representative
-/// scenario, and `pool` the runner self-profile of the whole invocation.
+/// scenario, and `pool` the runner self-profile of the whole invocation
+/// (whose tasks labelled `experiment[i]` give the executor work).
 pub fn render(
     experiment: &str,
     scale: &str,
@@ -118,7 +123,10 @@ pub fn render(
     let _ = writeln!(out, "    \"busy_ns\": {},", pool.busy_ns);
     let _ = writeln!(out, "    \"queue_wait_ns\": {},", pool.queue_wait_ns);
     let _ = writeln!(out, "    \"max_task_ns\": {},", pool.max_task_ns);
-    let _ = writeln!(out, "    \"utilization\": {:.4}", pool.utilization());
+    let _ = writeln!(out, "    \"utilization\": {:.4},", pool.utilization());
+    let work = pool.work_of(experiment);
+    let _ = writeln!(out, "    \"polls\": {},", work.polls);
+    let _ = writeln!(out, "    \"ffwd_steps\": {}", work.skipped);
     out.push_str("  }\n}\n");
     out
 }
@@ -458,6 +466,8 @@ pub fn validate(text: &str) -> Result<(), String> {
             "queue_wait_ns",
             "max_task_ns",
             "utilization",
+            "polls",
+            "ffwd_steps",
         ],
         "runner",
     )?;
@@ -469,6 +479,8 @@ pub fn validate(text: &str) -> Result<(), String> {
         "queue_wait_ns",
         "max_task_ns",
         "utilization",
+        "polls",
+        "ffwd_steps",
     ] {
         num(runner, k, "runner")?;
     }
@@ -560,6 +572,12 @@ mod tests {
             busy_ns: 3_600_000,
             queue_wait_ns: 40_000,
             max_task_ns: 700_000,
+            task_labels: ["pingpong[0]", "pingpong[1]", "pingpong2[0]"]
+                .map(String::from)
+                .to_vec(),
+            task_work: [(10, 3), (20, 4), (500, 600)]
+                .map(|(polls, skipped)| tc_desim::Work { polls, skipped })
+                .to_vec(),
             ..Default::default()
         }
     }
@@ -578,6 +596,11 @@ mod tests {
         assert!(json.contains("\"gpu0.instructions\": 42"));
         assert!(json.contains("\"high_water\": 3"));
         assert!(json.contains("\"utilization\": 0.9000"));
+        // The experiment's own tasks only.
+        assert!(
+            json.contains("\"polls\": 30,\n    \"ffwd_steps\": 7\n"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -101,6 +101,18 @@ impl PoolStats {
         self.task_work.extend(&other.task_work);
     }
 
+    /// The executor work of experiment `id`'s own tasks (labels `id[i]`).
+    pub fn work_of(&self, id: &str) -> Work {
+        let mut sum = Work::default();
+        for (label, w) in self.task_labels.iter().zip(&self.task_work) {
+            if label.strip_prefix(id).is_some_and(|r| r.starts_with('[')) {
+                sum.polls += w.polls;
+                sum.skipped += w.skipped;
+            }
+        }
+        sum
+    }
+
     /// The `n` slowest labelled tasks, slowest first: `(label, ns, work)`.
     pub fn slowest(&self, n: usize) -> Vec<(&str, u64, Work)> {
         let mut v: Vec<(&str, u64, Work)> = self
@@ -476,6 +488,10 @@ mod tests {
             s.contains("fig1a[0]") && !s.contains("max task        fig"),
             "{s}"
         );
+        // Per experiment: the sum over its own tasks only.
+        assert_eq!(a.work_of("fig1a"), w(21, 9));
+        assert_eq!(a.work_of("fig3"), w(1234, 56));
+        assert_eq!(a.work_of("fig1"), w(0, 0));
     }
 
     #[test]
