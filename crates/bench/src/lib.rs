@@ -863,7 +863,7 @@ pub fn metrics_report(
 /// (`node0/gpu`, `node0/pcie`, ...). Deterministic — byte-identical
 /// across runs.
 pub fn trace_report(id: &str) -> String {
-    let (cluster, _) = profile::direct_pingpong(experiment(id).fabric, 1);
+    let (cluster, _) = profile::direct_pingpong(experiment(id).fabric, 1, true);
     let mut events = cluster.sim.recorder().take_events();
     if id == "profile" {
         // The profile experiment's telemetry windows ride along as

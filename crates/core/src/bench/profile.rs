@@ -194,7 +194,7 @@ fn finish_attr(
         stall: 0,
         total: 0,
     };
-    for (i, seg) in path.iter().enumerate() {
+    for seg in &path {
         let n = &dumps[seg.shard].nodes[seg.node as usize];
         let name = dumps[seg.shard]
             .names
@@ -215,37 +215,6 @@ fn finish_attr(
             }
         };
         let a = causal::attribute(std::slice::from_ref(seg), spans, &PRIORITY, (0, mark_ts));
-        if std::env::var_os("TC_PROFILE_DEBUG").is_some() && a.stall > 0 {
-            let src = i
-                .checked_sub(1)
-                .map(|j| {
-                    let p = &path[j];
-                    let pn = &dumps[p.shard].nodes[p.node as usize];
-                    dumps[p.shard].names[&pn.proc_key].clone()
-                })
-                .unwrap_or_default();
-            let waited = dumps[seg.shard]
-                .aux
-                .iter()
-                .find(|e| e.dst == seg.node)
-                .map(|e| e.waited);
-            let prev_ts = match n.cause {
-                Some(tc_trace::causal::Cause::Timer { prev }) => {
-                    Some(dumps[seg.shard].nodes[prev as usize].ts)
-                }
-                _ => None,
-            };
-            let edges: Vec<(u64, bool)> = dumps[seg.shard]
-                .aux
-                .iter()
-                .filter(|e| e.dst == seg.node)
-                .map(|e| (dumps[seg.shard].nodes[e.src as usize].ts, e.waited))
-                .collect();
-            eprintln!(
-                "stall {:>6} ps in {:?} [{}, {}] {src:?} -> {name:?} cause={:?} waited={waited:?} prev_ts={prev_ts:?} edges={edges:?}",
-                a.stall, seg.kind, seg.from, seg.to, n.cause
-            );
-        }
         for (i, (_, v)) in a.layers.iter().enumerate() {
             attribution.layers[i].1 += v;
         }
@@ -415,11 +384,11 @@ pub fn pingpong_sharded(rounds: u32) -> AttrRun {
 
 /// The GPU-controlled put/notify ping-pong: each node's GPU thread puts
 /// 1 KiB through [`create_pair`] endpoints (host-memory queues) with a
-/// notification and polls for the peer's, `rounds` times. The recorder
-/// and the causal log are on from the first operation. Returns the
-/// finished cluster and the instant of node 0's last arrival, where the
-/// completion mark is.
-pub fn direct_pingpong(fabric: Backend, rounds: u32) -> (Cluster, Time) {
+/// notification and polls for the peer's, `rounds` times. When
+/// `recorded`, the recorder and the causal log are on from the first
+/// operation. Returns the finished cluster and the instant of node 0's
+/// last arrival, where the completion mark is.
+pub fn direct_pingpong(fabric: Backend, rounds: u32, recorded: bool) -> (Cluster, Time) {
     const LEN: u64 = 1024;
     let c = Cluster::new(fabric);
     let tx0 = c.nodes[0].gpu.alloc(LEN, 256);
@@ -428,8 +397,10 @@ pub fn direct_pingpong(fabric: Backend, rounds: u32) -> (Cluster, Time) {
     let tx1 = c.nodes[1].gpu.alloc(LEN, 256);
     let (a0, a1) = create_pair(&c, tx0, rx1, LEN, QueueLoc::Host);
     let (b0, b1) = create_pair(&c, rx0, tx1, LEN, QueueLoc::Host);
-    c.sim.recorder().enable();
-    c.causal_enable();
+    if recorded {
+        c.sim.recorder().enable();
+        c.causal_enable();
+    }
     let end = Rc::new(Cell::new(0u64));
     {
         let sim = c.sim.clone();
@@ -467,7 +438,7 @@ pub fn direct_pingpong(fabric: Backend, rounds: u32) -> (Cluster, Time) {
 /// [`direct_pingpong`] on EXTOLL, attributed with the claims the tag
 /// ping-pong makes.
 pub fn direct_attr(rounds: u32) -> AttrRun {
-    let (c, end) = direct_pingpong(Backend::Extoll, rounds);
+    let (c, end) = direct_pingpong(Backend::Extoll, rounds, true);
     let dumps = vec![c.sim.causal_dump()];
     let events = vec![c.sim.recorder().take_events()];
     finish_attr(

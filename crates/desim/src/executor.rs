@@ -15,8 +15,7 @@
 //! the choice is invisible to simulation results.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -127,71 +126,125 @@ struct Shared {
 #[derive(Default)]
 struct Parking {
     next_id: u64,
-    entries: BTreeMap<u64, ParkEntry>,
-    /// `(at, seq, id)` of each parked process's pending step, earliest
-    /// first. Entries of resumed processes and run steps go stale and are
-    /// dropped when they surface.
-    due: BinaryHeap<Reverse<(Time, u64, u64)>>,
-    /// Processes that ran a step in the current batch.
-    ran: Vec<u64>,
+    /// One entry per parked process, in id order.
+    entries: Vec<ParkEntry>,
+    /// Spinners to settle after a batch (kept to reuse its allocation).
+    settle: Vec<(Rc<dyn Skipped>, u64)>,
 }
 
 struct ParkEntry {
+    id: u64,
     pid: ProcId,
     spin: Rc<dyn Skipped>,
+    /// Instant of the pending step.
+    at: Time,
     /// Sequence number of the pending step's (skipped) timer.
     seq: u64,
-    /// Ran a step in the current batch (see `Sim::run_skipped`).
-    ran: bool,
+    /// The schedule ([`Skipped::schedule`]): the period and each step's
+    /// offset in it.
+    period: Time,
+    offsets: Vec<Time>,
+    /// Start of the pending step's period, and the step's place in it.
+    start: Time,
+    place: usize,
+    /// Steps run since the process parked, and up to which it has settled.
+    run: u64,
+    settled: u64,
     /// The resume timer, once [`Sim::resume_parked`] scheduled it.
     timer: Rc<RefCell<Option<TimerRef>>>,
 }
 
+impl ParkEntry {
+    /// Move the pending step on by one.
+    fn step(&mut self) {
+        self.place += 1;
+        if self.place == self.offsets.len() {
+            self.place = 0;
+            self.start += self.period;
+        }
+        self.at = self.start + self.offsets[self.place];
+    }
+
+    /// Move the pending step on by `n` whole periods.
+    fn jump(&mut self, n: u64) {
+        self.start += n * self.period;
+        self.at += n * self.period;
+        self.run += n * self.offsets.len() as u64;
+    }
+
+    /// Run the pending step and every later one before `limit`, as one run;
+    /// returns the steps run and the instant of the last.
+    fn run_before(&mut self, limit: Time) -> (u64, Time) {
+        let (run, mut last) = (self.run, self.at);
+        self.step();
+        if self.at < limit {
+            self.jump((limit - 1 - self.at) / self.period);
+            while self.at < limit {
+                last = self.at;
+                self.step();
+                self.run += 1;
+            }
+        }
+        self.run += 1;
+        (self.run - run, last)
+    }
+}
+
 impl Parking {
-    /// Run the earliest pending skipped step if it comes before `bound`;
-    /// `seq` numbers the timer it skips inserting. Returns its instant.
-    fn step(&mut self, seq: &mut u64, bound: (Time, u64)) -> Option<Time> {
-        let (at, s, id) = self.next()?;
-        if (at, s) >= bound {
-            return None;
+    /// Index of the entry with the earliest pending step by `(at, seq)`.
+    fn first(&self) -> Option<usize> {
+        (0..self.entries.len()).min_by_key(|&i| (self.entries[i].at, self.entries[i].seq))
+    }
+
+    /// The earliest pending skipped step, `(at, seq)`.
+    fn next(&self) -> Option<(Time, u64)> {
+        self.first()
+            .map(|i| (self.entries[i].at, self.entries[i].seq))
+    }
+
+    /// Run, in `(at, seq)` order, every pending step before `bound`; `seq`
+    /// numbers the timers they skip inserting. Returns the instant of the
+    /// last step run.
+    ///
+    /// The earliest pending step runs together with every later step of
+    /// the same process before both `bound` and the next other process's
+    /// pending instant: each step it runs draws a sequence number above
+    /// every pending one, so its next step comes first only when it is
+    /// strictly earlier.
+    fn merge(&mut self, seq: &mut u64, bound: (Time, u64)) -> Option<Time> {
+        let mut last = None;
+        while let Some(i) = self.first() {
+            let (at, s) = (self.entries[i].at, self.entries[i].seq);
+            if (at, s) >= bound {
+                break;
+            }
+            let others = self.entries.iter().enumerate().filter(|&(j, _)| j != i);
+            let limit = others.fold(bound.0, |l, (_, e)| l.min(e.at));
+            let e = &mut self.entries[i];
+            let (n, at) = e.run_before(limit);
+            e.seq = *seq + n - 1;
+            *seq += n;
+            last = Some(at);
         }
-        self.due.pop();
-        let e = self.entries.get_mut(&id).expect("a valid due entry");
-        let next = e.spin.advance();
-        e.seq = *seq;
-        *seq += 1;
-        if !e.ran {
-            e.ran = true;
-            self.ran.push(id);
-        }
-        self.due.push(Reverse((next, e.seq, id)));
-        Some(at)
+        last
     }
 
     /// The period every parked process repeats with, if they share one.
     fn common_period(&self) -> Option<Time> {
-        let mut periods = self.entries.values().map(|e| e.spin.period().0);
+        let mut periods = self.entries.iter().map(|e| e.period);
         let first = periods.next()?;
         periods.all(|p| p == first).then_some(first)
     }
 
-    /// `(id, next step instant, pending seq)` of every parked process.
+    /// `(id, pending instant, pending seq)` of every parked process.
     fn shape(&self) -> Vec<(u64, Time, u64)> {
-        self.entries
-            .iter()
-            .map(|(&id, e)| (id, e.spin.next_at(), e.seq))
-            .collect()
+        self.entries.iter().map(|e| (e.id, e.at, e.seq)).collect()
     }
 
-    /// The earliest pending skipped step, `(at, seq, id)`.
-    fn next(&mut self) -> Option<(Time, u64, u64)> {
-        while let Some(&Reverse((at, seq, id))) = self.due.peek() {
-            if self.entries.get(&id).is_some_and(|e| e.seq == seq) {
-                return Some((at, seq, id));
-            }
-            self.due.pop();
-        }
-        None
+    /// Remove parked process `id`'s entry, if it is still parked.
+    fn remove(&mut self, id: u64) -> Option<ParkEntry> {
+        let i = self.entries.binary_search_by_key(&id, |e| e.id).ok()?;
+        Some(self.entries.remove(i))
     }
 }
 
@@ -335,7 +388,7 @@ impl Sim {
     pub fn next_event_time(&self) -> Option<Time> {
         let now = self.shared.now.get();
         let queued = self.shared.inner.borrow_mut().queue.next_at(now);
-        let skipped = self.shared.parked.borrow_mut().next().map(|(at, ..)| at);
+        let skipped = self.shared.parked.borrow().next().map(|(at, _)| at);
         match (queued, skipped) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -570,10 +623,10 @@ impl Sim {
             // Skipped steps of parked processes interleave by `(at, seq)`.
             // Never peek the queue past the earliest one: a process resumed
             // there needs the wheel cursor at or before its step.
-            let skipped = self.shared.parked.borrow_mut().next();
-            let limit = skipped.map_or(deadline, |(at, ..)| at.min(deadline));
+            let skipped = self.shared.parked.borrow().next();
+            let limit = skipped.map_or(deadline, |(at, _)| at.min(deadline));
             let next = inner.queue.next_at(limit);
-            if let Some((at, seq, _)) = skipped {
+            if let Some((at, seq)) = skipped {
                 let bound = match next {
                     Some(t) if t <= limit => Some((t, inner.queue.peek_seq())),
                     // The plain loop would spin forever: nothing real is left.
@@ -608,7 +661,7 @@ impl Sim {
                 }
                 None => {
                     // A parked spinner still has steps past the deadline.
-                    if deadline != Time::MAX && self.shared.parked.borrow_mut().next().is_some() {
+                    if deadline != Time::MAX && !self.shared.parked.borrow().entries.is_empty() {
                         self.shared.now.set(deadline);
                         return deadline;
                     }
@@ -624,7 +677,7 @@ impl Sim {
     fn run_skipped(&self, bound: (Time, u64)) {
         if self.shared.recorder.on() || self.shared.causal.on() {
             // Recorded runs take the real path.
-            let spins: Vec<_> = (self.shared.parked.borrow().entries.values())
+            let spins: Vec<_> = (self.shared.parked.borrow().entries.iter())
                 .map(|e| e.spin.clone())
                 .collect();
             for spin in spins {
@@ -635,23 +688,17 @@ impl Sim {
         let first = self.shared.inner.borrow().queue.next_seq();
         let mut seq = first;
         let mut last = self.shared.now.get();
-        let mut p = self.shared.parked.borrow_mut();
-        let p = &mut *p;
-        let head = p
-            .next()
-            .map(|(at, _, id)| (at, p.entries[&id].spin.period().0));
+        let mut parked = self.shared.parked.borrow_mut();
+        let p = &mut *parked;
+        let head = p.first().map(|i| (p.entries[i].at, p.entries[i].period));
         let far = head.filter(|&(at, period)| bound.0 - at > 4 * period);
         if let Some((base, period)) = far.filter(|&(_, period)| p.common_period() == Some(period)) {
             // Two periods by hand (the first settles the interleaving);
             // if the second reproduced the state shifted by a period,
             // jump the whole periods left before `bound`.
-            while let Some(at) = p.step(&mut seq, (base + period, 0)) {
-                last = at;
-            }
+            last = p.merge(&mut seq, (base + period, 0)).unwrap_or(last);
             let (before, mid) = (p.shape(), seq);
-            while let Some(at) = p.step(&mut seq, (base + 2 * period, 0)) {
-                last = at;
-            }
+            last = p.merge(&mut seq, (base + 2 * period, 0)).unwrap_or(last);
             let step_seqs = seq - mid;
             let repeats = p
                 .shape()
@@ -661,66 +708,66 @@ impl Sim {
             let k = (bound.0 - base) / period - 2;
             if repeats && k > 1 {
                 let jump = k - 1;
-                for (&id, e) in p.entries.iter_mut() {
-                    e.spin.advance_by(jump * e.spin.period().1);
+                for e in &mut p.entries {
+                    e.jump(jump);
                     e.seq += jump * step_seqs;
-                    if !e.ran {
-                        e.ran = true;
-                        p.ran.push(id);
-                    }
                 }
                 seq += jump * step_seqs;
                 last += jump * period;
-                p.due = p
-                    .entries
-                    .iter()
-                    .map(|(&id, e)| Reverse((e.spin.next_at(), e.seq, id)))
-                    .collect();
             }
         }
-        while let Some(at) = p.step(&mut seq, bound) {
-            last = at;
-        }
-        let mut ran: Vec<Rc<dyn Skipped>> = Vec::new();
-        for id in std::mem::take(&mut p.ran) {
-            if let Some(e) = p.entries.get_mut(&id) {
-                e.ran = false;
-                ran.push(e.spin.clone());
-            }
+        last = p.merge(&mut seq, bound).unwrap_or(last);
+        let mut settle = std::mem::take(&mut p.settle);
+        for e in p.entries.iter_mut().filter(|e| e.run > e.settled) {
+            e.settled = e.run;
+            settle.push((e.spin.clone(), e.run));
         }
         self.shared.inner.borrow_mut().queue.take_seqs(seq - first);
         // Every skipped step drew one sequence number.
         let mut w = self.shared.work.get();
         w.skipped += seq - first;
         self.shared.work.set(w);
-        for spin in ran {
-            spin.settle();
+        drop(parked);
+        for (spin, run) in settle.drain(..) {
+            spin.settle(run);
         }
+        self.shared.parked.borrow_mut().settle = settle;
         self.shared.now.set(last);
         self.shared.last_event.set(last);
     }
 
-    /// Park the current process: it keeps no timer, and `spin` runs its
-    /// skipped steps (see [`crate::ffwd`]) until [`Sim::resume_parked`].
-    /// Call it where the process would schedule the timer of
-    /// `spin.next_at()`, and await the returned future.
+    /// Park the current process: it keeps no timer, and the executor runs
+    /// the skipped steps of `spin`'s schedule (see [`crate::ffwd`]) until
+    /// [`Sim::resume_parked`]. Call it where the process would schedule
+    /// the timer of the schedule's first step, and await the returned
+    /// future.
     pub fn park(&self, spin: Rc<dyn Skipped>) -> Parked {
         let seq = self.shared.inner.borrow_mut().queue.take_seqs(1);
+        let (start, period, offsets) = spin.schedule();
+        debug_assert!(
+            offsets.first().is_some_and(|&o| o > 0)
+                && offsets.windows(2).all(|w| w[0] < w[1])
+                && offsets.last().is_some_and(|&o| o <= period),
+            "offsets ascend within the period"
+        );
         let timer = Rc::new(RefCell::new(None));
         let mut p = self.shared.parked.borrow_mut();
         let id = p.next_id;
         p.next_id += 1;
-        p.due.push(Reverse((spin.next_at(), seq, id)));
-        p.entries.insert(
+        p.entries.push(ParkEntry {
             id,
-            ParkEntry {
-                pid: self.current_proc(),
-                spin,
-                seq,
-                ran: false,
-                timer: timer.clone(),
-            },
-        );
+            pid: self.current_proc(),
+            spin,
+            at: start + offsets[0],
+            seq,
+            period,
+            offsets,
+            start,
+            place: 0,
+            run: 0,
+            settled: 0,
+            timer: timer.clone(),
+        });
         Parked {
             sim: self.clone(),
             id,
@@ -729,24 +776,24 @@ impl Sim {
     }
 
     /// Resume parked process `id`: a real timer takes its pending step's
-    /// place (same instant, same sequence number).
-    pub fn resume_parked(&self, id: u64) {
+    /// place (same instant, same sequence number). Returns the skipped
+    /// steps it ran.
+    pub fn resume_parked(&self, id: u64) -> u64 {
         let entry = self
             .shared
             .parked
             .borrow_mut()
-            .entries
-            .remove(&id)
+            .remove(id)
             .expect("resuming a process that is not parked");
-        let at = entry.spin.next_at();
-        debug_assert!(at >= self.shared.now.get(), "resuming into the past");
+        debug_assert!(entry.at >= self.shared.now.get(), "resuming into the past");
         let t = self
             .shared
             .inner
             .borrow_mut()
             .queue
-            .schedule_seq(at, entry.pid, entry.seq);
+            .schedule_seq(entry.at, entry.pid, entry.seq);
         *entry.timer.borrow_mut() = Some(t);
+        entry.run
     }
 
     /// A future that completes `dur` picoseconds after it is first polled.
@@ -788,7 +835,7 @@ impl Sim {
 
     fn live_label(&self, idx: usize, name: &str) -> String {
         let p = self.shared.parked.borrow();
-        match p.entries.values().find(|e| e.pid.0 == idx) {
+        match p.entries.iter().find(|e| e.pid.0 == idx) {
             Some(e) => format!("{name} (parked: {})", e.spin.describe()),
             None => name.to_string(),
         }
@@ -991,7 +1038,7 @@ impl Drop for Parked {
     fn drop(&mut self) {
         // A process dropped while parked leaves no entry or timer behind.
         if let Ok(mut p) = self.sim.shared.parked.try_borrow_mut() {
-            p.entries.remove(&self.id);
+            p.remove(self.id);
         }
         if let Some(TimerRef::Wheel(id)) = self.timer.borrow_mut().take() {
             if let Ok(mut inner) = self.sim.shared.inner.try_borrow_mut() {

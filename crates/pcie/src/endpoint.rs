@@ -19,6 +19,8 @@ pub struct Endpoint {
     stats: Rc<PcieStats>,
     link: Link,
     name: Rc<str>,
+    /// Process name of a posted write's delivery, `<name>.pw`.
+    pw_name: Rc<str>,
     /// Trace track for this endpoint's events, e.g. `pcie0.nic`.
     track: Rc<str>,
 }
@@ -39,6 +41,7 @@ impl Endpoint {
             cfg,
             stats,
             name: name.into(),
+            pw_name: format!("{name}.pw").into(),
             track: track.into(),
         }
     }
@@ -89,7 +92,7 @@ impl Endpoint {
         // Delivery happens asynchronously; `reserve` above hands out
         // monotonically non-decreasing completion times per endpoint, and the
         // executor breaks timestamp ties in spawn order, so ordering holds.
-        self.sim.spawn(&format!("{}.pw", self.name), async move {
+        self.sim.spawn(&self.pw_name, async move {
             let now = sim.now();
             sim.delay(deliver_at - now).await;
             bus.write(addr, &data);

@@ -14,8 +14,9 @@
 //! * the recorder and the causal log are off and every load targets RAM.
 //!
 //! The thread then *parks* (see `tc_desim::ffwd`): it keeps no timer, and
-//! the executor runs its skipped steps in the plain loop's order while the
-//! processor charges each exactly what the plain loop charges
+//! the executor runs its skipped steps, from the probe's period and step
+//! offsets, in the plain loop's order; once they have run, the processor
+//! charges each exactly what the plain loop charges
 //! ([`Spinner::charge`]), and this module the caller's spin counter. The
 //! bus watches every loaded byte range, and the processor arms its own
 //! triggers ([`Spinner::watch`]); a trigger or the recorder or causal log
@@ -231,8 +232,6 @@ struct SpinPark<S: Spinner> {
     id: Cell<u64>,
     /// Skipped events charged so far.
     charged: Cell<u64>,
-    /// Skipped events run so far (charged at the next settle).
-    advanced: Cell<u64>,
     /// The event the thread resumes at, once resumed.
     resumed: Cell<Option<u64>>,
     unwatch: RefCell<Vec<Box<dyn FnOnce()>>>,
@@ -278,7 +277,6 @@ impl<S: Spinner> SpinPark<S> {
             events,
             id: Cell::new(0),
             charged: Cell::new(0),
-            advanced: Cell::new(0),
             resumed: Cell::new(None),
             unwatch: RefCell::new(Vec::new()),
         });
@@ -377,29 +375,16 @@ impl<S: Spinner> SpinPark<S> {
 }
 
 impl<S: Spinner> Skipped for SpinPark<S> {
-    fn next_at(&self) -> Time {
-        self.instant(self.advanced.get() + 1)
+    fn schedule(&self) -> (Time, Time, Vec<Time>) {
+        let offsets = self.events.iter().map(|e| e.offset).collect();
+        (self.start, self.period, offsets)
     }
 
-    fn advance(&self) -> Time {
-        let k = self.advanced.get() + 1;
-        self.advanced.set(k);
-        self.instant(k + 1)
-    }
-
-    fn advance_by(&self, n: u64) {
-        self.advanced.set(self.advanced.get() + n);
-    }
-
-    fn period(&self) -> (Time, u64) {
-        (self.period, self.m())
-    }
-
-    fn settle(&self) {
-        let (from, to) = (self.charged.get(), self.advanced.get());
-        if to > from {
-            self.charge(from, to);
-            self.charged.set(to);
+    fn settle(&self, run: u64) {
+        let from = self.charged.get();
+        if run > from {
+            self.charge(from, run);
+            self.charged.set(run);
         }
     }
 
@@ -407,11 +392,11 @@ impl<S: Spinner> Skipped for SpinPark<S> {
         if self.resumed.get().is_some() {
             return;
         }
-        self.resumed.set(Some(self.advanced.get() + 1));
+        let run = self.thread.sim().resume_parked(self.id.get());
+        self.resumed.set(Some(run + 1));
         for f in self.unwatch.borrow_mut().drain(..) {
             f();
         }
-        self.thread.sim().resume_parked(self.id.get());
     }
 
     fn describe(&self) -> String {

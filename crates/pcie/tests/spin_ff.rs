@@ -16,6 +16,7 @@ use tc_mem::{layout, Addr, Bus, RegionKind, SparseMem};
 use tc_pcie::{
     le, CpuConfig, CpuThread, LoadKind, Pcie, PcieConfig, Probe, ProbeLoad, Processor, Spun,
 };
+use tc_trace::rng::XorShift64;
 use tc_trace::{Snapshot, TraceEvent};
 
 /// Forwards every method but `spin_until`, so spins take the plain loop.
@@ -91,22 +92,21 @@ fn world() -> World {
     World { sim, bus, cpu }
 }
 
+/// Spin results in completion order, each tagged with its poller.
+type Log = Rc<RefCell<Vec<(usize, Spun)>>>;
+
 /// Everything a run leaves behind.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     end: Time,
     registry: Snapshot,
     events: Vec<TraceEvent>,
-    spun: Vec<Spun>,
+    spun: Vec<(usize, Spun)>,
     observed: Vec<Snapshot>,
 }
 
 /// Run `w` to the end; also returns whether any probe was fast-forwarded.
-fn finish(
-    w: &World,
-    spun: &[Rc<RefCell<Vec<Spun>>>],
-    observed: &RefCell<Vec<Snapshot>>,
-) -> (Outcome, bool) {
+fn finish(w: &World, spun: &[Log], observed: &RefCell<Vec<Snapshot>>) -> (Outcome, bool) {
     let before = Work::on_thread();
     let end = w.sim.run();
     let skipped = Work::on_thread().since(before).skipped;
@@ -138,7 +138,7 @@ fn word(v: u64) -> Vec<u8> {
     v.to_le_bytes().to_vec()
 }
 
-/// A poller on `loads` until `done`; its results land in the returned cell.
+/// A poller on `loads` until `done`; its results land in the returned log.
 fn poller(
     w: &World,
     mode: Mode,
@@ -146,8 +146,8 @@ fn poller(
     instr: u64,
     spins: Option<&str>,
     done: impl FnMut(&[u8]) -> bool + 'static,
-) -> Rc<RefCell<Vec<Spun>>> {
-    let out = Rc::new(RefCell::new(Vec::new()));
+) -> Log {
+    let out = Log::default();
     let (o, t) = (out.clone(), w.cpu.clone());
     let counter = spins.map(|name| w.sim.registry().counter(name));
     w.sim.spawn("poller", async move {
@@ -160,9 +160,50 @@ fn poller(
             Mode::Native => t.spin_until(&probe, done).await,
             Mode::Plain => Plain(t).spin_until(&probe, done).await,
         };
-        o.borrow_mut().push(got);
+        o.borrow_mut().push((0, got));
     });
     out
+}
+
+/// Poller `tag`, first probing at `start`: spins on `loads` with `instr`
+/// instructions per probe until its first load reads at least `want`,
+/// then logs its result in `log`.
+fn tagged(
+    w: &World,
+    mode: Mode,
+    log: &Log,
+    (tag, start, want): (usize, Time, u64),
+    loads: Vec<ProbeLoad>,
+    instr: u64,
+) {
+    let (log, t, sim) = (log.clone(), w.cpu.clone(), w.sim.clone());
+    let first = loads[0].bytes();
+    w.sim.spawn("poller", async move {
+        sim.delay(start).await;
+        let probe = Probe {
+            loads: &loads,
+            instr,
+            spins: None,
+        };
+        let done = |b: &[u8]| le(&b[..first]) >= want;
+        let got = match mode {
+            Mode::Native => t.spin_until(&probe, done).await,
+            Mode::Plain => Plain(t).spin_until(&probe, done).await,
+        };
+        log.borrow_mut().push((tag, got));
+    });
+}
+
+/// A writer that inserts a timer at each of `hops` in turn and stores `v`
+/// to `addr` at the last.
+fn store_via(w: &World, addr: Addr, v: u64, hops: &[Time]) {
+    let (sim, bus, hops) = (w.sim.clone(), w.bus.clone(), hops.to_vec());
+    w.sim.spawn("writer", async move {
+        for at in hops {
+            sim.delay(at - sim.now()).await;
+        }
+        bus.write_u64(addr, v);
+    });
 }
 
 fn load(addr: Addr, kind: LoadKind) -> ProbeLoad {
@@ -298,12 +339,7 @@ fn store_at_sample(mode: Mode, sample: Time, inserted_at: Time) -> (Outcome, boo
     let spun = poller(&w, mode, vec![load(flag, LoadKind::U64)], 4, None, |b| {
         le(b) == 1
     });
-    let (sim, bus) = (w.sim.clone(), w.bus.clone());
-    w.sim.spawn("writer", async move {
-        sim.delay(inserted_at).await;
-        sim.delay(sample - inserted_at).await;
-        bus.write_u64(flag, 1);
-    });
+    store_via(&w, flag, 1, &[inserted_at, sample]);
     finish(&w, &[spun], &RefCell::default())
 }
 
@@ -318,6 +354,201 @@ fn store_at_exactly_a_skipped_sample_instant() {
     for inserted_at in [1, sample - 1, issued, issued - 1] {
         equivalent(true, |m| store_at_sample(m, sample, inserted_at));
     }
+}
+
+/// Three pollers with one probe, parked at one instant, and a store at
+/// their shared sample instant `hops.last()`. The writer is spawned before
+/// poller `writer_at` (so it runs between pollers at every instant it
+/// shares with them) and hops through `hops`.
+fn three_tied_pollers(mode: Mode, writer_at: usize, hops: &[Time]) -> (Outcome, bool) {
+    let w = world();
+    let flag = layout::host_dram(0) + 0x100;
+    let log = Log::default();
+    for tag in 0..=3 {
+        if tag == writer_at {
+            store_via(&w, flag, 1, hops);
+        }
+        if tag < 3 {
+            tagged(
+                &w,
+                mode,
+                &log,
+                (tag, 0, 1),
+                vec![load(flag, LoadKind::U64)],
+                4,
+            );
+        }
+    }
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn three_pollers_parked_at_one_instant_tie_at_a_store() {
+    let (period, dram) = flag_period();
+    let probe = 40;
+    let sample = probe * period + dram;
+    // Every step instant of the pollers up to the sample: a writer hopping
+    // through them keeps its place among the pollers at each.
+    let lockstep: Vec<Time> = (0..probe)
+        .flat_map(|j| [j * period + dram, (j + 1) * period])
+        .chain([sample])
+        .collect();
+    for writer_at in 0..=3 {
+        equivalent(true, |m| three_tied_pollers(m, writer_at, &lockstep));
+        // The writer's place among the pollers decides what each samples:
+        // those before it miss the store by one probe.
+        let (native, _) = three_tied_pollers(Mode::Native, writer_at, &lockstep);
+        for (tag, spun) in &native.spun {
+            assert_eq!(
+                spun.failed,
+                probe + u64::from(*tag < writer_at),
+                "{writer_at}"
+            );
+        }
+        // The store's last timer inserted long before the sample, at the
+        // issue instant, just before it, and just before the sample.
+        let issued = sample - dram;
+        for inserted_at in [1, issued - 1, issued, sample - 1] {
+            let hops = [inserted_at, sample];
+            equivalent(true, |m| three_tied_pollers(m, writer_at, &hops));
+        }
+    }
+}
+
+/// A fast poller (4 instructions) and a slow one (400) on one flag,
+/// starting `offset` apart; a store lands at the slow poller's sample
+/// instant of probe 200, through `hops` (ending at it).
+fn fast_and_slow_pollers(mode: Mode, offset: Time, hops: &[Time]) -> (Outcome, bool) {
+    let w = world();
+    let flag = layout::host_dram(0) + 0x100;
+    let log = Log::default();
+    tagged(
+        &w,
+        mode,
+        &log,
+        (0, 0, 1),
+        vec![load(flag, LoadKind::U64)],
+        400,
+    );
+    tagged(
+        &w,
+        mode,
+        &log,
+        (1, offset, 1),
+        vec![load(flag, LoadKind::U64)],
+        4,
+    );
+    store_via(&w, flag, 1, hops);
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn a_fast_poller_runs_many_steps_between_a_slow_ones() {
+    let cfg = CpuConfig::default();
+    let (fast, dram) = flag_period();
+    let slow = cfg.dram + 400 * cfg.instr;
+    let sample = 200 * slow + dram;
+    // Offset 0, and the offset that puts a fast sample at `sample` too.
+    for offset in [0, (sample - dram) % fast] {
+        for inserted_at in [1, sample - dram, sample - 1] {
+            let hops = [inserted_at, sample];
+            equivalent(true, |m| fast_and_slow_pollers(m, offset, &hops));
+        }
+    }
+}
+
+/// A poller parked for thousands of periods, woken by a store at its
+/// sample instant of probe 5000 (a timer inserted at `inserted_at`); with
+/// `neighbour`, a very slow poller on another flag is parked next to it,
+/// so no period is common and the fast poller advances in long runs.
+fn long_parked_poller(mode: Mode, neighbour: bool, inserted_at: Time) -> (Outcome, bool) {
+    let w = world();
+    let flag = layout::host_dram(0) + 0x100;
+    let other = layout::host_dram(0) + 0x200;
+    let (period, dram) = flag_period();
+    let sample = 5000 * period + dram;
+    let log = Log::default();
+    tagged(
+        &w,
+        mode,
+        &log,
+        (0, 0, 1),
+        vec![load(flag, LoadKind::U64)],
+        4,
+    );
+    store_via(&w, flag, 1, &[inserted_at, sample]);
+    if neighbour {
+        tagged(
+            &w,
+            mode,
+            &log,
+            (1, 0, 1),
+            vec![load(other, LoadKind::U64)],
+            100_000,
+        );
+        store_via(&w, other, 1, &[sample + time::us(50)]);
+    }
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn a_store_inside_a_whole_period_jump() {
+    let (period, dram) = flag_period();
+    let sample = 5000 * period + dram;
+    for neighbour in [false, true] {
+        for inserted_at in [1, sample - dram, sample - 1] {
+            equivalent(true, |m| long_parked_poller(m, neighbour, inserted_at));
+        }
+    }
+}
+
+/// A seeded scenario: 2–6 pollers with random probes (load kinds, flags,
+/// instruction counts), first probes and targets, on three flags that are
+/// each stored 1, 2 and 3 at random instants. Every instant is a multiple
+/// of the instruction time, so steps and stores often tie.
+fn random_pollers(mode: Mode, seed: u64) -> (Outcome, bool) {
+    let mut rng = XorShift64::new(seed);
+    let w = world();
+    let grain = CpuConfig::default().instr;
+    let flags = [0x100, 0x200, 0x300].map(|off| layout::host_dram(0) + off);
+    let log = Log::default();
+    for tag in 0..rng.range(2, 7) as usize {
+        let first = [LoadKind::U32, LoadKind::U64, LoadKind::State][rng.below(3) as usize];
+        let mut loads = vec![load(flags[rng.below(3) as usize], first)];
+        if rng.chance(1, 2) {
+            let kind = [LoadKind::U64, LoadKind::State, LoadKind::Bytes(16)][rng.below(3) as usize];
+            loads.push(load(flags[rng.below(3) as usize], kind));
+        }
+        let start = rng.below(2_000) * grain;
+        let want = rng.range(1, 4);
+        tagged(&w, mode, &log, (tag, start, want), loads, rng.range(1, 200));
+    }
+    for flag in flags {
+        let mut at: Vec<Time> = (0..3).map(|_| rng.range(1, 100_000) * grain).collect();
+        at.sort_unstable();
+        let writes: Vec<_> = at
+            .into_iter()
+            .zip(1..)
+            .map(|(t, v)| (t, 0, word(v)))
+            .collect();
+        writer(&w, flag, &writes);
+    }
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn random_pollers_match_the_plain_loop() {
+    let mut parked = 0;
+    for seed in 1..=64 {
+        let (native, native_parked) = random_pollers(Mode::Native, seed);
+        let (plain, plain_parked) = random_pollers(Mode::Plain, seed);
+        assert!(!plain_parked);
+        assert_eq!(native, plain, "seed {seed}");
+        parked += usize::from(native_parked);
+    }
+    // A seed whose pollers are all satisfied before two probes repeat
+    // never parks; nearly every seed does.
+    assert!(parked >= 60, "only {parked} of 64 seeds parked a poller");
 }
 
 /// Two spinners with different periods, parked at once: a flag poll and a

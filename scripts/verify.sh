@@ -33,6 +33,9 @@ cargo test -q --test trace_golden
 cargo test -q --test determinism
 
 echo "== spin-wait fast-forward goldens (parked spinners match the plain loop) =="
+# tc-pcie's spin_ff also pins the executor's run merge to the plain loop:
+# tied pollers, a fast poller between a slow one's steps, a store inside a
+# whole-period jump, and seeded random pollers.
 cargo test -q -p tc-pcie --test spin_ff
 cargo test -q -p tc-gpu --test spin_ff
 cargo test -q -p tc-extoll --test velo_end_to_end \

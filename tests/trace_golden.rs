@@ -6,84 +6,92 @@
 
 use tc_repro::bench::pool::{Pool, PoolStats};
 use tc_repro::bench::{metrics, metrics_report, run_all, trace_report, Scale, WorkloadKnobs};
-use tc_repro::putget::api::{create_pair, QueueLoc};
+use tc_repro::desim::Work;
 use tc_repro::putget::bench::pingpong::{extoll_pingpong, ib_pingpong};
+use tc_repro::putget::bench::profile::{direct_pingpong, PP_ROUNDS};
 use tc_repro::putget::bench::{ExtollMode, IbMode};
-use tc_repro::putget::cluster::{Backend, Cluster};
-use tc_repro::putget::Transport;
+use tc_repro::putget::cluster::Backend;
 use tc_repro::trace::{chrome, Snapshot};
 
-/// One GPU-controlled EXTOLL ping-pong round trip. Returns the Chrome
-/// trace JSON (empty events if `traced` is false), the full registry
-/// snapshot, and the final simulated time.
-fn pingpong_run(traced: bool) -> (String, Snapshot, u64) {
-    const LEN: u64 = 1024;
-    let cluster = Cluster::new(Backend::Extoll);
-    let tx0 = cluster.nodes[0].gpu.alloc(LEN, 256);
-    let rx1 = cluster.nodes[1].gpu.alloc(LEN, 256);
-    let rx0 = cluster.nodes[0].gpu.alloc(LEN, 256);
-    let tx1 = cluster.nodes[1].gpu.alloc(LEN, 256);
-    let (a0, a1) = create_pair(&cluster, tx0, rx1, LEN, QueueLoc::Host);
-    let (b0, b1) = create_pair(&cluster, rx0, tx1, LEN, QueueLoc::Host);
-    if traced {
-        cluster.sim.recorder().enable();
-    }
-    let gpu0 = cluster.nodes[0].gpu.clone();
-    let gpu1 = cluster.nodes[1].gpu.clone();
-    cluster.sim.spawn("ping", async move {
-        let t = gpu0.thread();
-        a0.put(&t, 0, 0, LEN as u32, true).await;
-        a0.quiet(&t).await.unwrap();
-        b0.wait_arrival(&t).await.unwrap();
-    });
-    cluster.sim.spawn("pong", async move {
-        let t = gpu1.thread();
-        a1.wait_arrival(&t).await.unwrap();
-        b1.put(&t, 0, 0, LEN as u32, true).await;
-        b1.quiet(&t).await.unwrap();
-    });
-    cluster.sim.run();
+/// `rounds` round trips of `profile`'s GPU-controlled put/notify ping-pong
+/// rig on `fabric`. Returns the Chrome trace JSON (no events unless
+/// `recorded`), the full registry snapshot, the final simulated time and
+/// the spin steps the run fast-forwarded.
+fn pingpong_run(fabric: Backend, rounds: u32, recorded: bool) -> (String, Snapshot, u64, u64) {
+    let before = Work::on_thread();
+    let (cluster, _) = direct_pingpong(fabric, rounds, recorded);
+    let skipped = Work::on_thread().since(before).skipped;
     let events = cluster.sim.recorder().take_events();
     (
         chrome::to_chrome_json(&events),
         cluster.sim.registry().snapshot(),
         cluster.sim.now(),
+        skipped,
     )
 }
 
+const FABRICS: [Backend; 2] = [Backend::Extoll, Backend::Infiniband];
+
 #[test]
 fn chrome_trace_is_byte_identical_across_runs() {
-    let (a, _, _) = pingpong_run(true);
-    let (b, _, _) = pingpong_run(true);
-    assert_eq!(a, b, "trace export is not deterministic");
-    assert!(!a.is_empty());
+    for fabric in FABRICS {
+        let (a, ..) = pingpong_run(fabric, 1, true);
+        let (b, ..) = pingpong_run(fabric, 1, true);
+        assert_eq!(a, b, "{fabric:?}: trace export is not deterministic");
+        assert!(!a.is_empty());
+    }
 }
 
 #[test]
 fn chrome_trace_covers_all_hardware_layers() {
-    let (json, _, _) = pingpong_run(true);
-    // Hardware layers group into one Chrome process per node
-    // (`node{n}/{layer}`); the executor's own events keep the bare layer.
-    for process in [
-        "\"desim\"",
-        "\"node0/gpu\"",
-        "\"node0/pcie\"",
-        "\"node0/nic\"",
-    ] {
-        assert!(json.contains(process), "no events from process {process}");
+    for fabric in FABRICS {
+        let (json, ..) = pingpong_run(fabric, 1, true);
+        // Hardware layers group into one Chrome process per node
+        // (`node{n}/{layer}`); the executor's own events keep the bare
+        // layer.
+        for process in [
+            "\"desim\"",
+            "\"node0/gpu\"",
+            "\"node0/pcie\"",
+            "\"node0/nic\"",
+        ] {
+            assert!(
+                json.contains(process),
+                "{fabric:?}: no events from {process}"
+            );
+        }
+        // Both nodes of the cluster are represented.
+        assert!(
+            json.contains("\"node1/"),
+            "{fabric:?}: node 1 has no process group"
+        );
     }
-    // Both nodes of the cluster are represented.
-    assert!(json.contains("\"node1/"), "node 1 has no process group");
 }
 
+/// Recording switches spin-wait fast-forward off: the unrecorded run
+/// parks its spinners, the recorded one takes the plain loop, and both
+/// must end alike.
 #[test]
 fn recording_does_not_perturb_the_simulation() {
-    let (_, reg_on, end_on) = pingpong_run(true);
-    let (json_off, reg_off, end_off) = pingpong_run(false);
-    assert_eq!(end_on, end_off, "tracing changed simulated time");
-    assert_eq!(reg_on, reg_off, "tracing changed counter values");
-    // A disabled recorder captures nothing.
-    assert!(!json_off.contains("\"ph\":\"X\"") && !json_off.contains("\"ph\":\"i\""));
+    for fabric in FABRICS {
+        let (_, reg_on, end_on, skipped_on) = pingpong_run(fabric, PP_ROUNDS, true);
+        let (json_off, reg_off, end_off, skipped_off) = pingpong_run(fabric, PP_ROUNDS, false);
+        assert_eq!(
+            end_on, end_off,
+            "{fabric:?}: tracing changed simulated time"
+        );
+        assert_eq!(
+            reg_on, reg_off,
+            "{fabric:?}: tracing changed counter values"
+        );
+        assert_eq!(skipped_on, 0, "{fabric:?}: a recorded run parked");
+        assert!(
+            skipped_off > 0,
+            "{fabric:?}: the unrecorded run never parked"
+        );
+        // A disabled recorder captures nothing.
+        assert!(!json_off.contains("\"ph\":\"X\"") && !json_off.contains("\"ph\":\"i\""));
+    }
 }
 
 /// The metrics JSON is a golden artifact: its `sim` section must be
