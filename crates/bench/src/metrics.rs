@@ -19,7 +19,7 @@
 //!   },
 //!   "runner": { "jobs": 4, "tasks": 36, "wall_ns": 1, "busy_ns": 1,
 //!               "queue_wait_ns": 0, "max_task_ns": 1, "utilization": 0.93,
-//!               "polls": 1200, "ffwd_steps": 800 }
+//!               "polls": 1200, "ffwd_steps": 800, "timers": 900 }
 //! }
 //! ```
 //!
@@ -27,9 +27,9 @@
 //! byte-identical across runs and across `--jobs` widths. The `runner`
 //! section is the pool's self-profile of the whole invocation: host
 //! wall-clock, which varies run to run (trend tooling should treat it as
-//! advisory), then the experiment's own executor work — process polls and
-//! fast-forwarded spin steps summed over its tasks — which is
-//! deterministic.
+//! advisory), then the experiment's own executor work — process polls,
+//! fast-forwarded spin steps and timer pops summed over its tasks — which
+//! is deterministic.
 //!
 //! [`validate`] re-parses an emitted report with a minimal hand-rolled
 //! JSON reader (the workspace is zero-external-crate) and checks the
@@ -126,7 +126,8 @@ pub fn render(
     let _ = writeln!(out, "    \"utilization\": {:.4},", pool.utilization());
     let work = pool.work_of(experiment);
     let _ = writeln!(out, "    \"polls\": {},", work.polls);
-    let _ = writeln!(out, "    \"ffwd_steps\": {}", work.skipped);
+    let _ = writeln!(out, "    \"ffwd_steps\": {},", work.skipped);
+    let _ = writeln!(out, "    \"timers\": {}", work.timers);
     out.push_str("  }\n}\n");
     out
 }
@@ -468,6 +469,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             "utilization",
             "polls",
             "ffwd_steps",
+            "timers",
         ],
         "runner",
     )?;
@@ -481,6 +483,7 @@ pub fn validate(text: &str) -> Result<(), String> {
         "utilization",
         "polls",
         "ffwd_steps",
+        "timers",
     ] {
         num(runner, k, "runner")?;
     }
@@ -575,8 +578,12 @@ mod tests {
             task_labels: ["pingpong[0]", "pingpong[1]", "pingpong2[0]"]
                 .map(String::from)
                 .to_vec(),
-            task_work: [(10, 3), (20, 4), (500, 600)]
-                .map(|(polls, skipped)| tc_desim::Work { polls, skipped })
+            task_work: [(10, 3, 5), (20, 4, 6), (500, 600, 700)]
+                .map(|(polls, skipped, timers)| tc_desim::Work {
+                    polls,
+                    skipped,
+                    timers,
+                })
                 .to_vec(),
             ..Default::default()
         }
@@ -598,7 +605,7 @@ mod tests {
         assert!(json.contains("\"utilization\": 0.9000"));
         // The experiment's own tasks only.
         assert!(
-            json.contains("\"polls\": 30,\n    \"ffwd_steps\": 7\n"),
+            json.contains("\"polls\": 30,\n    \"ffwd_steps\": 7,\n    \"timers\": 11\n"),
             "{json}"
         );
     }

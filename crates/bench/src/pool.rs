@@ -52,7 +52,8 @@ pub struct PoolStats {
     /// caller labelled them; the `--verbose` ledger names the slowest.
     pub task_labels: Vec<String>,
     /// Executor work of each task, in submission order: its simulations'
-    /// process polls and fast-forwarded steps, shard threads included.
+    /// process polls, fast-forwarded steps and timer pops, shard threads
+    /// included.
     pub task_work: Vec<Work>,
 }
 
@@ -108,6 +109,7 @@ impl PoolStats {
             if label.strip_prefix(id).is_some_and(|r| r.starts_with('[')) {
                 sum.polls += w.polls;
                 sum.skipped += w.skipped;
+                sum.timers += w.timers;
             }
         }
         sum
@@ -422,6 +424,7 @@ mod tests {
                 Work {
                     polls: 7,
                     skipped: 3,
+                    timers: 5,
                 };
                 3
             ],
@@ -448,6 +451,7 @@ mod tests {
             task_work: vec![Work {
                 polls: 1234,
                 skipped: 56,
+                timers: 789,
             }],
         };
         a.merge(&b);
@@ -474,10 +478,17 @@ mod tests {
         assert!(s.contains("worker 0") && s.contains("worker 1"), "{s}");
         // The ledger names the slowest tasks, slowest first, with their
         // executor work.
-        let w = |polls, skipped| Work { polls, skipped };
+        let w = |polls, skipped, timers| Work {
+            polls,
+            skipped,
+            timers,
+        };
         assert_eq!(
             a.slowest(2),
-            vec![("fig1a[0]", 80, w(7, 3)), ("fig3[0]", 60, w(1234, 56))],
+            vec![
+                ("fig1a[0]", 80, w(7, 3, 5)),
+                ("fig3[0]", 60, w(1234, 56, 789))
+            ],
             "{s}"
         );
         assert!(
@@ -489,9 +500,9 @@ mod tests {
             "{s}"
         );
         // Per experiment: the sum over its own tasks only.
-        assert_eq!(a.work_of("fig1a"), w(21, 9));
-        assert_eq!(a.work_of("fig3"), w(1234, 56));
-        assert_eq!(a.work_of("fig1"), w(0, 0));
+        assert_eq!(a.work_of("fig1a"), w(21, 9, 15));
+        assert_eq!(a.work_of("fig3"), w(1234, 56, 789));
+        assert_eq!(a.work_of("fig1"), w(0, 0, 0));
     }
 
     #[test]
