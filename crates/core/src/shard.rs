@@ -13,10 +13,11 @@
 //! addressed to those ports at serialization-complete time with their
 //! absolute delivery timestamp, and the coordinator ships them as
 //! [`Outgoing`] envelopes at the next window barrier. The owning shard
-//! replays each envelope with [`tc_link::Fabric::inject`], which spawns
-//! the same `fabric.prop` process the serial path would have — the frame
-//! lands at exactly the same picosecond, so per-node traffic is
-//! *byte-identical* to a serial run (verified by `tests/shard_golden.rs`).
+//! replays each envelope with [`tc_link::Fabric::inject`], which makes
+//! the same timed delivery the serial path would have (a `fabric.prop`
+//! process while recording is on) — the frame lands at exactly the same
+//! picosecond, so per-node traffic is *byte-identical* to a serial run
+//! (verified by `tests/shard_golden.rs`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -244,8 +245,9 @@ impl<'c> ShardCluster<'c> {
             &sim,
             move || staged.borrow_mut().drain(..).collect(),
             move |env| {
-                // The next spawn (the injected `fabric.prop` replay) is
-                // caused by the exporting node on the producing shard.
+                // With causal recording on, the next spawn (the injected
+                // `fabric.prop` replay) is caused by the exporting node on
+                // the producing shard.
                 import_sim.causal_stage_import(env.src_shard as u32, env.seq);
                 match env.msg {
                     WireFrame::Rma {

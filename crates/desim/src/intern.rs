@@ -8,52 +8,26 @@
 //! hash lookup instead of an allocation; the table only grows by the number
 //! of *distinct* names.
 //!
-//! The map uses an in-tree FxHash-style hasher (the workspace has no
-//! external dependencies): multiply-xor over 8-byte chunks — not
-//! DoS-resistant, which is irrelevant for simulation-internal keys, and
-//! several times faster than SipHash on short strings.
+//! The map hashes through [`tc_trace::fx`], several times faster than
+//! SipHash on short strings.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
-const SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-/// FxHash-style multiply-xor hasher for short simulation-internal keys.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.hash = (self.hash.rotate_left(5) ^ u64::from_le_bytes(buf)).wrapping_mul(SEED);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
+use tc_trace::fx::FxHashMap;
 
 /// Interned process-name id, an index into the [`NameTable`].
 pub(crate) type NameId = u32;
 
 pub(crate) struct NameTable {
     names: Vec<Rc<str>>,
-    index: HashMap<Rc<str>, NameId, FxBuild>,
+    index: FxHashMap<Rc<str>, NameId>,
 }
 
 impl NameTable {
     pub(crate) fn new() -> Self {
         NameTable {
             names: Vec::new(),
-            index: HashMap::default(),
+            index: FxHashMap::default(),
         }
     }
 
@@ -89,16 +63,5 @@ mod tests {
         assert_eq!(&**t.get(a), "requester");
         assert_eq!(&**t.get(b), "completer");
         assert_eq!(t.names.len(), 2, "repeat interns must not grow the table");
-    }
-
-    #[test]
-    fn hasher_is_deterministic() {
-        fn h(s: &str) -> u64 {
-            let mut hh = FxHasher::default();
-            hh.write(s.as_bytes());
-            hh.finish()
-        }
-        assert_eq!(h("gpu0.warp"), h("gpu0.warp"));
-        assert_ne!(h("gpu0.warp"), h("gpu1.warp"));
     }
 }

@@ -37,7 +37,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-use crate::executor::ProcId;
+use crate::executor::Task;
 use crate::time::Time;
 
 /// Which event-queue implementation a [`crate::Sim`] uses.
@@ -80,7 +80,7 @@ pub(crate) struct TimerId {
 /// Seed-style shared timer state for the reference heap.
 pub(crate) struct HeapTimer {
     pub(crate) fired: Cell<bool>,
-    pub(crate) waiter: Cell<Option<ProcId>>,
+    pub(crate) waiter: Cell<Option<Task>>,
 }
 
 /// What a `Delay` future holds, per queue implementation.
@@ -94,7 +94,7 @@ pub(crate) enum TimerRef {
 struct TimerSlot {
     at: Time,
     seq: u64,
-    waiter: ProcId,
+    waiter: Task,
     gen: u32,
     /// Next slab index in this wheel slot's list, or in the free list.
     next: u32,
@@ -160,7 +160,7 @@ impl Wheel {
         }
     }
 
-    fn insert(&mut self, at: Time, seq: u64, waiter: ProcId) -> TimerId {
+    fn insert(&mut self, at: Time, seq: u64, waiter: Task) -> TimerId {
         debug_assert!(
             at >= self.elapsed,
             "timer at {at} before wheel cursor {}",
@@ -314,7 +314,7 @@ impl Wheel {
     }
 
     /// Fire the next timer: frees its slot and returns `(deadline, waiter)`.
-    fn pop(&mut self) -> Option<(Time, ProcId)> {
+    fn pop(&mut self) -> Option<(Time, Task)> {
         if self.buf_pos >= self.buf.len() {
             self.next_at(Time::MAX)?;
         }
@@ -446,7 +446,7 @@ impl TimerQueue {
         }
     }
 
-    pub(crate) fn schedule(&mut self, at: Time, waiter: ProcId) -> TimerRef {
+    pub(crate) fn schedule(&mut self, at: Time, waiter: Task) -> TimerRef {
         let seq = self.take_seqs(1);
         self.schedule_seq(at, waiter, seq)
     }
@@ -475,7 +475,7 @@ impl TimerQueue {
 
     /// Schedule a timer under a sequence number taken earlier (a resumed
     /// parked process's pending step, possibly due at the current instant).
-    pub(crate) fn schedule_seq(&mut self, at: Time, waiter: ProcId, seq: u64) -> TimerRef {
+    pub(crate) fn schedule_seq(&mut self, at: Time, waiter: Task, seq: u64) -> TimerRef {
         match &mut self.imp {
             Imp::Wheel(w) => TimerRef::Wheel(w.insert(at, seq, waiter)),
             Imp::Heap(h) => {
@@ -503,8 +503,9 @@ impl TimerQueue {
     }
 
     /// Fire the next timer (which [`Self::next_at`] must have reported as
-    /// due). Returns its deadline and the process to wake, if any.
-    pub(crate) fn pop(&mut self) -> Option<(Time, Option<ProcId>)> {
+    /// due). Returns its deadline and the process to wake or delivery to
+    /// fire, if any.
+    pub(crate) fn pop(&mut self) -> Option<(Time, Option<Task>)> {
         match &mut self.imp {
             Imp::Wheel(w) => w.pop().map(|(at, pid)| (at, Some(pid))),
             Imp::Heap(h) => h.queue.pop().map(|Reverse(ev)| {
@@ -534,12 +535,17 @@ impl TimerQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ProcId;
+
+    const fn p(i: usize) -> Task {
+        Task::Proc(ProcId(i as u32))
+    }
 
     fn wheel() -> Wheel {
         Wheel::new()
     }
 
-    fn drain(w: &mut Wheel) -> Vec<(Time, ProcId)> {
+    fn drain(w: &mut Wheel) -> Vec<(Time, Task)> {
         let mut out = Vec::new();
         while let Some(x) = w.pop() {
             out.push(x);
@@ -550,19 +556,14 @@ mod tests {
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut w = wheel();
-        w.insert(500, 0, ProcId(0));
-        w.insert(10, 1, ProcId(1));
-        w.insert(500, 2, ProcId(2));
-        w.insert(64, 3, ProcId(3));
+        w.insert(500, 0, p(0));
+        w.insert(10, 1, p(1));
+        w.insert(500, 2, p(2));
+        w.insert(64, 3, p(3));
         let order = drain(&mut w);
         assert_eq!(
             order,
-            vec![
-                (10, ProcId(1)),
-                (64, ProcId(3)),
-                (500, ProcId(0)),
-                (500, ProcId(2))
-            ]
+            vec![(10, p(1)), (64, p(3)), (500, p(0)), (500, p(2))]
         );
     }
 
@@ -572,11 +573,11 @@ mod tests {
         // All land in the same high-level slot, inserted out of seq order
         // relative to the slot list (push-front reverses it).
         for seq in 0..10u64 {
-            w.insert(1 << 20, seq, ProcId(seq as usize));
+            w.insert(1 << 20, seq, p(seq as usize));
         }
         let order = drain(&mut w);
-        let seqs: Vec<usize> = order.iter().map(|&(_, p)| p.0).collect();
-        assert_eq!(seqs, (0..10).collect::<Vec<_>>());
+        let woken: Vec<Task> = order.iter().map(|&(_, t)| t).collect();
+        assert_eq!(woken, (0..10).map(p).collect::<Vec<_>>());
     }
 
     #[test]
@@ -599,7 +600,7 @@ mod tests {
             (1 << 60) + 3,
         ];
         for (i, &at) in ats.iter().enumerate() {
-            w.insert(at, i as u64, ProcId(i));
+            w.insert(at, i as u64, p(i));
         }
         let popped: Vec<Time> = drain(&mut w).into_iter().map(|(t, _)| t).collect();
         let mut want = ats.to_vec();
@@ -610,39 +611,36 @@ mod tests {
     #[test]
     fn next_at_respects_limit_without_advancing() {
         let mut w = wheel();
-        w.insert(10_000, 0, ProcId(0));
+        w.insert(10_000, 0, p(0));
         // Peeking with a small limit returns a bound > limit and must not
         // advance the cursor, so an earlier insert afterwards still works.
         let bound = w.next_at(100).unwrap();
         assert!(bound > 100);
-        w.insert(150, 1, ProcId(1));
+        w.insert(150, 1, p(1));
         assert_eq!(w.next_at(Time::MAX), Some(150));
-        assert_eq!(drain(&mut w), vec![(150, ProcId(1)), (10_000, ProcId(0))]);
+        assert_eq!(drain(&mut w), vec![(150, p(1)), (10_000, p(0))]);
     }
 
     #[test]
     fn resume_after_deadline_keeps_order() {
         // The run_until(resume) pattern: peek far, then schedule near.
         let mut w = wheel();
-        w.insert(1 << 30, 0, ProcId(0));
+        w.insert(1 << 30, 0, p(0));
         assert!(w.next_at(1000).unwrap() > 1000);
-        w.insert(2000, 1, ProcId(1));
-        w.insert(1500, 2, ProcId(2));
+        w.insert(2000, 1, p(1));
+        w.insert(1500, 2, p(2));
         let order = drain(&mut w);
-        assert_eq!(
-            order,
-            vec![(1500, ProcId(2)), (2000, ProcId(1)), (1 << 30, ProcId(0))]
-        );
+        assert_eq!(order, vec![(1500, p(2)), (2000, p(1)), (1 << 30, p(0))]);
     }
 
     #[test]
     fn slots_are_reused_and_generations_protect_handles() {
         let mut w = wheel();
-        let a = w.insert(5, 0, ProcId(0));
+        let a = w.insert(5, 0, p(0));
         assert!(w.is_pending(a));
-        assert_eq!(w.pop(), Some((5, ProcId(0))));
+        assert_eq!(w.pop(), Some((5, p(0))));
         assert!(!w.is_pending(a), "fired handle must be stale");
-        let b = w.insert(9, 1, ProcId(1));
+        let b = w.insert(9, 1, p(1));
         assert_eq!(a.idx, b.idx, "slot must be reused");
         assert_ne!(a.gen, b.gen);
         assert!(w.is_pending(b));
@@ -652,15 +650,15 @@ mod tests {
     #[test]
     fn cancel_unlinks_pending_and_buffered_timers() {
         let mut w = wheel();
-        let a = w.insert(100, 0, ProcId(0));
-        let b = w.insert(100, 1, ProcId(1));
-        let c = w.insert(100, 2, ProcId(2));
+        let a = w.insert(100, 0, p(0));
+        let b = w.insert(100, 1, p(1));
+        let c = w.insert(100, 2, p(2));
         w.cancel(b);
         assert_eq!(w.len, 2);
         // Fill the fire buffer, then cancel a buffered entry.
         assert_eq!(w.next_at(Time::MAX), Some(100));
         w.cancel(c);
-        assert_eq!(drain(&mut w), vec![(100, ProcId(0))]);
+        assert_eq!(drain(&mut w), vec![(100, p(0))]);
         // Cancelling stale handles is a no-op.
         w.cancel(a);
         w.cancel(b);
@@ -673,8 +671,8 @@ mod tests {
         let mut hq = TimerQueue::new(QueueKind::RefHeap);
         let ats = [7u64, 3, 3, 900, 64, 4096, 64, 1 << 40, 12];
         for (i, &at) in ats.iter().enumerate() {
-            wq.schedule(at, ProcId(i));
-            hq.schedule(at, ProcId(i));
+            wq.schedule(at, p(i));
+            hq.schedule(at, p(i));
         }
         loop {
             let a = wq.pop();
@@ -689,16 +687,16 @@ mod tests {
     #[test]
     fn a_timer_due_at_the_cursor_joins_the_fire_buffer_by_seq() {
         let mut q = TimerQueue::new(QueueKind::Wheel);
-        q.schedule(100, ProcId(0));
+        q.schedule(100, p(0));
         let skipped = q.take_seqs(1);
-        q.schedule(100, ProcId(2));
+        q.schedule(100, p(2));
         assert_eq!(q.next_at(Time::MAX), Some(100));
         assert_eq!(q.peek_seq(), 0);
-        assert_eq!(q.pop(), Some((100, Some(ProcId(0)))));
-        q.schedule_seq(100, ProcId(1), skipped);
+        assert_eq!(q.pop(), Some((100, Some(p(0)))));
+        q.schedule_seq(100, p(1), skipped);
         assert_eq!(q.peek_seq(), skipped);
-        assert_eq!(q.pop(), Some((100, Some(ProcId(1)))));
-        assert_eq!(q.pop(), Some((100, Some(ProcId(2)))));
+        assert_eq!(q.pop(), Some((100, Some(p(1)))));
+        assert_eq!(q.pop(), Some((100, Some(p(2)))));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! cheap, §V-A.3).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use tc_mem::Addr;
+use tc_trace::fx::FxHashSet;
 
 /// One line watch: `(id, first line, last line, callback)`.
 type LineWatch = (u64, u64, u64, Rc<dyn Fn()>);
@@ -29,7 +30,7 @@ pub struct L2Model {
 }
 
 struct L2State {
-    resident: HashSet<u64>,
+    resident: FxHashSet<u64>,
     fifo: VecDeque<u64>,
 }
 
@@ -41,7 +42,7 @@ impl L2Model {
             line_bytes,
             capacity_lines: (capacity_bytes / line_bytes) as usize,
             state: RefCell::new(L2State {
-                resident: HashSet::new(),
+                resident: FxHashSet::default(),
                 fifo: VecDeque::new(),
             }),
             watches: RefCell::new(Vec::new()),

@@ -127,30 +127,36 @@ impl<T: 'static> Fabric<T> {
     }
 
     /// Deliver a frame captured on another shard: the local half of the
-    /// propagation modelled by [`Port::send_to`]. Spawns the same
-    /// `fabric.prop` process the serial path uses — the frame lands in
-    /// `dst`'s receive queue at exactly `deliver_at`, and the deserialize
-    /// span is back-dated by one fabric latency so traces line up with a
-    /// serial run. Must be called before simulated time reaches
-    /// `deliver_at`.
+    /// propagation modelled by [`Port::send_to`], through the same
+    /// delivery the serial path uses — the frame lands in `dst`'s receive
+    /// queue at exactly `deliver_at`, and the deserialize span is
+    /// back-dated by one fabric latency so traces line up with a serial
+    /// run. Must be called before simulated time reaches `deliver_at`.
     pub fn inject(&self, dst: usize, src: usize, deliver_at: Time, frame: T, payload_bytes: u64)
     where
         T: 'static,
     {
+        assert!(dst < self.inner.ports.len(), "no such fabric port: {dst}");
+        assert!(
+            deliver_at > self.inner.sim.now(),
+            "injected frame would deliver in the past"
+        );
+        self.propagate(dst, src, deliver_at, frame, payload_bytes);
+    }
+
+    /// Land `frame` from port `src` in `dst`'s receive queue at `at`, one
+    /// fabric latency after its serialization ended: a timed delivery
+    /// ([`Sim::deliver`]), not a process per frame.
+    fn propagate(&self, dst: usize, src: usize, at: Time, frame: T, payload_bytes: u64) {
         let inner = &self.inner;
-        assert!(dst < inner.ports.len(), "no such fabric port: {dst}");
         let rx = inner.ports[dst].rx.clone();
-        let sim = inner.sim.clone();
-        let lat = inner.cfg.latency;
         let rec = inner.sim.recorder().clone();
-        inner.sim.spawn("fabric.prop", async move {
-            let now = sim.now();
-            assert!(deliver_at > now, "injected frame would deliver in the past");
-            sim.delay(deliver_at - now).await;
+        let lat = inner.cfg.latency;
+        inner.sim.deliver("fabric.prop", at, move || {
             if rec.on() {
                 rec.span(
-                    deliver_at - lat,
-                    deliver_at,
+                    at - lat,
+                    at,
                     "link",
                     format!("fabric.port{dst}.rx"),
                     "deserialize",
@@ -160,7 +166,9 @@ impl<T: 'static> Fabric<T> {
                     ],
                 );
             }
-            rx.send(frame).await;
+            if rx.try_send(frame).is_err() {
+                unreachable!("fabric receive queues are unbounded");
+            }
         });
     }
 
@@ -247,7 +255,7 @@ impl<T: 'static> Port<T> {
         let tx_done = start + ser;
         me.tx_busy_until.set(tx_done);
         inner.sim.delay(tx_done - now).await;
-        let rec = inner.sim.recorder().clone();
+        let rec = inner.sim.recorder();
         if rec.on() {
             // The span starts when the TX engine begins clocking the frame
             // out, which may be later than the caller's arrival if the
@@ -282,28 +290,13 @@ impl<T: 'static> Port<T> {
             return;
         }
         // Propagation: enqueue at the destination after `latency`.
-        let rx = inner.ports[dst].rx.clone();
-        let sim = inner.sim.clone();
-        let lat = inner.cfg.latency;
-        let src = self.side;
-        inner.sim.spawn("fabric.prop", async move {
-            let t0 = sim.now();
-            sim.delay(lat).await;
-            if rec.on() {
-                rec.span(
-                    t0,
-                    sim.now(),
-                    "link",
-                    format!("fabric.port{dst}.rx"),
-                    "deserialize",
-                    vec![
-                        ("bytes", payload_bytes.into()),
-                        ("src", (src as u64).into()),
-                    ],
-                );
-            }
-            rx.send(frame).await;
-        });
+        self.fabric.propagate(
+            dst,
+            self.side,
+            tx_done + inner.cfg.latency,
+            frame,
+            payload_bytes,
+        );
     }
 
     /// Two-node convenience: transmit to the *other* side of a cable.

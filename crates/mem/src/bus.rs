@@ -1,7 +1,7 @@
 //! The fabric bus: routes reads/writes by address to RAM windows, MMIO
 //! devices, or alias windows (e.g. the GPUDirect BAR aperture).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -60,64 +60,86 @@ pub trait MmioDevice {
     fn mmio_read(&self, offset: u64, buf: &mut [u8]);
 }
 
-enum Region {
-    Ram {
-        base: Addr,
-        len: u64,
-        mem: Rc<SparseMem>,
-        kind: RegionKind,
-    },
-    Mmio {
-        base: Addr,
-        len: u64,
-        dev: Rc<dyn MmioDevice>,
-        kind: RegionKind,
-    },
-    /// Redirects `base..base+len` to `target..target+len`.
-    Alias {
-        base: Addr,
-        len: u64,
-        target: Addr,
-        kind: RegionKind,
-    },
+/// One mapped window: `base..end`, what backs it, and how it classifies.
+struct Region {
+    base: Addr,
+    end: Addr,
+    kind: RegionKind,
+    to: Backing,
 }
 
-impl Region {
-    fn base(&self) -> Addr {
-        match self {
-            Region::Ram { base, .. } | Region::Mmio { base, .. } | Region::Alias { base, .. } => {
-                *base
-            }
-        }
-    }
-    fn len(&self) -> u64 {
-        match self {
-            Region::Ram { len, .. } | Region::Mmio { len, .. } | Region::Alias { len, .. } => *len,
-        }
-    }
-    fn kind(&self) -> RegionKind {
-        match self {
-            Region::Ram { kind, .. } | Region::Mmio { kind, .. } | Region::Alias { kind, .. } => {
-                *kind
-            }
-        }
-    }
+enum Backing {
+    Ram(Rc<SparseMem>),
+    Mmio(Rc<dyn MmioDevice>),
+    /// Redirects `base..end` to `target..target + (end - base)`.
+    Alias(Addr),
 }
 
-/// The region holding `addr`; panics if it is unmapped.
-fn find(regions: &[Region], addr: Addr) -> &Region {
-    let idx = regions
-        .binary_search_by(|r| {
-            if addr < r.base() {
-                std::cmp::Ordering::Greater
-            } else if addr >= r.base() + r.len() {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
+/// log2 of a routing bucket: every [`crate::layout`] window starts on a
+/// 1 TiB boundary, so one bucket holds at most the two devices of a
+/// node's EXTOLL BAR.
+const BUCKET_SHIFT: u32 = 40;
+
+/// The regions, sorted by base, and the bucket index that routes an
+/// address to its region in constant time.
+#[derive(Default)]
+struct Map {
+    regions: Vec<Region>,
+    /// Bucket of the lowest mapped byte.
+    lo: u64,
+    /// `first[b - lo]`: the first region that ends after bucket `b`
+    /// starts, for every bucket from the lowest mapped byte's to the
+    /// highest's (4 bytes per TiB spanned, 64 per node of the layout). Any
+    /// region holding an address of bucket `b` comes at or after it, and
+    /// before the first region that starts past the address.
+    first: Vec<u32>,
+    /// Whether `first` covers every region; an insert clears it and the
+    /// next access rebuilds it, so a cluster build indexes once.
+    indexed: bool,
+}
+
+impl Map {
+    /// Rebuild the bucket index: one sweep over the buckets and regions.
+    fn reindex(&mut self) {
+        self.first.clear();
+        self.indexed = true;
+        let (Some(lo), Some(hi)) = (self.regions.first(), self.regions.last()) else {
+            return;
+        };
+        self.lo = lo.base >> BUCKET_SHIFT;
+        let hi = (hi.end - 1) >> BUCKET_SHIFT;
+        let mut i = 0;
+        for b in self.lo..=hi {
+            let start = b << BUCKET_SHIFT;
+            while self.regions[i].end <= start {
+                i += 1;
             }
-        })
-        .unwrap_or_else(|_| panic!("bus access to unmapped address {addr:#x}"));
-    &regions[idx]
+            self.first
+                .push(u32::try_from(i).expect("under 2^32 regions"));
+        }
+    }
+
+    /// The region holding `addr`, if any.
+    #[inline]
+    fn find(&self, addr: Addr) -> Option<&Region> {
+        debug_assert!(self.indexed, "bus index is stale");
+        let b = (addr >> BUCKET_SHIFT).checked_sub(self.lo)?;
+        let mut i = *self.first.get(b as usize)? as usize;
+        loop {
+            let r = self.regions.get(i)?;
+            if addr < r.end {
+                return (r.base <= addr).then_some(r);
+            }
+            i += 1;
+        }
+    }
+
+    /// The region holding `addr`; panics if it is unmapped.
+    #[inline]
+    fn region(&self, addr: Addr) -> &Region {
+        self.find(addr)
+            .unwrap_or_else(|| panic!("bus access to unmapped address {addr:#x}"))
+    }
 }
 
 /// Where an access ends up once alias windows are resolved.
@@ -176,9 +198,13 @@ impl RangeWatches {
 }
 
 /// The fabric bus. Cheap to clone (shared).
+///
+/// An access finds its region through a bucket index keyed by
+/// `addr >> 40` (see [`crate::layout`]'s 1 TiB window rule), not by
+/// searching the region list.
 #[derive(Clone, Default)]
 pub struct Bus {
-    regions: Rc<RefCell<Vec<Region>>>,
+    map: Rc<RefCell<Map>>,
     /// Shared across clones so a watch installed after wiring is seen by
     /// every holder of the bus. `None` (the default) costs one borrow and
     /// branch per RAM access.
@@ -198,61 +224,69 @@ impl Bus {
         *self.watch.borrow_mut() = watch;
     }
 
-    fn insert(&self, r: Region) {
-        let mut regions = self.regions.borrow_mut();
-        let (b, l) = (r.base(), r.len());
-        for other in regions.iter() {
-            let (ob, ol) = (other.base(), other.len());
+    /// The region map, its index rebuilt first if an insert left it stale.
+    #[inline]
+    fn map(&self) -> Ref<'_, Map> {
+        let map = self.map.borrow();
+        if map.indexed {
+            return map;
+        }
+        drop(map);
+        self.map.borrow_mut().reindex();
+        self.map.borrow()
+    }
+
+    fn insert(&self, base: Addr, len: u64, kind: RegionKind, to: Backing) {
+        assert!(len > 0, "zero-length region at {base:#x}");
+        let mut map = self.map.borrow_mut();
+        let regions = &mut map.regions;
+        let pos = regions.partition_point(|r| r.base < base);
+        let below = pos.checked_sub(1).map(|i| &regions[i]);
+        for other in below.into_iter().chain(regions.get(pos)) {
+            let (ob, ol) = (other.base, other.end - other.base);
             assert!(
-                b + l <= ob || ob + ol <= b,
-                "region [{b:#x};{l:#x}) overlaps existing [{ob:#x};{ol:#x})"
+                base + len <= ob || other.end <= base,
+                "region [{base:#x};{len:#x}) overlaps existing [{ob:#x};{ol:#x})"
             );
         }
-        regions.push(r);
-        // Keep sorted for binary search.
-        regions.sort_by_key(|r| r.base());
+        regions.insert(
+            pos,
+            Region {
+                base,
+                end: base + len,
+                kind,
+                to,
+            },
+        );
+        map.indexed = false;
     }
 
     /// Map a RAM window.
     pub fn add_ram(&self, mem: Rc<SparseMem>, kind: RegionKind) {
-        self.insert(Region::Ram {
-            base: mem.base(),
-            len: mem.len(),
-            mem,
-            kind,
-        });
+        self.insert(mem.base(), mem.len(), kind, Backing::Ram(mem));
     }
 
     /// Map an MMIO device at `base..base+len`.
     pub fn add_mmio(&self, base: Addr, len: u64, dev: Rc<dyn MmioDevice>, kind: RegionKind) {
-        self.insert(Region::Mmio {
-            base,
-            len,
-            dev,
-            kind,
-        });
+        self.insert(base, len, kind, Backing::Mmio(dev));
     }
 
     /// Map an alias window redirecting to `target`.
     pub fn add_alias(&self, base: Addr, len: u64, target: Addr, kind: RegionKind) {
-        self.insert(Region::Alias {
-            base,
-            len,
-            target,
-            kind,
-        });
+        self.insert(base, len, kind, Backing::Alias(target));
     }
 
     /// Hand `f` the RAM window (with the address resolved through alias
     /// windows) or MMIO device (with the offset) that `addr` names.
     fn route<R>(&self, addr: Addr, f: impl FnOnce(Target<'_>) -> R) -> R {
-        let regions = self.regions.borrow();
+        let map = self.map();
         let mut addr = addr;
         loop {
-            match find(&regions, addr) {
-                Region::Ram { mem, .. } => return f(Target::Ram(mem, addr)),
-                Region::Mmio { base, dev, .. } => return f(Target::Mmio(&**dev, addr - base)),
-                Region::Alias { base, target, .. } => addr = target + (addr - base),
+            let r = map.region(addr);
+            match &r.to {
+                Backing::Ram(mem) => return f(Target::Ram(mem, addr)),
+                Backing::Mmio(dev) => return f(Target::Mmio(&**dev, addr - r.base)),
+                Backing::Alias(target) => addr = target + (addr - r.base),
             }
         }
     }
@@ -260,15 +294,12 @@ impl Bus {
     /// Classify an address. Alias windows report their own kind (e.g.
     /// `GpuBar`), not the target's.
     pub fn classify(&self, addr: Addr) -> RegionKind {
-        find(&self.regions.borrow(), addr).kind()
+        self.map().region(addr).kind
     }
 
     /// True if the address is mapped.
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        let regions = self.regions.borrow();
-        regions
-            .iter()
-            .any(|r| addr >= r.base() && addr < r.base() + r.len())
+        self.map().find(addr).is_some()
     }
 
     /// Resolve `addr` through alias windows to the RAM address it names;
@@ -673,6 +704,18 @@ mod tests {
     fn unmapped_access_panics() {
         let bus = bus_with_ram();
         bus.read_u64(layout::host_dram(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length region")]
+    fn zero_length_region_rejected() {
+        let bus = bus_with_ram();
+        bus.add_alias(
+            layout::gpu_bar(0),
+            0,
+            layout::gpu_dram(0),
+            RegionKind::GpuBar { node: 0 },
+        );
     }
 
     #[test]

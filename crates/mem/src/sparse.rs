@@ -1,7 +1,8 @@
 //! Sparse page-backed simulated RAM.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+
+use tc_trace::fx::FxHashMap;
 
 use crate::payload::{Payload, Run};
 use crate::Addr;
@@ -16,7 +17,8 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 pub struct SparseMem {
     base: Addr,
     len: u64,
-    pages: RefCell<HashMap<u64, Box<[u8; PAGE_SIZE]>>>,
+    /// Resident pages by page number, hashed through the Fx hasher.
+    pages: RefCell<FxHashMap<u64, Box<[u8; PAGE_SIZE]>>>,
 }
 
 impl SparseMem {
@@ -25,7 +27,7 @@ impl SparseMem {
         SparseMem {
             base,
             len,
-            pages: RefCell::new(HashMap::new()),
+            pages: RefCell::new(FxHashMap::default()),
         }
     }
 

@@ -188,3 +188,206 @@ fn alias_window_is_transparent() {
         );
     }
 }
+
+/// One region of the linear-scan reference bus.
+struct RefRegion {
+    base: u64,
+    end: u64,
+    kind: RegionKind,
+    to: RefTo,
+}
+
+enum RefTo {
+    Ram(Rc<SparseMem>),
+    Mmio(Rc<Dev>),
+    Alias(u64),
+}
+
+/// An MMIO device that logs its writes and reads back a pattern of its id
+/// and the offset.
+struct Dev {
+    id: u8,
+    writes: std::cell::RefCell<Vec<(u64, Vec<u8>)>>,
+}
+
+impl tc_mem::MmioDevice for Dev {
+    fn mmio_write(&self, offset: u64, data: &[u8]) {
+        self.writes.borrow_mut().push((offset, data.to_vec()));
+    }
+    fn mmio_read(&self, offset: u64, buf: &mut [u8]) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.id ^ (offset as u8).wrapping_add(i as u8);
+        }
+    }
+}
+
+/// The reference: the region holding `addr`, by scanning every region.
+fn scan(regions: &[RefRegion], addr: u64) -> Option<&RefRegion> {
+    regions.iter().find(|r| r.base <= addr && addr < r.end)
+}
+
+/// A seeded map of RAM, MMIO and alias regions in the first 32 TiB:
+/// regions spanning several 1 TiB buckets, several regions in one
+/// bucket, adjacent regions and gaps of every size.
+fn random_map(rng: &mut XorShift64) -> Vec<RefRegion> {
+    const TIB: u64 = 1 << 40;
+    let mut regions: Vec<RefRegion> = Vec::new();
+    let mut cursor = rng.below(3) * TIB + rng.below(2) * rng.below(1 << 20);
+    for k in 0..2 + rng.below(10) {
+        cursor += match rng.below(4) {
+            0 => 0,
+            1 => rng.range(1, 1 << 20),
+            2 => (TIB - cursor % TIB) % TIB,
+            _ => rng.below(2) * TIB + rng.range(1, 1 << 30),
+        };
+        let mut len = match rng.below(4) {
+            0 => rng.range(1, 1 << 16),
+            1 => rng.range(1, 1 << 32),
+            2 => rng.range(1, 4) * TIB + rng.below(1 << 30),
+            _ => TIB - cursor % TIB,
+        };
+        let node = k as usize;
+        let ram: Vec<&RefRegion> = regions
+            .iter()
+            .filter(|r| matches!(r.to, RefTo::Ram(_)))
+            .collect();
+        let (kind, to) = match rng.below(3) {
+            1 if !ram.is_empty() => {
+                let t = ram[rng.below(ram.len() as u64) as usize];
+                len = len.min(t.end - t.base);
+                let target = t.base + rng.below(t.end - t.base - len + 1);
+                (RegionKind::GpuBar { node }, RefTo::Alias(target))
+            }
+            2 => (
+                RegionKind::Mmio { node },
+                RefTo::Mmio(Rc::new(Dev {
+                    id: k as u8,
+                    writes: Default::default(),
+                })),
+            ),
+            _ => (
+                RegionKind::HostDram { node },
+                RefTo::Ram(Rc::new(SparseMem::new(cursor, len))),
+            ),
+        };
+        regions.push(RefRegion {
+            base: cursor,
+            end: cursor + len,
+            kind,
+            to,
+        });
+        cursor += len;
+    }
+    regions
+}
+
+/// The bucket-indexed bus routes every address exactly like a linear scan
+/// of its regions: `is_mapped`, `classify`, `resolve`, `read` and `write`
+/// agree with the reference at region edges, at every bucket boundary
+/// inside a region, at random interior points and in the gaps, whatever
+/// order the regions were inserted in; unmapped addresses panic with the
+/// bus's message.
+#[test]
+fn indexed_bus_matches_a_linear_scan() {
+    const TIB: u64 = 1 << 40;
+    // Regions spanning buckets, neighbours sharing a bucket, adjacent
+    // neighbours, and aliases.
+    let mut seen = [0usize; 4];
+    for seed in 1..=256u64 {
+        let mut rng = XorShift64::new(seed);
+        let regions = random_map(&mut rng);
+        for p in regions.windows(2) {
+            seen[1] += usize::from((p[0].end - 1) / TIB == p[1].base / TIB);
+            seen[2] += usize::from(p[0].end == p[1].base);
+        }
+        seen[3] += regions
+            .iter()
+            .filter(|r| matches!(r.to, RefTo::Alias(_)))
+            .count();
+        let bus = Bus::new();
+        let mut order: Vec<usize> = (0..regions.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        for &i in &order {
+            let r = &regions[i];
+            match &r.to {
+                RefTo::Ram(mem) => bus.add_ram(mem.clone(), r.kind),
+                RefTo::Mmio(dev) => bus.add_mmio(r.base, r.end - r.base, dev.clone(), r.kind),
+                RefTo::Alias(t) => bus.add_alias(r.base, r.end - r.base, *t, r.kind),
+            }
+        }
+        let mut probes = Vec::new();
+        for r in &regions {
+            probes.extend([r.base, r.end - 1, r.end, r.base.wrapping_sub(1)]);
+            probes.push(r.base + rng.below(r.end - r.base));
+            let mut b = (r.base / TIB + 1) * TIB;
+            while b < r.end {
+                probes.extend([b - 1, b]);
+                b += TIB;
+            }
+            seen[0] += usize::from(r.base / TIB != (r.end - 1) / TIB);
+        }
+        let top = regions.last().unwrap().end;
+        for _ in 0..16 {
+            probes.push(rng.below(top + 2 * TIB));
+        }
+        for addr in probes {
+            let at = format!("seed {seed}, address {addr:#x}");
+            let Some(r) = scan(&regions, addr) else {
+                assert!(!bus.is_mapped(addr), "{at}: mapped");
+                for access in [0, 1] {
+                    let b = bus.clone();
+                    let err =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match access {
+                            0 => drop(b.classify(addr)),
+                            _ => drop(b.read_u64(addr)),
+                        }))
+                        .expect_err(&at);
+                    let msg = err.downcast_ref::<String>().expect("a formatted panic");
+                    assert_eq!(*msg, format!("bus access to unmapped address {addr:#x}"));
+                }
+                continue;
+            };
+            assert!(bus.is_mapped(addr), "{at}: unmapped");
+            assert_eq!(bus.classify(addr), r.kind, "{at}");
+            let resolved = match r.to {
+                RefTo::Alias(t) => {
+                    let a = t + (addr - r.base);
+                    assert!(matches!(scan(&regions, a).unwrap().to, RefTo::Ram(_)));
+                    Some(a)
+                }
+                RefTo::Ram(_) => Some(addr),
+                RefTo::Mmio(_) => None,
+            };
+            assert_eq!(bus.resolve(addr), resolved, "{at}");
+            let n = (1 + rng.below(8)).min(r.end - addr) as usize;
+            let mut data = vec![0u8; n];
+            rng.fill_bytes(&mut data);
+            bus.write(addr, &data);
+            let mut back = vec![0u8; n];
+            bus.read(addr, &mut back);
+            match (&r.to, resolved) {
+                (RefTo::Mmio(dev), _) => {
+                    let last = dev.writes.borrow().last().cloned();
+                    assert_eq!(last, Some((addr - r.base, data)), "{at}");
+                    let off = (addr - r.base) as u8;
+                    let want: Vec<u8> =
+                        (0..n as u8).map(|i| dev.id ^ off.wrapping_add(i)).collect();
+                    assert_eq!(back, want, "{at}");
+                }
+                (_, Some(a)) => {
+                    assert_eq!(back, data, "{at}");
+                    let RefTo::Ram(mem) = &scan(&regions, a).unwrap().to else {
+                        unreachable!()
+                    };
+                    let mut direct = vec![0u8; n];
+                    mem.read(a, &mut direct);
+                    assert_eq!(direct, data, "{at}: landed elsewhere");
+                }
+                _ => unreachable!(),
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 200), "{seen:?}");
+}

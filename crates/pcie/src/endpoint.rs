@@ -19,7 +19,8 @@ pub struct Endpoint {
     stats: Rc<PcieStats>,
     link: Link,
     name: Rc<str>,
-    /// Process name of a posted write's delivery, `<name>.pw`.
+    /// Process name of a posted write's delivery, `<name>.pw` (a recorded
+    /// run spawns it as a process).
     pw_name: Rc<str>,
     /// Trace track for this endpoint's events, e.g. `pcie0.nic`.
     track: Rc<str>,
@@ -69,7 +70,12 @@ impl Endpoint {
     /// Issue a small **posted write** (doorbell, BAR work request, mapped
     /// flag). Returns once the write has left the device; delivery to the
     /// target (and any MMIO side effect) happens `posted_write_lat` later.
-    /// Posted writes from one endpoint are delivered in issue order.
+    /// Posted writes from one endpoint are delivered in issue order:
+    /// the link hands out non-decreasing delivery instants per endpoint,
+    /// and the delivery ([`Sim::deliver`]) of a later write is created
+    /// later, so it reaches its place in the runnable queue later and
+    /// draws a larger sequence number, which breaks an equal-instant tie
+    /// its way.
     pub async fn posted_write(&self, addr: Addr, data: Vec<u8>) {
         PcieStats::bump(&self.stats.posted_writes, 1);
         PcieStats::bump(&self.stats.posted_write_bytes, data.len() as u64);
@@ -88,15 +94,8 @@ impl Endpoint {
         let deliver_at = issued + self.cfg.posted_write_lat;
         self.stats.mmio_write_ps.record(deliver_at - self.sim.now());
         let bus = self.bus.clone();
-        let sim = self.sim.clone();
-        // Delivery happens asynchronously; `reserve` above hands out
-        // monotonically non-decreasing completion times per endpoint, and the
-        // executor breaks timestamp ties in spawn order, so ordering holds.
-        self.sim.spawn(&self.pw_name, async move {
-            let now = sim.now();
-            sim.delay(deliver_at - now).await;
-            bus.write(addr, &data);
-        });
+        self.sim
+            .deliver(&self.pw_name, deliver_at, move || bus.write(addr, &data));
         // Issuer pays the issue cost only.
         self.sim.delay(self.cfg.posted_write_issue).await;
     }

@@ -479,9 +479,9 @@ pub fn critical_path(dumps: &[CausalDump], label: &str) -> Option<Vec<PathSeg>> 
 }
 
 /// Count the wire crossings on a critical path: the number of distinct
-/// `fabric.prop` processes (the link-layer propagation process, one per
-/// frame, on both the serial and the envelope-replay path) the path runs
-/// through.
+/// `fabric.prop` processes (the link-layer propagation process a recorded
+/// run spawns per frame, on both the serial and the envelope-replay path)
+/// the path runs through.
 pub fn wire_crossings(dumps: &[CausalDump], path: &[PathSeg]) -> usize {
     let mut seen: Vec<(usize, u64)> = Vec::new();
     for seg in path {

@@ -27,6 +27,8 @@
 //! * [`rng::XorShift64`] — a tiny deterministic PRNG used by the
 //!   randomized property tests, so the default workspace builds with zero
 //!   external crates (the build environment has no registry access).
+//! * [`fx`] — the workspace's one fast hasher for simulation-internal
+//!   keys (process names, RAM pages, L2 lines).
 //!
 //! Recording is zero-cost when off: a disabled recorder stores no events,
 //! and because it only *observes* (it never awaits, delays or schedules),
@@ -36,6 +38,7 @@
 pub mod causal;
 pub mod chrome;
 pub mod counter;
+pub mod fx;
 pub mod gauge;
 pub mod histogram;
 pub mod recorder;
