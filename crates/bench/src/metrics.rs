@@ -134,19 +134,7 @@ pub fn render(
 
 fn quote(s: &str) -> String {
     let mut q = String::with_capacity(s.len() + 2);
-    q.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => q.push_str("\\\""),
-            '\\' => q.push_str("\\\\"),
-            '\n' => q.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(q, "\\u{:04x}", c as u32);
-            }
-            c => q.push(c),
-        }
-    }
-    q.push('"');
+    tc_trace::chrome::escape(&mut q, s);
     q
 }
 

@@ -1,9 +1,11 @@
-//! The two-node testbed builder.
+//! The cluster builder.
 //!
 //! The paper's testbed is two nodes back to back, each with a host CPU, a
 //! Kepler-class GPU and either an EXTOLL Galibier or an Infiniband FDR HCA.
-//! [`Cluster::new`] assembles the whole simulated system: fabric bus, host
-//! DRAM, PCIe fabric per node, GPU, CPU thread, NIC, and the cable.
+//! [`Cluster::new`] assembles that system: fabric bus, host DRAM, PCIe
+//! fabric per node, GPU, CPU thread, NIC, and a two-port fabric (the
+//! cable). [`Cluster::with_nodes`] builds the same system with N nodes on
+//! one N-port fabric.
 
 use std::rc::Rc;
 
@@ -89,7 +91,7 @@ impl ClusterConfig {
 
 /// One node of the testbed.
 pub struct Node {
-    /// Node index (0 or 1).
+    /// Global node index (`0..nodes` of the full system).
     pub idx: usize,
     /// The host CPU thread.
     pub cpu: CpuThread,
@@ -133,7 +135,8 @@ impl tc_mem::BusWatch for CausalBusWatch {
     }
 }
 
-/// The complete two-node system.
+/// The complete simulated system: N nodes on one fabric (two for the
+/// paper's testbed).
 pub struct Cluster {
     /// The simulation that everything runs in.
     pub sim: Sim,

@@ -271,6 +271,7 @@ mod tests {
     #[test]
     fn ring_allreduce_on_two_nodes() {
         run_ring(Backend::Extoll, 2, 32);
+        run_ring(Backend::Infiniband, 2, 32);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! for Thread-collaborative Processors* (ICPP 2014).
 //!
 //! The crate ties the simulated substrates together into the paper's
-//! system: two GPU-equipped nodes connected by EXTOLL or Infiniband, with
-//! one-sided communication controllable from the host CPU, from the GPU
-//! directly (GPUDirect + driver patches), or through a host-assisted flag
-//! protocol.
+//! system: GPU-equipped nodes connected by EXTOLL or Infiniband (two back
+//! to back in the paper, N on a switch here), with one-sided communication
+//! controllable from the host CPU, from the GPU directly (GPUDirect +
+//! driver patches), or through a host-assisted flag protocol.
 //!
 //! # Quick start
 //!
@@ -42,15 +42,15 @@
 //!
 //! # Layout
 //!
-//! * [`cluster`] — the two-node testbed builder.
+//! * [`cluster`] — the testbed builder (the paper's two nodes, or N).
 //! * [`transport`] — the backend-agnostic transport seam: the
 //!   [`transport::Transport`] trait, its EXTOLL/Infiniband
 //!   implementations, and the `Backend::instantiate` factory.
 //! * [`api`] — `create_pair`, the unified put/get entry point (both
 //!   backends, both processors).
-//! * [`collectives`] — exchange/barrier/broadcast/all-reduce built on the
-//!   one-sided API (the "GPU communication library" direction of the
-//!   paper's conclusion).
+//! * [`collectives`] — the N-node ring all-reduce built on the one-sided
+//!   API (the "GPU communication library" direction of the paper's
+//!   conclusion).
 //! * [`msg`] — MPI-style message passing over the transport seam: eager
 //!   copies vs RDMA rendezvous, credit-based flow control, and the
 //!   application patterns built on it.

@@ -333,7 +333,7 @@ mod tests {
     use std::rc::Rc;
     use tc_desim::Sim;
     use tc_gpu::{Gpu, GpuConfig};
-    use tc_link::{Cable, CableConfig};
+    use tc_link::{CableConfig, Fabric};
     use tc_mem::{Bus, Heap, SparseMem};
     use tc_pcie::{CpuConfig, CpuThread, Pcie, PcieConfig};
 
@@ -347,7 +347,8 @@ mod tests {
     /// Two EXTOLL nodes back to back.
     pub(crate) fn two_nodes(sim: &Sim) -> (Bus, Node, Node) {
         let bus = Bus::new();
-        let cable: Cable<crate::engine::RmaFrame> = Cable::new(sim, CableConfig::extoll_galibier());
+        let cable: Fabric<crate::engine::RmaFrame> =
+            Fabric::new(sim, CableConfig::extoll_galibier(), 2);
         let build = |node: usize| {
             bus.add_ram(
                 Rc::new(SparseMem::new(layout::host_dram(node), 1 << 30)),

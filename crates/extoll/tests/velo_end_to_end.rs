@@ -7,7 +7,7 @@ use tc_desim::{Sim, Time, Work};
 use tc_extoll::api::VeloPort;
 use tc_extoll::{ExtollNic, RmaConfig, RmaFrame, VELO_MAX_PAYLOAD};
 use tc_gpu::{Gpu, GpuConfig};
-use tc_link::{Cable, CableConfig};
+use tc_link::{CableConfig, Fabric};
 use tc_mem::{layout, Bus, Heap, RegionKind, SparseMem};
 use tc_pcie::{CpuConfig, CpuThread, Pcie, PcieConfig, Processor};
 use tc_trace::Snapshot;
@@ -20,7 +20,7 @@ struct Node {
 
 fn two_nodes(sim: &Sim) -> (Bus, Node, Node) {
     let bus = Bus::new();
-    let cable: Cable<RmaFrame> = Cable::new(sim, CableConfig::extoll_galibier());
+    let cable: Fabric<RmaFrame> = Fabric::new(sim, CableConfig::extoll_galibier(), 2);
     let build = |node: usize| {
         bus.add_ram(
             Rc::new(SparseMem::new(layout::host_dram(node), 1 << 30)),

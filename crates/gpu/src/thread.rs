@@ -253,20 +253,6 @@ impl GpuThread {
         }
     }
 
-    /// 64-bit global load.
-    pub async fn ld_u64(&self, addr: Addr) -> u64 {
-        let mut b = [0u8; 8];
-        self.load(addr, &mut b).await;
-        u64::from_le_bytes(b)
-    }
-
-    /// 32-bit global load.
-    pub async fn ld_u32(&self, addr: Addr) -> u32 {
-        let mut b = [0u8; 4];
-        self.load(addr, &mut b).await;
-        u32::from_le_bytes(b)
-    }
-
     /// 128-bit global load (one `ld.v2.u64`).
     pub async fn ld_u128(&self, addr: Addr) -> u128 {
         let mut b = [0u8; 16];
@@ -274,29 +260,9 @@ impl GpuThread {
         u128::from_le_bytes(b)
     }
 
-    /// 64-bit global store.
-    pub async fn st_u64(&self, addr: Addr, v: u64) {
-        self.store(addr, &v.to_le_bytes()).await;
-    }
-
-    /// 32-bit global store.
-    pub async fn st_u32(&self, addr: Addr, v: u32) {
-        self.store(addr, &v.to_le_bytes()).await;
-    }
-
     /// 128-bit global store (one `st.v2.u64`).
     pub async fn st_u128(&self, addr: Addr, v: u128) {
         self.store(addr, &v.to_le_bytes()).await;
-    }
-
-    /// Bulk load (e.g. touching a received payload).
-    pub async fn ld_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        self.load(addr, buf).await;
-    }
-
-    /// Bulk store (e.g. initializing a payload buffer).
-    pub async fn st_bytes(&self, addr: Addr, data: &[u8]) {
-        self.store(addr, data).await;
     }
 
     /// `__threadfence_system()`: order device writes w.r.t. the host/PCIe.
@@ -318,28 +284,12 @@ impl tc_pcie::Processor for GpuThread {
         GpuThread::instr(self, n).await;
     }
 
-    async fn ld_u64(&self, addr: Addr) -> u64 {
-        GpuThread::ld_u64(self, addr).await
-    }
-
-    async fn st_u64(&self, addr: Addr, v: u64) {
-        GpuThread::st_u64(self, addr, v).await;
-    }
-
-    async fn ld_u32(&self, addr: Addr) -> u32 {
-        GpuThread::ld_u32(self, addr).await
-    }
-
-    async fn st_u32(&self, addr: Addr, v: u32) {
-        GpuThread::st_u32(self, addr, v).await;
-    }
-
     async fn ld_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        GpuThread::ld_bytes(self, addr, buf).await;
+        self.load(addr, buf).await;
     }
 
     async fn st_bytes(&self, addr: Addr, data: &[u8]) {
-        GpuThread::st_bytes(self, addr, data).await;
+        self.store(addr, data).await;
     }
 
     async fn fence(&self) {
@@ -359,6 +309,7 @@ impl tc_pcie::Processor for GpuThread {
 mod tests {
     use crate::tests::test_gpu;
     use tc_mem::layout;
+    use tc_pcie::Processor;
 
     #[test]
     fn devmem_load_counts_globmem_and_l2() {

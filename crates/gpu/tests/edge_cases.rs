@@ -5,7 +5,7 @@ use std::rc::Rc;
 use tc_desim::Sim;
 use tc_gpu::{Gpu, GpuConfig};
 use tc_mem::{layout, Bus, RegionKind, SparseMem};
-use tc_pcie::{Pcie, PcieConfig};
+use tc_pcie::{Pcie, PcieConfig, Processor};
 
 fn gpu_with(cfg: GpuConfig) -> (Sim, Bus, Gpu) {
     let sim = Sim::new();

@@ -17,7 +17,8 @@ use tc_mem::{layout, Addr, Bus, RegionKind, SparseMem};
 use tc_pcie::{le, LoadKind, Pcie, PcieConfig, Probe, ProbeLoad, Processor, Spun};
 use tc_trace::{Snapshot, TraceEvent};
 
-/// Forwards every method but `spin_until`, so spins take the plain loop.
+/// Forwards every method the thread implements but `spin_until`, so spins
+/// take the plain loop.
 struct Plain(GpuThread);
 
 impl Processor for Plain {
@@ -26,18 +27,6 @@ impl Processor for Plain {
     }
     async fn instr(&self, n: u64) {
         self.0.instr(n).await
-    }
-    async fn ld_u64(&self, a: Addr) -> u64 {
-        self.0.ld_u64(a).await
-    }
-    async fn st_u64(&self, a: Addr, v: u64) {
-        self.0.st_u64(a, v).await
-    }
-    async fn ld_u32(&self, a: Addr) -> u32 {
-        self.0.ld_u32(a).await
-    }
-    async fn st_u32(&self, a: Addr, v: u32) {
-        self.0.st_u32(a, v).await
     }
     async fn ld_bytes(&self, a: Addr, b: &mut [u8]) {
         self.0.ld_bytes(a, b).await

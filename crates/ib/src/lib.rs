@@ -37,7 +37,7 @@ mod tests {
     use std::rc::Rc;
     use tc_desim::Sim;
     use tc_gpu::{Gpu, GpuConfig};
-    use tc_link::{Cable, CableConfig};
+    use tc_link::{CableConfig, Fabric};
     use tc_mem::{layout, Bus, Heap, RegionKind, SparseMem};
     use tc_pcie::{CpuConfig, CpuThread, Pcie, PcieConfig};
 
@@ -50,7 +50,7 @@ mod tests {
 
     pub(crate) fn two_nodes(sim: &Sim) -> (Bus, Node, Node) {
         let bus = Bus::new();
-        let cable: Cable<IbFrame> = Cable::new(sim, CableConfig::ib_fdr_4x());
+        let cable: Fabric<IbFrame> = Fabric::new(sim, CableConfig::ib_fdr_4x(), 2);
         let build = |node: usize| {
             bus.add_ram(
                 Rc::new(SparseMem::new(layout::host_dram(node), 1 << 30)),

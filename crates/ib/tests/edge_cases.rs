@@ -70,14 +70,14 @@ mod inline_sends {
     use tc_ib::{
         Access, BufLoc, CqeStatus, IbConfig, IbFrame, IbHca, IbvContext, SendOpcode, SendWr,
     };
-    use tc_link::{Cable, CableConfig};
+    use tc_link::{CableConfig, Fabric};
     use tc_mem::{layout, Bus, Heap, RegionKind, SparseMem};
     use tc_pcie::{CpuConfig, CpuThread, Pcie, PcieConfig};
 
     fn setup() -> (Sim, Bus, IbHca, IbHca, CpuThread, Rc<Heap>, Rc<Heap>) {
         let sim = Sim::new();
         let bus = Bus::new();
-        let cable: Cable<IbFrame> = Cable::new(&sim, CableConfig::ib_fdr_4x());
+        let cable: Fabric<IbFrame> = Fabric::new(&sim, CableConfig::ib_fdr_4x(), 2);
         let mut hcas = Vec::new();
         let mut heaps = Vec::new();
         let mut cpu0 = None;

@@ -1,13 +1,12 @@
 #![warn(missing_docs)]
 //! `tc-link` — the interconnect between nodes' NICs.
 //!
-//! The paper's testbeds are two nodes back to back, which [`Cable`] models:
-//! one full-duplex serial link. The same machinery generalizes to an
-//! N-port [`Fabric`] (a cut-through switch): every port owns a TX
+//! An N-port [`Fabric`] (a cut-through switch): every port owns a TX
 //! serializer at the line rate, frames experience a propagation/switch
 //! latency, and frames from one sender to one receiver stay **in order** —
 //! the property that lets the paper poll on the last received payload
-//! element instead of a completion notification.
+//! element instead of a completion notification. The paper's testbeds are
+//! two nodes back to back: a two-port fabric, one full-duplex serial link.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -192,39 +191,7 @@ impl<T: 'static> Fabric<T> {
     }
 }
 
-/// The two-node special case the paper uses: a point-to-point cable.
-pub struct Cable<T> {
-    fabric: Fabric<T>,
-}
-
-impl<T> Clone for Cable<T> {
-    fn clone(&self) -> Self {
-        Cable {
-            fabric: self.fabric.clone(),
-        }
-    }
-}
-
-impl<T: 'static> Cable<T> {
-    /// A cable between two ports.
-    pub fn new(sim: &Sim, cfg: CableConfig) -> Self {
-        Cable {
-            fabric: Fabric::new(sim, cfg, 2),
-        }
-    }
-
-    /// The port for `side` (0 or 1).
-    pub fn port(&self, side: usize) -> Port<T> {
-        self.fabric.port(side)
-    }
-
-    /// The cable configuration.
-    pub fn config(&self) -> &CableConfig {
-        self.fabric.config()
-    }
-}
-
-/// One NIC's attachment to a [`Fabric`] (or [`Cable`]).
+/// One NIC's attachment to a [`Fabric`].
 pub struct Port<T> {
     fabric: Fabric<T>,
     side: usize,
@@ -299,12 +266,13 @@ impl<T: 'static> Port<T> {
         );
     }
 
-    /// Two-node convenience: transmit to the *other* side of a cable.
+    /// Two-node convenience: transmit to the *other* port of a two-port
+    /// fabric.
     pub async fn send(&self, frame: T, payload_bytes: u64) {
         assert_eq!(
             self.fabric.ports(),
             2,
-            "Port::send without a destination needs a 2-port cable"
+            "Port::send without a destination needs a 2-port fabric"
         );
         self.send_to(1 - self.side, frame, payload_bytes).await;
     }
@@ -342,9 +310,9 @@ mod tests {
     #[test]
     fn frame_arrives_after_serialization_plus_latency() {
         let sim = Sim::new();
-        let cable: Cable<u64> = Cable::new(&sim, cfg());
-        let tx = cable.port(0);
-        let rx = cable.port(1);
+        let fabric: Fabric<u64> = Fabric::new(&sim, cfg(), 2);
+        let tx = fabric.port(0);
+        let rx = fabric.port(1);
         let arrived = Rc::new(Cell::new(0u64));
         let a = arrived.clone();
         let h = sim.clone();
@@ -363,9 +331,9 @@ mod tests {
     #[test]
     fn frames_from_one_side_arrive_in_order() {
         let sim = Sim::new();
-        let cable: Cable<u32> = Cable::new(&sim, cfg());
-        let tx = cable.port(0);
-        let rx = cable.port(1);
+        let fabric: Fabric<u32> = Fabric::new(&sim, cfg(), 2);
+        let tx = fabric.port(0);
+        let rx = fabric.port(1);
         let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
         sim.spawn("tx", async move {
@@ -386,8 +354,8 @@ mod tests {
     #[test]
     fn directions_are_independent() {
         let sim = Sim::new();
-        let cable: Cable<&'static str> = Cable::new(&sim, cfg());
-        let (p0, p1) = (cable.port(0), cable.port(1));
+        let fabric: Fabric<&'static str> = Fabric::new(&sim, cfg(), 2);
+        let (p0, p1) = (fabric.port(0), fabric.port(1));
         let t0 = Rc::new(Cell::new(0u64));
         let t1 = Rc::new(Cell::new(0u64));
         {
@@ -418,8 +386,8 @@ mod tests {
     #[test]
     fn back_to_back_sends_serialize_on_tx() {
         let sim = Sim::new();
-        let cable: Cable<u8> = Cable::new(&sim, cfg());
-        let tx = cable.port(0);
+        let fabric: Fabric<u8> = Fabric::new(&sim, cfg(), 2);
+        let tx = fabric.port(0);
         let h = sim.clone();
         sim.spawn("tx", async move {
             tx.send(1, 1000).await;
@@ -433,9 +401,9 @@ mod tests {
     #[test]
     fn bandwidth_matches_line_rate_for_streams() {
         let sim = Sim::new();
-        let cable: Cable<usize> = Cable::new(&sim, CableConfig::ib_fdr_4x());
-        let tx = cable.port(0);
-        let rx = cable.port(1);
+        let fabric: Fabric<usize> = Fabric::new(&sim, CableConfig::ib_fdr_4x(), 2);
+        let tx = fabric.port(0);
+        let rx = fabric.port(1);
         let n = 64;
         let sz: u64 = 65536;
         let done = Rc::new(Cell::new(0u64));
@@ -514,9 +482,9 @@ mod tests {
     fn tracing_records_serialize_and_deserialize_spans() {
         let sim = Sim::new();
         sim.recorder().enable();
-        let cable: Cable<u64> = Cable::new(&sim, cfg());
-        let tx = cable.port(0);
-        let rx = cable.port(1);
+        let fabric: Fabric<u64> = Fabric::new(&sim, cfg(), 2);
+        let tx = fabric.port(0);
+        let rx = fabric.port(1);
         sim.spawn("tx", async move { tx.send(1, 100).await });
         sim.spawn("rx", async move {
             rx.recv().await.unwrap();

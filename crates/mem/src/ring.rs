@@ -5,8 +5,6 @@
 //! consumer positions are free-running counters (never masked), so fullness
 //! is simply `produced - consumed == capacity`.
 
-use std::cell::Cell;
-
 use crate::Addr;
 
 /// Address layout of a ring of `entries` fixed-size slots at `base`.
@@ -55,61 +53,6 @@ impl Ring {
     }
 }
 
-/// Free-running producer/consumer cursors for a ring of a given capacity.
-#[derive(Debug, Default)]
-pub struct Cursors {
-    produced: Cell<u64>,
-    consumed: Cell<u64>,
-}
-
-impl Cursors {
-    /// Fresh cursors at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Free-running produce count.
-    pub fn produced(&self) -> u64 {
-        self.produced.get()
-    }
-
-    /// Free-running consume count.
-    pub fn consumed(&self) -> u64 {
-        self.consumed.get()
-    }
-
-    /// Entries currently in the ring.
-    pub fn level(&self) -> u64 {
-        self.produced.get() - self.consumed.get()
-    }
-
-    /// True if `level() == capacity`.
-    pub fn is_full(&self, capacity: u64) -> bool {
-        self.level() >= capacity
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.level() == 0
-    }
-
-    /// Claim the next produce slot, returning its free-running index.
-    /// Caller must have checked `!is_full`.
-    pub fn produce(&self) -> u64 {
-        let i = self.produced.get();
-        self.produced.set(i + 1);
-        i
-    }
-
-    /// Claim the next consume slot, returning its free-running index.
-    /// Caller must have checked `!is_empty`.
-    pub fn consume(&self) -> u64 {
-        let i = self.consumed.get();
-        self.consumed.set(i + 1);
-        i
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,32 +65,5 @@ mod tests {
         assert_eq!(r.slot(4), 0x1000);
         assert_eq!(r.slot(7), 0x1030);
         assert_eq!(r.byte_len(), 64);
-    }
-
-    #[test]
-    fn cursors_track_level() {
-        let c = Cursors::new();
-        assert!(c.is_empty());
-        assert!(!c.is_full(2));
-        let i0 = c.produce();
-        let i1 = c.produce();
-        assert_eq!((i0, i1), (0, 1));
-        assert!(c.is_full(2));
-        assert_eq!(c.level(), 2);
-        assert_eq!(c.consume(), 0);
-        assert_eq!(c.level(), 1);
-        assert!(!c.is_full(2));
-    }
-
-    #[test]
-    fn free_running_indices_survive_many_wraps() {
-        let r = Ring::new(0, 8, 3);
-        let c = Cursors::new();
-        for k in 0..100 {
-            let i = c.produce();
-            assert_eq!(i, k);
-            assert_eq!(r.slot(i), (k % 3) * 8);
-            assert_eq!(c.consume(), k);
-        }
     }
 }

@@ -96,20 +96,36 @@ pub trait Processor {
     fn sim(&self) -> &Sim;
     /// Execute `n` dependent instructions.
     async fn instr(&self, n: u64);
-    /// 64-bit load.
-    async fn ld_u64(&self, addr: Addr) -> u64;
-    /// 64-bit store.
-    async fn st_u64(&self, addr: Addr, v: u64);
-    /// 32-bit load.
-    async fn ld_u32(&self, addr: Addr) -> u32;
-    /// 32-bit store.
-    async fn st_u32(&self, addr: Addr, v: u32);
     /// Bulk load.
     async fn ld_bytes(&self, addr: Addr, buf: &mut [u8]);
     /// Bulk store.
     async fn st_bytes(&self, addr: Addr, data: &[u8]);
     /// Order previous stores system-wide (sfence / `__threadfence_system`).
     async fn fence(&self);
+
+    /// 64-bit load: an 8-byte [`Processor::ld_bytes`].
+    async fn ld_u64(&self, addr: Addr) -> u64 {
+        let mut b = [0u8; 8];
+        self.ld_bytes(addr, &mut b).await;
+        u64::from_le_bytes(b)
+    }
+
+    /// 64-bit store: an 8-byte [`Processor::st_bytes`].
+    async fn st_u64(&self, addr: Addr, v: u64) {
+        self.st_bytes(addr, &v.to_le_bytes()).await;
+    }
+
+    /// 32-bit load: a 4-byte [`Processor::ld_bytes`].
+    async fn ld_u32(&self, addr: Addr) -> u32 {
+        let mut b = [0u8; 4];
+        self.ld_bytes(addr, &mut b).await;
+        u32::from_le_bytes(b)
+    }
+
+    /// 32-bit store: a 4-byte [`Processor::st_bytes`].
+    async fn st_u32(&self, addr: Addr, v: u32) {
+        self.st_bytes(addr, &v.to_le_bytes()).await;
+    }
 
     /// Load a cache-hot software-structure word (driver state). A CPU
     /// serves these from its L1; a GPU treats them like any global load
@@ -250,30 +266,6 @@ impl CpuThread {
             tc_mem::RegionKind::HostDram { node } if node == self.node
         )
     }
-
-    async fn load(&self, addr: Addr, buf: &mut [u8]) {
-        self.loads.inc();
-        self.load_bytes.add(buf.len() as u64);
-        if self.is_local_dram(addr) {
-            self.sim.delay(self.cfg.dram).await;
-            self.endpoint.bus().read(addr, buf);
-        } else {
-            // MMIO / peer read: full PCIe round trip.
-            self.endpoint.read(addr, buf).await;
-        }
-    }
-
-    async fn store(&self, addr: Addr, data: &[u8]) {
-        self.stores.inc();
-        self.store_bytes.add(data.len() as u64);
-        if self.is_local_dram(addr) {
-            self.sim.delay(self.cfg.cached).await;
-            self.endpoint.bus().write(addr, data);
-        } else {
-            self.sim.delay(self.cfg.mmio_store_issue).await;
-            self.endpoint.posted_write(addr, data.to_vec()).await;
-        }
-    }
 }
 
 impl Processor for CpuThread {
@@ -285,32 +277,28 @@ impl Processor for CpuThread {
         self.sim.delay(n * self.cfg.instr).await;
     }
 
-    async fn ld_u64(&self, addr: Addr) -> u64 {
-        let mut b = [0u8; 8];
-        self.load(addr, &mut b).await;
-        u64::from_le_bytes(b)
-    }
-
-    async fn st_u64(&self, addr: Addr, v: u64) {
-        self.store(addr, &v.to_le_bytes()).await;
-    }
-
-    async fn ld_u32(&self, addr: Addr) -> u32 {
-        let mut b = [0u8; 4];
-        self.load(addr, &mut b).await;
-        u32::from_le_bytes(b)
-    }
-
-    async fn st_u32(&self, addr: Addr, v: u32) {
-        self.store(addr, &v.to_le_bytes()).await;
-    }
-
     async fn ld_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        self.load(addr, buf).await;
+        self.loads.inc();
+        self.load_bytes.add(buf.len() as u64);
+        if self.is_local_dram(addr) {
+            self.sim.delay(self.cfg.dram).await;
+            self.endpoint.bus().read(addr, buf);
+        } else {
+            // MMIO / peer read: full PCIe round trip.
+            self.endpoint.read(addr, buf).await;
+        }
     }
 
     async fn st_bytes(&self, addr: Addr, data: &[u8]) {
-        self.store(addr, data).await;
+        self.stores.inc();
+        self.store_bytes.add(data.len() as u64);
+        if self.is_local_dram(addr) {
+            self.sim.delay(self.cfg.cached).await;
+            self.endpoint.bus().write(addr, data);
+        } else {
+            self.sim.delay(self.cfg.mmio_store_issue).await;
+            self.endpoint.posted_write(addr, data.to_vec()).await;
+        }
     }
 
     async fn fence(&self) {

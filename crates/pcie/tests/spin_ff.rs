@@ -19,7 +19,8 @@ use tc_pcie::{
 use tc_trace::rng::XorShift64;
 use tc_trace::{Snapshot, TraceEvent};
 
-/// Forwards every method but `spin_until`, so spins take the plain loop.
+/// Forwards every method the thread implements but `spin_until`, so spins
+/// take the plain loop.
 struct Plain(CpuThread);
 
 impl Processor for Plain {
@@ -28,18 +29,6 @@ impl Processor for Plain {
     }
     async fn instr(&self, n: u64) {
         self.0.instr(n).await
-    }
-    async fn ld_u64(&self, a: Addr) -> u64 {
-        self.0.ld_u64(a).await
-    }
-    async fn st_u64(&self, a: Addr, v: u64) {
-        self.0.st_u64(a, v).await
-    }
-    async fn ld_u32(&self, a: Addr) -> u32 {
-        self.0.ld_u32(a).await
-    }
-    async fn st_u32(&self, a: Addr, v: u32) {
-        self.0.st_u32(a, v).await
     }
     async fn ld_bytes(&self, a: Addr, b: &mut [u8]) {
         self.0.ld_bytes(a, b).await

@@ -31,8 +31,10 @@ fn ts_us(out: &mut String, ps: u64) {
     let _ = write!(out, "{}.{:06}", ps / 1_000_000, ps % 1_000_000);
 }
 
-/// Minimal JSON string escape.
-fn escape(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string: `"`, `\`, `\n`, `\r` and
+/// `\t` get their short escapes, other control characters `\u00XX`. The
+/// workspace's one JSON string writer (traces, series, metrics).
+pub fn escape(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -298,8 +300,8 @@ mod tests {
     fn escapes_special_chars() {
         let r = Recorder::new();
         r.enable();
-        r.instant(0, "user", "t", "say \"hi\"\n", vec![]);
+        r.instant(0, "user", "t", "say \"hi\"\n\t\u{1}", vec![]);
         let j = to_chrome_json(&r.take_events());
-        assert!(j.contains("say \\\"hi\\\"\\n"));
+        assert!(j.contains("say \\\"hi\\\"\\n\\t\\u0001"));
     }
 }

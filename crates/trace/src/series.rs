@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::chrome::escape;
 use crate::recorder::{Phase, TraceEvent};
 use crate::registry::Snapshot;
 
@@ -39,21 +40,6 @@ pub struct SeriesSet {
     /// Window width in picoseconds.
     pub window_ps: u64,
     series: BTreeMap<String, Series>,
-}
-
-fn escape(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl SeriesSet {

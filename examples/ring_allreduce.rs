@@ -3,30 +3,34 @@
 //! the `tc_putget::collectives::ring` library.
 //!
 //! ```text
-//! cargo run --release --example ring_allreduce [nodes] [elements]
+//! cargo run --release --example ring_allreduce [--ib] [nodes] [elements]
 //! ```
 //!
 //! Classic two-phase ring: `N-1` reduce-scatter steps followed by `N-1`
 //! all-gather steps. Each step is one put of a vector chunk to the right
 //! neighbour plus a device-memory tag poll — the `pollOnGPU` completion
 //! strategy the paper shows is the cheap one. The result is verified
-//! against the scalar sum on every node.
+//! against the scalar sum on every node. At two nodes this is the paper's
+//! back-to-back testbed; `--ib` runs the same program over Infiniband.
 
 use tc_repro::putget::cluster::{Backend, Cluster};
 use tc_repro::putget::collectives::ring::{build_ring, ring_allreduce_sum_u64, RingLayout};
 use tc_repro::putget::time;
 
 fn main() {
-    let nodes: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let elements: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
+    let backend = if std::env::args().any(|a| a == "--ib") {
+        Backend::Infiniband
+    } else {
+        Backend::Extoll
+    };
+    let mut positional = std::env::args()
+        .skip(1)
+        .filter(|a| a != "--ib")
+        .map(|s| s.parse().ok());
+    let nodes: usize = positional.next().flatten().unwrap_or(4);
+    let elements: usize = positional.next().flatten().unwrap_or(256);
 
-    let c = Cluster::with_nodes(Backend::Extoll, nodes);
+    let c = Cluster::with_nodes(backend, nodes);
     let layout = RingLayout::for_u64(nodes, elements);
     let bufs: Vec<u64> = (0..nodes)
         .map(|n| c.nodes[n].gpu.alloc(layout.buffer_bytes(), 256))

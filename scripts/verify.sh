@@ -59,12 +59,11 @@ echo "== examples (self-checking scenarios, both fabrics where they take --ib) =
 # its own result, so a broken example fails here.
 run_example() { cargo run --release -q --example "$@" > /dev/null; }
 run_example quickstart
-run_example allreduce
-run_example allreduce -- --ib
 run_example halo_exchange
 run_example halo_exchange -- --ib
 run_example velo_rpc
 run_example ring_allreduce
+run_example ring_allreduce -- --ib 2
 run_example pingpong_scan
 
 echo "== paper-claims self-check (reproduce check --quick; fails on any [FAIL]) =="
