@@ -19,7 +19,8 @@
 //!   },
 //!   "runner": { "jobs": 4, "tasks": 36, "wall_ns": 1, "busy_ns": 1,
 //!               "queue_wait_ns": 0, "max_task_ns": 1, "utilization": 0.93,
-//!               "polls": 1200, "ffwd_steps": 800, "timers": 900 }
+//!               "task_ns": 1, "polls": 1200, "ffwd_steps": 800,
+//!               "timers": 900 }
 //! }
 //! ```
 //!
@@ -27,9 +28,10 @@
 //! byte-identical across runs and across `--jobs` widths. The `runner`
 //! section is the pool's self-profile of the whole invocation: host
 //! wall-clock, which varies run to run (trend tooling should treat it as
-//! advisory), then the experiment's own executor work — process polls,
-//! fast-forwarded spin steps and timer pops summed over its tasks — which
-//! is deterministic.
+//! advisory), then the experiment's own host time (`task_ns`, its tasks'
+//! summed execution time, just as variable) and its own executor work —
+//! process polls, fast-forwarded spin steps and timer pops summed over its
+//! tasks — which is deterministic.
 //!
 //! [`validate`] re-parses an emitted report with a minimal hand-rolled
 //! JSON reader (the workspace is zero-external-crate) and checks the
@@ -124,6 +126,7 @@ pub fn render(
     let _ = writeln!(out, "    \"queue_wait_ns\": {},", pool.queue_wait_ns);
     let _ = writeln!(out, "    \"max_task_ns\": {},", pool.max_task_ns);
     let _ = writeln!(out, "    \"utilization\": {:.4},", pool.utilization());
+    let _ = writeln!(out, "    \"task_ns\": {},", pool.time_of(experiment));
     let work = pool.work_of(experiment);
     let _ = writeln!(out, "    \"polls\": {},", work.polls);
     let _ = writeln!(out, "    \"ffwd_steps\": {},", work.skipped);
@@ -455,6 +458,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             "queue_wait_ns",
             "max_task_ns",
             "utilization",
+            "task_ns",
             "polls",
             "ffwd_steps",
             "timers",
@@ -469,6 +473,7 @@ pub fn validate(text: &str) -> Result<(), String> {
         "queue_wait_ns",
         "max_task_ns",
         "utilization",
+        "task_ns",
         "polls",
         "ffwd_steps",
         "timers",
@@ -563,6 +568,7 @@ mod tests {
             busy_ns: 3_600_000,
             queue_wait_ns: 40_000,
             max_task_ns: 700_000,
+            task_ns: vec![300_000, 200_000, 700_000],
             task_labels: ["pingpong[0]", "pingpong[1]", "pingpong2[0]"]
                 .map(String::from)
                 .to_vec(),
@@ -592,6 +598,7 @@ mod tests {
         assert!(json.contains("\"high_water\": 3"));
         assert!(json.contains("\"utilization\": 0.9000"));
         // The experiment's own tasks only.
+        assert!(json.contains("\"task_ns\": 500000,\n"), "{json}");
         assert!(
             json.contains("\"polls\": 30,\n    \"ffwd_steps\": 7,\n    \"timers\": 11\n"),
             "{json}"

@@ -102,17 +102,32 @@ impl PoolStats {
         self.task_work.extend(&other.task_work);
     }
 
+    /// Whether task `i` is one of experiment `id`'s own (label `id[i]`).
+    fn is_of(&self, i: usize, id: &str) -> bool {
+        let label = self.task_labels.get(i).and_then(|l| l.strip_prefix(id));
+        label.is_some_and(|r| r.starts_with('['))
+    }
+
     /// The executor work of experiment `id`'s own tasks (labels `id[i]`).
     pub fn work_of(&self, id: &str) -> Work {
         let mut sum = Work::default();
-        for (label, w) in self.task_labels.iter().zip(&self.task_work) {
-            if label.strip_prefix(id).is_some_and(|r| r.starts_with('[')) {
+        for (i, w) in self.task_work.iter().enumerate() {
+            if self.is_of(i, id) {
                 sum.polls += w.polls;
                 sum.skipped += w.skipped;
                 sum.timers += w.timers;
             }
         }
         sum
+    }
+
+    /// The summed execution time of experiment `id`'s own tasks (labels
+    /// `id[i]`), nanoseconds.
+    pub fn time_of(&self, id: &str) -> u64 {
+        let mine = self.task_ns.iter().enumerate();
+        mine.filter(|&(i, _)| self.is_of(i, id))
+            .map(|(_, ns)| ns)
+            .sum()
     }
 
     /// The `n` slowest labelled tasks, slowest first: `(label, ns, work)`.
