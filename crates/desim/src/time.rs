@@ -92,11 +92,6 @@ impl Freq {
         Self::hz(ghz * 1_000_000_000)
     }
 
-    /// The frequency in Hertz.
-    pub const fn as_hz(self) -> u64 {
-        self.hz
-    }
-
     /// Duration of `n` cycles, rounded to the nearest picosecond.
     ///
     /// Uses 128-bit intermediates, so it is exact for any realistic `n`.

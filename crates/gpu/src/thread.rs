@@ -260,11 +260,6 @@ impl GpuThread {
         u128::from_le_bytes(b)
     }
 
-    /// 128-bit global store (one `st.v2.u64`).
-    pub async fn st_u128(&self, addr: Addr, v: u128) {
-        self.store(addr, &v.to_le_bytes()).await;
-    }
-
     /// `__threadfence_system()`: order device writes w.r.t. the host/PCIe.
     pub async fn fence_system(&self) {
         let c = self.counters();

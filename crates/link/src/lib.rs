@@ -266,17 +266,6 @@ impl<T: 'static> Port<T> {
         );
     }
 
-    /// Two-node convenience: transmit to the *other* port of a two-port
-    /// fabric.
-    pub async fn send(&self, frame: T, payload_bytes: u64) {
-        assert_eq!(
-            self.fabric.ports(),
-            2,
-            "Port::send without a destination needs a 2-port fabric"
-        );
-        self.send_to(1 - self.side, frame, payload_bytes).await;
-    }
-
     /// Receive the next frame arriving at this port.
     pub async fn recv(&self) -> Option<T> {
         self.fabric.inner.ports[self.side].rx.recv().await
@@ -317,7 +306,7 @@ mod tests {
         let a = arrived.clone();
         let h = sim.clone();
         sim.spawn("tx", async move {
-            tx.send(42, 100).await;
+            tx.send_to(1, 42, 100).await;
         });
         sim.spawn("rx", async move {
             let v = rx.recv().await.unwrap();
@@ -338,7 +327,7 @@ mod tests {
         let g = got.clone();
         sim.spawn("tx", async move {
             for i in 0..10 {
-                tx.send(i, 64).await;
+                tx.send_to(1, i, 64).await;
             }
         });
         sim.spawn("rx", async move {
@@ -360,11 +349,11 @@ mod tests {
         let t1 = Rc::new(Cell::new(0u64));
         {
             let p = p0.clone();
-            sim.spawn("tx0", async move { p.send("ping", 1 << 20).await });
+            sim.spawn("tx0", async move { p.send_to(1, "ping", 1 << 20).await });
         }
         {
             let p = p1.clone();
-            sim.spawn("tx1", async move { p.send("pong", 1 << 20).await });
+            sim.spawn("tx1", async move { p.send_to(0, "pong", 1 << 20).await });
         }
         let (a, b) = (t0.clone(), t1.clone());
         let h = sim.clone();
@@ -390,8 +379,8 @@ mod tests {
         let tx = fabric.port(0);
         let h = sim.clone();
         sim.spawn("tx", async move {
-            tx.send(1, 1000).await;
-            tx.send(2, 1000).await;
+            tx.send_to(1, 1, 1000).await;
+            tx.send_to(1, 2, 1000).await;
             // Two 1000-byte frames at 1 ns/byte: TX busy 2 us total.
             assert_eq!(h.now(), us(2));
         });
@@ -411,7 +400,7 @@ mod tests {
         let h = sim.clone();
         sim.spawn("tx", async move {
             for i in 0..n {
-                tx.send(i, sz).await;
+                tx.send_to(1, i, sz).await;
             }
         });
         sim.spawn("rx", async move {
@@ -485,7 +474,7 @@ mod tests {
         let fabric: Fabric<u64> = Fabric::new(&sim, cfg(), 2);
         let tx = fabric.port(0);
         let rx = fabric.port(1);
-        sim.spawn("tx", async move { tx.send(1, 100).await });
+        sim.spawn("tx", async move { tx.send_to(1, 1, 100).await });
         sim.spawn("rx", async move {
             rx.recv().await.unwrap();
         });
