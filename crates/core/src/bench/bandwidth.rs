@@ -8,13 +8,14 @@
 
 use std::rc::Rc;
 
+use tc_desim::sync::Flag;
 use tc_desim::time::{self, Time};
 use tc_pcie::Processor;
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
-use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, DONE, REQUEST};
+use crate::flag::{AssistChannel, Idle, Proxy, DONE, REQUEST};
 use crate::transport::{AnyTransport, Transport};
 
 use super::{ExtollMode, IbMode, Window};
@@ -120,7 +121,7 @@ fn stream(
     let gpu0 = c.nodes[0].gpu.clone();
     let proxy = (control == Control::Assisted).then(|| {
         let ch = AssistChannel::new(&c.nodes[0].host_heap);
-        let stop = ProxyStop::default();
+        let stop = Flag::new("bw.stop");
         Proxy {
             requests: vec![(ch, ep0.clone())],
             arrival: None,
@@ -143,7 +144,7 @@ fn stream(
                     ch.request(&gt, size, REQUEST).await;
                     ch.wait_state(&gt, DONE).await;
                 }
-                stop.stop();
+                stop.set();
             }
         }
         if !notify {

@@ -4,12 +4,13 @@
 
 use std::rc::Rc;
 
+use tc_desim::sync::Flag;
 use tc_desim::time::{self, Time};
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster};
-use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, DONE, REQUEST};
+use crate::flag::{AssistChannel, Idle, Proxy, DONE, REQUEST};
 use crate::transport::{AnyTransport, Transport};
 
 use super::{RateMode, Window};
@@ -137,7 +138,7 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
             let chans: Vec<AssistChannel> = (0..pairs)
                 .map(|_| AssistChannel::new(&c.nodes[0].host_heap))
                 .collect();
-            let stop = ProxyStop::default();
+            let stop = Flag::new("rate.stop");
             Proxy {
                 requests: chans.iter().copied().zip(eps).collect(),
                 arrival: None,
@@ -160,7 +161,7 @@ fn run_rate(backend: Backend, mode: RateMode, pairs: u32, per_pair: u32) -> Rate
                 });
                 k.wait().await;
                 w.close();
-                stop.stop();
+                stop.set();
             });
         }
     }

@@ -14,6 +14,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use tc_desim::sync::Flag;
 use tc_desim::time::{self, Time};
 use tc_extoll::{RmaPort, WrFlags};
 use tc_gpu::{CounterSnapshot, Gpu, GpuThread};
@@ -21,12 +22,12 @@ use tc_ib::{
     Access, BufLoc, CqeStatus, IbvContext, IbvCq, IbvQp, MemoryRegion, SendOpcode, SendWr,
 };
 use tc_mem::Addr;
-use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
+use tc_pcie::{le, LoadKind, Processor, Step};
 use tc_trace::Snapshot;
 
 use crate::api::{create_pair, QueueLoc};
 use crate::cluster::{Backend, Cluster, ClusterConfig};
-use crate::flag::{AssistChannel, Idle, Proxy, ProxyStop, ARRIVED, DONE, REQUEST};
+use crate::flag::{AssistChannel, Idle, Proxy, ARRIVED, DONE, REQUEST};
 use crate::transport::{AnyTransport, Transport};
 
 use super::{ExtollMode, IbMode, Window};
@@ -73,16 +74,9 @@ pub(crate) async fn write_marker<P: Processor>(p: &P, buf: Addr, len: u64, i: u3
 
 /// Spin until the marker at the tail of `buf` reaches iteration `i`'s.
 pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, len: u64, i: u32) {
-    let marker = ProbeLoad {
-        addr: buf + len - 8,
-        kind: LoadKind::U64,
-    };
     // Compare, branch, recompute the volatile pointer: 4 instructions.
-    let probe = Probe {
-        loads: &[marker],
-        instr: 4,
-        spins: None,
-    };
+    let marker = Step::load(buf + len - 8, LoadKind::U64);
+    let probe = [marker, Step::Instr(4), Step::Retire(None)];
     p.spin_until(&probe, |b| le(b) == u64::from(i) + 1).await;
 }
 
@@ -362,7 +356,7 @@ pub fn extoll_pingpong_cfg(
             // One proxy per node: serves put requests and forwards arrival
             // notifications. The channels are plain copies into both the
             // proxy and the GPU loops below.
-            let stop = ProxyStop::default();
+            let stop = Flag::new("pp.stop");
             let [(snd0, arr0), (snd1, arr1)] =
                 [(0, a0, b0), (1, b1, a1)].map(|(node, put_ep, arr_ep)| {
                     let (heap, cpu) = (&c.nodes[node].host_heap, c.nodes[node].cpu.clone());
@@ -385,7 +379,7 @@ pub fn extoll_pingpong_cfg(
                     arr0.wait_state(&gt, ARRIVED).await;
                 };
                 ping(&tm, total, send, wait).await;
-                stop.stop();
+                stop.set();
             });
             c.sim.spawn("pp.node1", async move {
                 let gt = gpu1.thread();
@@ -539,7 +533,7 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
             // polls arrival in its device memory.
             let (a0, _a1) = create_pair(&c, tx0, rx1, buf_len, QueueLoc::Host);
             let (_b0, b1) = create_pair(&c, rx0, tx1, buf_len, QueueLoc::Host);
-            let stop = ProxyStop::default();
+            let stop = Flag::new("pp.stop");
             let snd0 = AssistChannel::new(&c.nodes[0].host_heap);
             let snd1 = AssistChannel::new(&c.nodes[1].host_heap);
             for (node, ep, ch) in [(0, a0, snd0), (1, b1, snd1)] {
@@ -564,7 +558,7 @@ pub fn ib_pingpong(mode: IbMode, size: u64, iters: u32, warmup: u32) -> PingPong
                     poll_marker(&gt, rx0, buf_len, i).await;
                 };
                 ping(&tm, total, send, wait).await;
-                stop.stop();
+                stop.set();
             });
             c.sim.spawn("pp.node1", async move {
                 let gt = gpu1.thread();

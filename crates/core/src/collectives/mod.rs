@@ -8,21 +8,17 @@
 //! nodes; at two nodes it is the paper's back-to-back testbed.
 
 use tc_mem::Addr;
-use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
+use tc_pcie::{le, LoadKind, Processor, Step};
 
 pub mod ring;
 
 /// Spin until the 64-bit tag at `tag` reaches `epoch`: one load, then
 /// compare, branch and pointer bookkeeping (4 instructions) per probe.
 pub(crate) async fn wait_tag<P: Processor>(p: &P, tag: Addr, epoch: u64) {
-    let load = [ProbeLoad {
-        addr: tag,
-        kind: LoadKind::U64,
-    }];
-    let probe = Probe {
-        loads: &load,
-        instr: 4,
-        spins: None,
-    };
+    let probe = [
+        Step::load(tag, LoadKind::U64),
+        Step::Instr(4),
+        Step::Retire(None),
+    ];
     p.spin_until(&probe, |b| le(b) >= epoch).await;
 }

@@ -6,7 +6,7 @@ use std::cell::Cell;
 
 use tc_gpu::GpuThread;
 use tc_mem::{layout, Addr, RegionKind};
-use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
+use tc_pcie::{le, probe_once, LoadKind, Processor, Step};
 
 use crate::engine::ExtollNic;
 use crate::notif::{NotifQueueLayout, Notification};
@@ -32,45 +32,44 @@ impl NotifConsumer {
         }
     }
 
-    /// Probe the queue head once (one 128-bit load). Returns the record if
-    /// one is pending. Does **not** free it — call [`NotifConsumer::free`].
-    pub async fn try_poll<P: Processor>(&self, p: &P) -> Option<Notification> {
+    /// The head probe [`NotifConsumer::try_poll`] and
+    /// [`NotifConsumer::wait`] share: the 128-bit record as two 64-bit loads
+    /// (the compiled librma code does not use vector loads here), then
+    /// `rma_notification_get`'s library call (queue bounds checks, 128-bit
+    /// decode, unit dispatch, loop bookkeeping). An empty head bumps
+    /// `notif_poll_spins`; [`NotifConsumer::ready`] is its test.
+    pub fn probe(&self) -> [Step<'_>; 4] {
         let slot = self.layout.ring.slot(self.rp.get());
-        // The 128-bit record is fetched as two 64-bit loads (the compiled
-        // librma code does not use vector loads here).
-        let w0 = p.ld_u64(slot).await;
-        let w1 = p.ld_u64(slot + 8).await;
-        // rma_notification_get is a library call: queue bounds checks,
-        // 128-bit decode, unit dispatch, loop bookkeeping.
-        p.instr(40).await;
-        let n = Notification::decode([w0, w1]);
-        if n.is_none() {
-            self.poll_spins.inc();
-        }
-        n
+        [
+            Step::load(slot, LoadKind::U64),
+            Step::load(slot + 8, LoadKind::U64),
+            Step::Instr(40),
+            Step::Retire(Some(&self.poll_spins)),
+        ]
+    }
+
+    /// The record a head probe loaded into `bytes`, if one is pending.
+    pub fn record(bytes: &[u8]) -> Option<Notification> {
+        Notification::decode([le(&bytes[..8]), le(&bytes[8..])])
+    }
+
+    /// Whether a head probe's bytes hold a record.
+    pub fn ready(bytes: &[u8]) -> bool {
+        Self::record(bytes).is_some()
+    }
+
+    /// Probe the queue head once. Returns the record if one is pending.
+    /// Does **not** free it — call [`NotifConsumer::free`].
+    pub async fn try_poll<P: Processor>(&self, p: &P) -> Option<Notification> {
+        let mut b = [0; 16];
+        probe_once(p, &self.probe(), &mut b, Self::ready).await;
+        Self::record(&b)
     }
 
     /// Spin until a record is pending, then return it (still not freed).
     pub async fn wait<P: Processor>(&self, p: &P) -> Notification {
-        // The probe of `try_poll`: two 64-bit loads, then the library call.
-        let slot = self.layout.ring.slot(self.rp.get());
-        let loads = [
-            ProbeLoad {
-                addr: slot,
-                kind: LoadKind::U64,
-            },
-            ProbeLoad {
-                addr: slot + 8,
-                kind: LoadKind::U64,
-            },
-        ];
-        let probe = Probe {
-            loads: &loads,
-            instr: 40,
-            spins: Some(&self.poll_spins),
-        };
-        let got = p.spin_until(&probe, |b| record(b).is_some()).await;
-        record(&got.bytes).expect("the accepted probe holds a record")
+        let got = p.spin_until(&self.probe(), Self::ready).await;
+        Self::record(&got.bytes).expect("the accepted probe holds a record")
     }
 
     /// Free the record at the head: zero it (so the slot polls as free
@@ -93,11 +92,6 @@ impl NotifConsumer {
     pub fn consumed(&self) -> u64 {
         self.rp.get()
     }
-}
-
-/// Decode a probed 128-bit queue record.
-fn record(b: &[u8]) -> Option<Notification> {
-    Notification::decode([le(&b[..8]), le(&b[8..])])
 }
 
 /// An open VELO port: a send page plus this port's receive mailbox.

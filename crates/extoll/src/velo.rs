@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 
 use tc_desim::sync::Channel;
 use tc_mem::{Addr, MmioDevice, Ring};
-use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
+use tc_pcie::{le, probe_once, LoadKind, Processor, Step};
 
 /// Maximum VELO payload per message, bytes.
 pub const VELO_MAX_PAYLOAD: usize = 64;
@@ -185,46 +185,47 @@ impl MailboxConsumer {
         }
     }
 
+    /// The head probe [`MailboxConsumer::try_recv`] and
+    /// [`MailboxConsumer::recv`] share: the status word, then 6
+    /// instructions to decode it; [`MailboxConsumer::ready`] is its test.
+    pub fn probe(&self) -> [Step<'static>; 3] {
+        let slot = self.mailbox.ring.slot(self.rp.get());
+        [
+            Step::load(slot, LoadKind::U64),
+            Step::Instr(6),
+            Step::Retire(None),
+        ]
+    }
+
+    /// Whether a head probe's bytes hold a message.
+    pub fn ready(bytes: &[u8]) -> bool {
+        Mailbox::decode_status(le(bytes)).is_some()
+    }
+
     /// Probe the mailbox head once. On a message: read the payload, free
     /// the slot, publish the read pointer, and return
     /// `(src_node, src_port, data)`.
     pub async fn try_recv<P: Processor>(&self, p: &P) -> Option<(u16, u16, Vec<u8>)> {
-        let slot = self.mailbox.ring.slot(self.rp.get());
-        let status = p.ld_u64(slot).await;
-        p.instr(6).await;
-        let head = Mailbox::decode_status(status)?;
-        Some(self.take(p, slot, head).await)
+        let mut b = [0; 8];
+        if !probe_once(p, &self.probe(), &mut b, Self::ready).await {
+            return None;
+        }
+        Some(self.take(p, &b).await)
     }
 
     /// Spin on [`MailboxConsumer::try_recv`]'s probe until a message
     /// arrives, then take it.
     pub async fn recv<P: Processor>(&self, p: &P) -> (u16, u16, Vec<u8>) {
-        let slot = self.mailbox.ring.slot(self.rp.get());
-        let status = [ProbeLoad {
-            addr: slot,
-            kind: LoadKind::U64,
-        }];
-        let probe = Probe {
-            loads: &status,
-            instr: 6,
-            spins: None,
-        };
-        let got = p
-            .spin_until(&probe, |b| Mailbox::decode_status(le(b)).is_some())
-            .await;
-        let head =
-            Mailbox::decode_status(le(&got.bytes)).expect("the accepted probe holds a message");
-        self.take(p, slot, head).await
+        let got = p.spin_until(&self.probe(), Self::ready).await;
+        self.take(p, &got.bytes).await
     }
 
-    /// Take the message `(src_node, src_port, len)` at the head `slot`:
+    /// Take the message whose status a head probe loaded into `bytes`:
     /// read the payload, free the slot and publish the read pointer.
-    async fn take<P: Processor>(
-        &self,
-        p: &P,
-        slot: Addr,
-        (src_node, src_port, len): (u16, u16, u8),
-    ) -> (u16, u16, Vec<u8>) {
+    pub async fn take<P: Processor>(&self, p: &P, bytes: &[u8]) -> (u16, u16, Vec<u8>) {
+        let slot = self.mailbox.ring.slot(self.rp.get());
+        let status = Mailbox::decode_status(le(bytes));
+        let (src_node, src_port, len) = status.expect("the accepted probe holds a message");
         let mut data = vec![0u8; len as usize];
         if len > 0 {
             p.ld_bytes(slot + 8, &mut data).await;

@@ -34,7 +34,7 @@ impl Spinner for GpuThread {
         let now = gpu.sim().now();
         match op {
             Op::Issue(i) => {
-                let l = &plan.loads[i];
+                let l = &plan.loads[i].load;
                 r.t0 = now;
                 match self.load_issue(l.addr, l.bytes() as u64) {
                     Issued::Device { delay, hit } => {
@@ -48,14 +48,14 @@ impl Spinner for GpuThread {
                 let ep = gpu.endpoint();
                 r.steady &= ep.link().busy_until() <= now;
                 r.rd = now;
-                ep.read_issue(plan.loads[i].bytes() as u64) - now
+                ep.read_issue(plan.loads[i].load.bytes() as u64) - now
             }
             Op::Done(i) => {
-                let addr = plan.loads[i].addr;
+                let addr = plan.loads[i].load.addr;
                 let range = plan.range(i);
                 let len = range.len() as u64;
                 let buf = &mut r.bytes[range];
-                if plan.sys[i] {
+                if plan.loads[i].sys {
                     gpu.endpoint().read_complete(r.rd, addr, buf);
                 } else {
                     gpu.bus().read(addr, buf);
@@ -63,15 +63,16 @@ impl Spinner for GpuThread {
                 self.load_span(r.t0, addr, len);
                 0
             }
-            Op::Instr => {
-                GpuCounters::bump(&self.counters().instructions, plan.instr);
+            Op::Instr(n) => {
+                GpuCounters::bump(&self.counters().instructions, n);
                 r.t0 = now;
-                gpu.config().instr_time(plan.instr)
+                gpu.config().instr_time(n)
             }
-            Op::Retire => {
-                self.record_exec_span(r.t0, "instr", plan.instr);
+            Op::Retire(j) => {
+                self.record_exec_span(r.t0, "instr", plan.retiring(j));
                 0
             }
+            Op::Exit(_) | Op::Idle(_) => 0,
         }
     }
 
@@ -80,39 +81,33 @@ impl Spinner for GpuThread {
         let ep = gpu.endpoint();
         match op {
             Op::Issue(i) => {
-                let l = &plan.loads[i];
+                let (l, sys) = (&plan.loads[i].load, plan.loads[i].sys);
                 let len = l.bytes() as u64;
                 // A parked probe's device-memory lines all hit.
-                let lines = if plan.sys[i] {
-                    0
-                } else {
-                    gpu.l2().lines(l.addr, len)
-                };
-                for (c, v) in self.issue_charges(plan.sys[i], len, lines, 0) {
+                let lines = if sys { 0 } else { gpu.l2().lines(l.addr, len) };
+                for (c, v) in self.issue_charges(sys, len, lines, 0) {
                     c.add(v * n);
                 }
             }
-            Op::Read(i) => ep.charge_skipped_reads(n, plan.loads[i].bytes() as u64, last),
+            Op::Read(i) => ep.charge_skipped_reads(n, plan.loads[i].load.bytes() as u64, last),
             // A read sent on an idle link completes after `read_cost`.
-            Op::Done(i) if plan.sys[i] => {
-                let lat = ep.read_cost(plan.loads[i].bytes() as u64);
+            Op::Done(i) if plan.loads[i].sys => {
+                let lat = ep.read_cost(plan.loads[i].load.bytes() as u64);
                 ep.charge_skipped_completions(n, lat);
             }
-            Op::Instr => self.counters().instructions.add(plan.instr * n),
-            Op::Done(_) | Op::Retire => {}
+            Op::Instr(k) => self.counters().instructions.add(k * n),
+            Op::Done(_) | Op::Retire(_) | Op::Exit(_) | Op::Idle(_) => {}
         }
     }
 
     fn watch(&self, plan: &Plan, wake: &Rc<dyn Fn()>, unwatch: &mut Vec<Box<dyn FnOnce()>>) {
         let gpu = self.gpu();
-        for (i, l) in plan.loads.iter().enumerate() {
-            if !plan.sys[i] {
-                let id = gpu.l2().watch(l.addr, l.bytes() as u64, wake.clone());
-                let g = gpu.clone();
-                unwatch.push(Box::new(move || g.l2().unwatch(id)));
-            }
+        for l in plan.loads.iter().filter(|l| !l.sys).map(|l| &l.load) {
+            let id = gpu.l2().watch(l.addr, l.bytes() as u64, wake.clone());
+            let g = gpu.clone();
+            unwatch.push(Box::new(move || g.l2().unwatch(id)));
         }
-        if plan.sys.contains(&true) {
+        if plan.loads.iter().any(|l| l.sys) {
             let link = gpu.endpoint().link().clone();
             let id = link.watch(wake.clone());
             unwatch.push(Box::new(move || link.unwatch(id)));

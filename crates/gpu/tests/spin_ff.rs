@@ -14,8 +14,8 @@ use std::rc::Rc;
 use tc_desim::{time, Sim, Time};
 use tc_gpu::{Gpu, GpuConfig, GpuThread};
 use tc_mem::{layout, Addr, Bus, RegionKind, SparseMem};
-use tc_pcie::{le, LoadKind, Pcie, PcieConfig, Probe, ProbeLoad, Processor, Spun};
-use tc_trace::{Snapshot, TraceEvent};
+use tc_pcie::{le, LoadKind, Pcie, PcieConfig, Probe, ProbeLoad, Processor, Spun, Step};
+use tc_trace::{Counter, Snapshot, TraceEvent};
 
 /// Forwards every method the thread implements but `spin_until`, so spins
 /// take the plain loop.
@@ -37,6 +37,15 @@ impl Processor for Plain {
     async fn fence(&self) {
         self.0.fence_system().await
     }
+}
+
+/// A one-segment probe: `loads`, `instr` instructions, a retire that bumps
+/// `spins` on a rejection.
+fn segment<'a>(loads: &[ProbeLoad], instr: u64, spins: Option<&'a Counter>) -> Vec<Step<'a>> {
+    let loads = loads.iter().map(|&l| Step::Load(l));
+    loads
+        .chain([Step::Instr(instr), Step::Retire(spins)])
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,11 +159,7 @@ fn poller(
     let (o, t) = (out.clone(), w.gpu.thread());
     let counter = spins.then(|| w.sim.registry().counter("test.poll_spins"));
     w.sim.spawn("poller", async move {
-        let probe = Probe {
-            loads: &loads,
-            instr,
-            spins: counter.as_ref(),
-        };
+        let probe = segment(&loads, instr, counter.as_ref());
         let got = spin(mode, t, &probe, done).await;
         o.borrow_mut().push(got);
     });
@@ -353,11 +358,7 @@ fn a_parked_poller_nothing_wakes_explains_the_hang() {
     let t = w.gpu.thread();
     w.sim.spawn("lonely-poller", async move {
         let load = [u64_load(tag)];
-        let probe = Probe {
-            loads: &load,
-            instr: 4,
-            spins: None,
-        };
+        let probe = segment(&load, 4, None);
         t.spin_until(&probe, |b| le(b) == 1).await;
     });
     // The plain loop would spin forever; the parked poller lets `run`

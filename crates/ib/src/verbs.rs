@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use tc_gpu::{Gpu, GpuThread};
 use tc_mem::{layout, Addr, Heap, RegionKind, Ring};
-use tc_pcie::{le, LoadKind, Probe, ProbeLoad, Processor};
+use tc_pcie::{le, probe_once, LoadKind, Processor, Step};
 
 use crate::hca::IbHca;
 use crate::mr::{Access, MemoryRegion};
@@ -176,6 +176,7 @@ impl IbvContext {
             cqn,
             ring,
             state,
+            ci: Cell::new(0),
             ci_db_record,
         })
     }
@@ -231,6 +232,9 @@ pub struct IbvCq {
     ring: Ring,
     /// Software state block: consumer index (u32) at offset 0.
     state: Addr,
+    /// The consumer index the state block holds: only this CQ's poller
+    /// advances it.
+    ci: Cell<u32>,
     /// Hardware-visible consumer-index record.
     ci_db_record: Addr,
 }
@@ -241,24 +245,57 @@ impl IbvCq {
         self.cqn
     }
 
-    /// `ibv_poll_cq` with one entry: probe the queue head; on success,
+    /// The head probe [`IbvCq::poll`] and [`IbvCq::wait`] share: the
+    /// software consumer index through `ld_state`, the CQE at the head, the
+    /// ownership/validity check and branch. An empty head is one spin of a
+    /// poll loop, counted in `cq_poll_spins` (the loads already paid the
+    /// memory latency); [`IbvCq::ready`] is its test. Only this CQ's poller
+    /// writes its consumer index, so the head is known before the probe
+    /// loads the index.
+    pub fn probe(&self) -> [Step<'_>; 4] {
+        let slot = self.ring.slot(u64::from(self.ci.get()));
+        [
+            Step::load(self.state, LoadKind::State),
+            Step::load(slot, LoadKind::Bytes(CQ_STRIDE as usize)),
+            Step::Instr(14),
+            Step::Retire(Some(&self.hca.inner.stats.cq_poll_spins)),
+        ]
+    }
+
+    /// Whether a head probe's bytes hold a CQE.
+    pub fn ready(bytes: &[u8]) -> bool {
+        Cqe::decode(&bytes[8..]).is_some()
+    }
+
+    /// `ibv_poll_cq` with one entry: probe the queue head; on a CQE,
+    /// [`IbvCq::finish`] it.
+    pub async fn poll<P: Processor>(&self, p: &P) -> Option<WorkCompletion> {
+        let mut b = [0u8; 8 + CQ_STRIDE as usize];
+        if !probe_once(p, &self.probe(), &mut b, Self::ready).await {
+            return None;
+        }
+        Some(self.finish(p, &b).await)
+    }
+
+    /// Spin on [`IbvCq::poll`]'s probe until a completion arrives.
+    pub async fn wait<P: Processor>(&self, p: &P) -> WorkCompletion {
+        let got = p.spin_until(&self.probe(), Self::ready).await;
+        self.finish(p, &got.bytes).await
+    }
+
+    /// The rest of a poll whose head probe loaded a CQE into `bytes`:
     /// byte-swap and translate the CQE, look up its QP, free the slot and
     /// publish the consumer index.
-    pub async fn poll<P: Processor>(&self, p: &P) -> Option<WorkCompletion> {
-        // Load the software consumer index.
-        let ci = p.ld_state(self.state).await as u32;
-        let slot = self.ring.slot(ci as u64);
-        let mut raw = [0u8; CQ_STRIDE as usize];
-        p.ld_bytes(slot, &mut raw).await;
-        // Ownership/validity check and branch.
-        p.instr(14).await;
-        let Some(cqe) = Cqe::decode(&raw) else {
-            // Empty probe: one spin of a poll loop (counted, not charged —
-            // the probe's loads above already paid the memory latency).
-            self.hca.inner.stats.cq_poll_spins.inc();
-            return None;
-        };
-        Some(self.complete(p, ci, slot, cqe).await)
+    pub async fn finish<P: Processor>(&self, p: &P, bytes: &[u8]) -> WorkCompletion {
+        let ci = le(&bytes[..8]) as u32;
+        let cqn = self.cqn;
+        debug_assert_eq!(
+            ci,
+            self.ci.get(),
+            "CQ {cqn} consumer index moved under its poller"
+        );
+        let cqe = Cqe::decode(&bytes[8..]).expect("the accepted probe holds a CQE");
+        self.complete(p, ci, self.ring.slot(ci as u64), cqe).await
     }
 
     /// The rest of a successful poll of the CQE at consumer index `ci`.
@@ -285,6 +322,7 @@ impl IbvCq {
         // overflow check.
         p.st_bytes(slot, &[0u8; CQ_STRIDE as usize]).await;
         p.st_state(self.state, ci.wrapping_add(1) as u64).await;
+        self.ci.set(ci.wrapping_add(1));
         p.st_u32(self.ci_db_record, ci.wrapping_add(1)).await;
         // Consumer-index arithmetic, lock/unlock bookkeeping.
         p.instr(120).await;
@@ -296,44 +334,6 @@ impl IbvCq {
             imm: cqe.imm,
             wqe_index: cqe.wqe_index,
         }
-    }
-
-    /// Spin on [`IbvCq::poll`]'s probe until a completion arrives.
-    pub async fn wait<P: Processor>(&self, p: &P) -> WorkCompletion {
-        // Only this CQ's poller writes its consumer index, so every probe
-        // of one wait loads the same slot.
-        let mut b = [0u8; 8];
-        self.hca.inner.bus.peek(self.state, &mut b);
-        let ci = u64::from_le_bytes(b) as u32;
-        let slot = self.ring.slot(ci as u64);
-        let loads = [
-            ProbeLoad {
-                addr: self.state,
-                kind: LoadKind::State,
-            },
-            ProbeLoad {
-                addr: slot,
-                kind: LoadKind::Bytes(CQ_STRIDE as usize),
-            },
-        ];
-        let probe = Probe {
-            loads: &loads,
-            instr: 14,
-            spins: Some(&self.hca.inner.stats.cq_poll_spins),
-        };
-        let got = p
-            .spin_until(&probe, |b| {
-                le(&b[..8]) as u32 != ci || Cqe::decode(&b[8..]).is_some()
-            })
-            .await;
-        assert_eq!(
-            le(&got.bytes[..8]) as u32,
-            ci,
-            "CQ {} consumer index moved under its poller",
-            self.cqn
-        );
-        let cqe = Cqe::decode(&got.bytes[8..]).expect("the accepted probe holds a CQE");
-        self.complete(p, ci, slot, cqe).await
     }
 }
 

@@ -1,27 +1,35 @@
 //! The spin engine: spin-wait fast-forward for any [`Processor`].
 //!
-//! A processor's `Processor::spin_until` hands its probe to
-//! [`spin_until`], which runs it step by step exactly as the plain loop
-//! does — the same loads, counters, delays and recorder spans — until it
-//! can show that the next probes change nothing:
+//! A probe is one pass of a poll loop as a short step list
+//! ([`crate::Step`]): loads, instruction blocks, retire points (each hands
+//! the caller's predicate the bytes loaded so far, so a raised first
+//! channel is served before the next one is loaded), exit-flag checks and a
+//! trailing idle delay. [`Plan`] compiles it into [`Op`]s. A processor's
+//! `Processor::spin_until` hands its probe to [`spin_until`], which runs
+//! the steps exactly as the plain loop does — the same loads, counters,
+//! delays and recorder spans — until it can show that the next passes
+//! change nothing:
 //!
-//! * the last two failed probes were identical: the same loaded bytes, the
+//! * the last two failed passes were identical: the same loaded bytes, the
 //!   same step offsets, and every step [`Run::steady`] (for a GPU: every
 //!   device-memory load an L2 hit and every PCIe read sent on an idle
 //!   link);
-//! * the next probe's first step was steady again, and memory still holds
-//!   the bytes those probes saw;
+//! * the next pass reached its first delay without one, that step was
+//!   steady again, and memory still holds the bytes those passes saw;
+//! * every exit flag is unset;
 //! * the recorder and the causal log are off and every load targets RAM.
 //!
 //! The thread then *parks* (see `tc_desim::ffwd`): it keeps no timer, and
-//! the executor runs its skipped steps, from the probe's period and step
+//! the executor runs its skipped steps, from the pass's period and step
 //! offsets, in the plain loop's order; once they have run, the processor
 //! charges each exactly what the plain loop charges
-//! ([`Spinner::charge`]), and this module the caller's spin counter. The
-//! bus watches every loaded byte range, and the processor arms its own
-//! triggers ([`Spinner::watch`]); a trigger or the recorder or causal log
-//! coming on resumes the thread with a real timer at its next skipped step,
-//! from where it runs for real again.
+//! ([`Spinner::charge`]), and this module the retires' spin counters. The
+//! bus watches every loaded byte range, every exit flag runs a watcher when
+//! it is set, and the processor arms its own triggers ([`Spinner::watch`]);
+//! a trigger or the recorder or causal log coming on resumes the thread
+//! with a real timer at its next skipped step, from where it runs for real
+//! again. A thread resumed by its exit flag never parks again: its next
+//! exit check ends the spin.
 //!
 //! The engine is the processor-independent half. Each [`Spinner`] supplies
 //! only what its steps cost and charge and what else resumes it: `tc-gpu`'s
@@ -34,14 +42,15 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use tc_desim::ffwd::Skipped;
+use tc_desim::sync::Flag;
 use tc_desim::Time;
 use tc_mem::Bus;
 use tc_trace::Counter;
 
-use crate::proc::{le, Probe, ProbeLoad, Processor, Spun};
+use crate::proc::{le, Probe, ProbeLoad, Processor, Spun, Step};
 
-/// One step of a probe. Steps separated by a non-zero delay happen at
-/// different simulated instants.
+/// One step of a compiled probe. Steps separated by a non-zero delay
+/// happen at different simulated instants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Load `i` issues: counters, and any cache lookup.
@@ -50,61 +59,108 @@ pub enum Op {
     Read(usize),
     /// Load `i` samples memory.
     Done(usize),
-    /// The compare/branch instructions issue.
-    Instr,
-    /// They retire; the predicate decides.
-    Retire,
+    /// This many compare/branch instructions issue.
+    Instr(u64),
+    /// They retire at retire point `j`; the predicate decides.
+    Retire(usize),
+    /// Exit flag `j` is tested (by the engine).
+    Exit(usize),
+    /// The pass idles this long (run by the engine).
+    Idle(Time),
+}
+
+/// A load of a compiled probe.
+#[derive(Clone)]
+pub struct PlanLoad {
+    /// The load.
+    pub load: ProbeLoad,
+    /// It sends a PCIe read.
+    pub sys: bool,
+    /// Offset of its bytes in the probe's buffer.
+    off: usize,
+}
+
+/// A retire point of a compiled probe.
+#[derive(Clone)]
+struct Retire {
+    /// The instructions of the block that retires here.
+    instr: u64,
+    /// The bytes loaded before it.
+    end: usize,
+    /// Bumped once per rejection.
+    spins: Option<Counter>,
 }
 
 /// A probe compiled into steps.
 #[derive(Clone)]
 pub struct Plan {
-    /// The probe's loads.
-    pub loads: Vec<ProbeLoad>,
-    /// Instructions after the loads.
-    pub instr: u64,
-    /// Per load: sends a PCIe read.
-    pub sys: Vec<bool>,
-    spins: Option<Counter>,
+    /// The probe's loads, in order.
+    pub loads: Vec<PlanLoad>,
     ops: Vec<Op>,
-    /// Per load: offset of its bytes in the probe's buffer.
-    offs: Vec<usize>,
+    retires: Vec<Retire>,
+    flags: Vec<Flag>,
+    /// Bytes one pass loads.
+    bytes: usize,
     /// Every load targets RAM, so bus watches see every change.
     ram: bool,
 }
 
 impl Plan {
     fn new<S: Spinner>(t: &S, probe: &Probe<'_>) -> Plan {
-        let mut ops = Vec::with_capacity(3 * probe.loads.len() + 2);
-        let (mut sys, mut offs) = (Vec::new(), Vec::new());
-        let (mut off, mut ram) = (0, true);
-        for (i, l) in probe.loads.iter().enumerate() {
-            let s = t.sends_read(l);
-            ops.push(Op::Issue(i));
-            if s {
-                ops.push(Op::Read(i));
-            }
-            ops.push(Op::Done(i));
-            sys.push(s);
-            offs.push(off);
-            off += l.bytes();
-            ram &= t.bus().resolve(l.addr).is_some();
+        let count = |f: fn(&Step<'_>) -> bool| probe.iter().filter(|s| f(s)).count();
+        let loads = count(|s| matches!(s, Step::Load(_)));
+        let mut plan = Plan {
+            loads: Vec::with_capacity(loads),
+            ops: Vec::with_capacity(2 * loads + probe.len()),
+            retires: Vec::with_capacity(count(|s| matches!(s, Step::Retire(_)))),
+            flags: Vec::with_capacity(count(|s| matches!(s, Step::Exit(_)))),
+            bytes: 0,
+            ram: true,
+        };
+        let mut instr = 0;
+        for step in probe {
+            let op = match *step {
+                Step::Load(load) => {
+                    let (i, sys) = (plan.loads.len(), t.sends_read(&load));
+                    plan.ops.push(Op::Issue(i));
+                    if sys {
+                        plan.ops.push(Op::Read(i));
+                    }
+                    let off = plan.bytes;
+                    plan.loads.push(PlanLoad { load, sys, off });
+                    plan.bytes += load.bytes();
+                    plan.ram &= t.bus().resolve(load.addr).is_some();
+                    Op::Done(i)
+                }
+                Step::Instr(n) => {
+                    instr = n;
+                    Op::Instr(n)
+                }
+                Step::Retire(spins) => {
+                    let (end, spins) = (plan.bytes, spins.cloned());
+                    plan.retires.push(Retire { instr, end, spins });
+                    Op::Retire(plan.retires.len() - 1)
+                }
+                Step::Exit(flag) => {
+                    plan.flags.push(flag.clone());
+                    Op::Exit(plan.flags.len() - 1)
+                }
+                Step::Idle(d) => Op::Idle(d),
+            };
+            plan.ops.push(op);
         }
-        ops.extend([Op::Instr, Op::Retire]);
-        Plan {
-            loads: probe.loads.to_vec(),
-            instr: probe.instr,
-            spins: probe.spins.cloned(),
-            ops,
-            sys,
-            offs,
-            ram,
-        }
+        plan
     }
 
     /// Where load `i`'s bytes sit in the probe's buffer.
     pub fn range(&self, i: usize) -> Range<usize> {
-        self.offs[i]..self.offs[i] + self.loads[i].bytes()
+        let l = &self.loads[i];
+        l.off..l.off + l.load.bytes()
+    }
+
+    /// The instructions that retire at retire point `j`.
+    pub fn retiring(&self, j: usize) -> u64 {
+        self.retires[j].instr
     }
 }
 
@@ -131,11 +187,13 @@ pub trait Spinner: Processor + Clone + 'static {
     /// [`Op::Read`].
     fn sends_read(&self, l: &ProbeLoad) -> bool;
     /// Run step `op` of `plan` now, exactly as the plain loop's loads and
-    /// instructions do; returns the delay before the next step.
+    /// instructions do; returns the delay before the next step. The engine
+    /// runs [`Op::Exit`] and [`Op::Idle`] itself.
     fn step(&self, plan: &Plan, op: Op, r: &mut Run) -> Time;
     /// Charge `n` skipped runs of step `op`, the last at instant `last`,
     /// with what the plain loop would have charged for them (the engine
-    /// charges the spin counter at [`Op::Retire`]).
+    /// charges the spin counters at [`Op::Retire`]; it never hands over
+    /// [`Op::Exit`] or [`Op::Idle`]).
     fn charge(&self, plan: &Plan, op: Op, n: u64, last: Time);
     /// Arm the resume triggers besides the bus watches on the polled bytes,
     /// pushing how to disarm each onto `unwatch`.
@@ -151,27 +209,61 @@ pub async fn spin_until<S: Spinner>(
     let plan = Plan::new(t, probe);
     let sim = t.sim().clone();
     let mut r = Run {
-        bytes: vec![0; probe.bytes()],
+        bytes: vec![0; plan.bytes],
         t0: 0,
         rd: 0,
         steady: true,
     };
     let mut failed = 0;
-    // Step offsets of the probe in flight and of the last failed one.
+    // Step offsets of the pass in flight and of the last failed one, each
+    // closed by the pass's length.
     let (mut at, mut last_at): (Vec<Time>, Vec<Time>) = (Vec::new(), Vec::new());
     let mut last_bytes = Vec::new();
-    // The last two failed probes were whole, steady and identical.
+    // The last two failed passes were whole, steady and identical.
     let mut twins = false;
     loop {
         let mut start = sim.now();
         let mut whole = true;
         at.clear();
+        at.reserve(plan.ops.len() + 1);
         r.steady = true;
         let mut i = 0;
         while i < plan.ops.len() {
-            at.push(sim.now() - start);
-            let d = t.step(&plan, plan.ops[i], &mut r);
-            if i == 0 && twins && d > 0 && r.steady && d == last_at[1] {
+            let offset = sim.now() - start;
+            at.push(offset);
+            let d = match plan.ops[i] {
+                Op::Retire(j) => {
+                    t.step(&plan, Op::Retire(j), &mut r);
+                    let point = &plan.retires[j];
+                    if done(&r.bytes[..point.end]) {
+                        r.bytes.truncate(point.end);
+                        let (bytes, exited) = (r.bytes, false);
+                        return Spun {
+                            bytes,
+                            failed,
+                            exited,
+                        };
+                    }
+                    if let Some(c) = &point.spins {
+                        c.inc();
+                    }
+                    0
+                }
+                Op::Exit(j) if plan.flags[j].is_set() => {
+                    let (bytes, exited) = (Vec::new(), true);
+                    return Spun {
+                        bytes,
+                        failed,
+                        exited,
+                    };
+                }
+                Op::Exit(_) => 0,
+                Op::Idle(d) => d,
+                op => t.step(&plan, op, &mut r),
+            };
+            // The first delay of a pass that repeats the last two: park.
+            let first = offset == 0 && twins && last_at[i] == 0;
+            if first && d > 0 && r.steady && d == last_at[i + 1] {
                 if let Some(park) = SpinPark::new(t, &plan, &last_at, &last_bytes) {
                     let k = park.wait().await;
                     failed += park.retired(k);
@@ -186,16 +278,8 @@ pub async fn spin_until<S: Spinner>(
             }
             i += 1;
         }
-        if done(&r.bytes) {
-            return Spun {
-                bytes: r.bytes,
-                failed,
-            };
-        }
+        at.push(sim.now() - start);
         failed += 1;
-        if let Some(c) = &plan.spins {
-            c.inc();
-        }
         let steady = whole && r.steady;
         twins = steady && at == last_at && r.bytes == last_bytes;
         if steady {
@@ -217,15 +301,15 @@ struct Event {
 }
 
 /// A parked spinner: the schedule of its skipped events and their charges.
-/// Skipped events are numbered from 1; event 0 is the first step of the
-/// first skipped probe, which ran for real when the thread parked.
+/// Skipped events are numbered from 1; event 0 is the first instant of the
+/// first skipped pass, whose steps ran for real when the thread parked.
 struct SpinPark<S: Spinner> {
     thread: S,
     plan: Plan,
     bytes: Vec<u8>,
-    /// Step offsets of the repeated probe.
+    /// Step offsets of the repeated pass, closed by its length.
     at: Vec<Time>,
-    /// Start of the first skipped probe.
+    /// Start of the first skipped pass.
     start: Time,
     period: Time,
     events: Vec<Event>,
@@ -239,21 +323,25 @@ struct SpinPark<S: Spinner> {
 
 impl<S: Spinner> SpinPark<S> {
     /// Park if the thread may: see the module docs. `at` and `bytes` are
-    /// the repeated probe's step offsets and loaded bytes.
+    /// the repeated pass's step offsets (closed by its length) and loaded
+    /// bytes.
     fn new(t: &S, plan: &Plan, at: &[Time], bytes: &[u8]) -> Option<Rc<Self>> {
         let sim = t.sim();
         if !plan.ram || sim.recorder().on() || sim.causal_enabled() {
             return None;
         }
-        // A store since the repeated probes sampled was not watched.
+        if plan.flags.iter().any(Flag::is_set) {
+            return None;
+        }
+        // A store since the repeated passes sampled was not watched.
         let mut now_bytes = vec![0; bytes.len()];
         for (i, l) in plan.loads.iter().enumerate() {
-            t.bus().peek(l.addr, &mut now_bytes[plan.range(i)]);
+            t.bus().peek(l.load.addr, &mut now_bytes[plan.range(i)]);
         }
         if now_bytes != bytes {
             return None;
         }
-        let period = *at.last().expect("a probe has steps");
+        let period = *at.last().expect("a pass has a length");
         let mut events: Vec<Event> = Vec::new();
         for (&op, &a) in plan.ops.iter().zip(at) {
             // Steps at offset 0 run in the previous probe's last event.
@@ -294,10 +382,14 @@ impl<S: Spinner> SpinPark<S> {
         });
         let bus = self.thread.bus();
         let mut unwatch = self.unwatch.borrow_mut();
-        for l in &self.plan.loads {
+        for PlanLoad { load: l, .. } in &self.plan.loads {
             let id = bus.watch(l.addr, l.bytes() as u64, wake.clone());
             let (bus, addr) = (bus.clone(), l.addr);
             unwatch.push(Box::new(move || bus.unwatch(addr, id)));
+        }
+        for flag in &self.plan.flags {
+            let (id, flag) = (flag.watch(wake.clone()), flag.clone());
+            unwatch.push(Box::new(move || flag.unwatch(id)));
         }
         self.thread.watch(&self.plan, &wake, &mut unwatch);
     }
@@ -338,21 +430,28 @@ impl<S: Spinner> SpinPark<S> {
             }
             let last = self.instant(to - (to - 1 - j) % m);
             for &op in &e.ops {
-                if let (Op::Retire, Some(c)) = (op, &self.plan.spins) {
-                    c.add(n);
+                match op {
+                    Op::Exit(_) | Op::Idle(_) => continue,
+                    Op::Retire(r) => {
+                        if let Some(c) = &self.plan.retires[r].spins {
+                            c.add(n);
+                        }
+                    }
+                    _ => {}
                 }
                 self.thread.charge(&self.plan, op, n, last);
             }
         }
     }
 
-    /// Failed probes among the skipped events before `k`.
+    /// Failed passes among the skipped events before `k`.
     fn retired(&self, k: u64) -> u64 {
         (k - 1) / self.m()
     }
 
-    /// Where the thread picks up at skipped event `k`: the probe's start
-    /// and the step to run next, with `r` as the skipped steps left it.
+    /// Where the thread picks up at skipped event `k`: the pass's start
+    /// and the step to run next (the op count: the pass is over), with `r`
+    /// as the skipped steps left it.
     fn resume_point(&self, k: u64, r: &mut Run) -> (Time, usize) {
         let m = self.m();
         let start = self.start + (k - 1) / m * self.period;
@@ -364,7 +463,7 @@ impl<S: Spinner> SpinPark<S> {
             .expect("every event starts a step");
         for (idx, op) in self.plan.ops[..next].iter().enumerate() {
             match op {
-                Op::Issue(_) | Op::Instr => r.t0 = start + self.at[idx],
+                Op::Issue(_) | Op::Instr(_) => r.t0 = start + self.at[idx],
                 Op::Read(_) => r.rd = start + self.at[idx],
                 _ => {}
             }
@@ -401,7 +500,7 @@ impl<S: Spinner> Skipped for SpinPark<S> {
 
     fn describe(&self) -> String {
         let mut out = String::from("spin on");
-        for (i, l) in self.plan.loads.iter().enumerate() {
+        for (i, PlanLoad { load: l, .. }) in self.plan.loads.iter().enumerate() {
             let b = &self.bytes[self.plan.range(i)];
             if b.len() <= 8 {
                 let _ = write!(out, " {:#x}={:#x}", l.addr, le(b));
@@ -411,6 +510,9 @@ impl<S: Spinner> Skipped for SpinPark<S> {
                     let _ = write!(out, "{x:02x}");
                 }
             }
+        }
+        for flag in &self.plan.flags {
+            let _ = write!(out, " exit {flag:?}");
         }
         out
     }

@@ -11,13 +11,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use tc_desim::sync::Flag;
 use tc_desim::{time, Sim, Time, Work};
 use tc_mem::{layout, Addr, Bus, RegionKind, SparseMem};
 use tc_pcie::{
-    le, CpuConfig, CpuThread, LoadKind, Pcie, PcieConfig, Probe, ProbeLoad, Processor, Spun,
+    le, CpuConfig, CpuThread, LoadKind, Pcie, PcieConfig, ProbeLoad, Processor, Spun, Step,
 };
 use tc_trace::rng::XorShift64;
-use tc_trace::{Snapshot, TraceEvent};
+use tc_trace::{Counter, Snapshot, TraceEvent};
 
 /// Forwards every method the thread implements but `spin_until`, so spins
 /// take the plain loop.
@@ -45,6 +46,15 @@ impl Processor for Plain {
     async fn st_state(&self, a: Addr, v: u64) {
         self.0.st_state(a, v).await
     }
+}
+
+/// A one-segment probe: `loads`, `instr` instructions, a retire that bumps
+/// `spins` on a rejection.
+fn segment<'a>(loads: &[ProbeLoad], instr: u64, spins: Option<&'a Counter>) -> Vec<Step<'a>> {
+    let loads = loads.iter().map(|&l| Step::Load(l));
+    loads
+        .chain([Step::Instr(instr), Step::Retire(spins)])
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,11 +150,7 @@ fn poller(
     let (o, t) = (out.clone(), w.cpu.clone());
     let counter = spins.map(|name| w.sim.registry().counter(name));
     w.sim.spawn("poller", async move {
-        let probe = Probe {
-            loads: &loads,
-            instr,
-            spins: counter.as_ref(),
-        };
+        let probe = segment(&loads, instr, counter.as_ref());
         let got = match mode {
             Mode::Native => t.spin_until(&probe, done).await,
             Mode::Plain => Plain(t).spin_until(&probe, done).await,
@@ -169,11 +175,7 @@ fn tagged(
     let first = loads[0].bytes();
     w.sim.spawn("poller", async move {
         sim.delay(start).await;
-        let probe = Probe {
-            loads: &loads,
-            instr,
-            spins: None,
-        };
+        let probe = segment(&loads, instr, None);
         let done = |b: &[u8]| le(&b[..first]) >= want;
         let got = match mode {
             Mode::Native => t.spin_until(&probe, done).await,
@@ -600,11 +602,7 @@ fn a_parked_poller_nothing_wakes_explains_the_hang() {
     let t = w.cpu.clone();
     w.sim.spawn("lonely-poller", async move {
         let loads = [load(state, LoadKind::State), load(cqe, LoadKind::Bytes(64))];
-        let probe = Probe {
-            loads: &loads,
-            instr: 14,
-            spins: None,
-        };
+        let probe = segment(&loads, 14, None);
         t.spin_until(&probe, |b| le(&b[..8]) == 1).await;
     });
     // The plain loop would spin forever; the parked poller lets `run`
@@ -623,4 +621,336 @@ fn a_parked_poller_nothing_wakes_explains_the_hang() {
         w.sim.next_event_time().is_some(),
         "a spinning poller is never idle"
     );
+}
+
+/// Where an idle spinner's pass tests its exit flag: at its top, as the
+/// assisted proxy does, or after its probes, as a workload server does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ExitAt {
+    Top,
+    AfterProbes,
+}
+
+/// An idle spinner: passes of probe segments, an exit-flag test and an
+/// idle delay, as a proxy or server loop puts them together.
+#[derive(Clone)]
+struct Idler {
+    /// Each segment's loads and instructions; its retire bumps its own
+    /// counter.
+    segs: Vec<(Vec<ProbeLoad>, u64)>,
+    /// Where the pass tests `flag`, if it has one.
+    exit: Option<(ExitAt, Flag)>,
+    idle: Time,
+    /// A segment's retire accepts once its first load reads at least this;
+    /// every acceptance raises it by one.
+    want: u64,
+    /// Spins before the spinner stops without its flag.
+    spins: usize,
+}
+
+/// Idle spinner `tag`, first probing at `start`: every spin's result lands
+/// in `log`.
+fn idler(w: &World, mode: Mode, log: &Log, (tag, start): (usize, Time), idler: Idler) {
+    let (log, t, sim) = (log.clone(), w.cpu.clone(), w.sim.clone());
+    let counters: Vec<Counter> = (0..idler.segs.len())
+        .map(|j| w.sim.registry().counter(&format!("test.idler{tag}.seg{j}")))
+        .collect();
+    w.sim.spawn("idler", async move {
+        sim.delay(start).await;
+        let Idler {
+            segs,
+            exit,
+            idle,
+            mut want,
+            spins,
+        } = idler;
+        let mut steps = Vec::new();
+        // Per segment: where its bytes end and its first load's bytes.
+        let mut ends = Vec::new();
+        let flag = exit.as_ref().map(|(at, flag)| (*at, Step::Exit(flag)));
+        if let Some((ExitAt::Top, exit)) = flag {
+            steps.push(exit);
+        }
+        let mut off = 0;
+        for ((loads, instr), c) in segs.iter().zip(&counters) {
+            ends.push((off + loads.iter().map(ProbeLoad::bytes).sum::<usize>(), off));
+            off += loads[0].bytes();
+            steps.push(Step::Load(loads[0]));
+            for &l in &loads[1..] {
+                steps.push(Step::Load(l));
+                off += l.bytes();
+            }
+            steps.extend([Step::Instr(*instr), Step::Retire(Some(c))]);
+        }
+        if let Some((ExitAt::AfterProbes, exit)) = flag {
+            steps.push(exit);
+        }
+        steps.push(Step::Idle(idle));
+        for _ in 0..spins {
+            let want = &mut want;
+            let done = |b: &[u8]| {
+                let &(end, first) = ends.iter().find(|e| e.0 == b.len()).expect("a retire");
+                let seg = ends.iter().position(|e| e.0 == end).expect("a segment");
+                le(&b[first..first + segs[seg].0[0].bytes()]) >= *want
+            };
+            let got = match mode {
+                Mode::Native => t.spin_until(&steps, done).await,
+                Mode::Plain => Plain(t.clone()).spin_until(&steps, done).await,
+            };
+            let exited = got.exited;
+            log.borrow_mut().push((tag, got));
+            if exited {
+                return;
+            }
+            *want += 1;
+        }
+    });
+}
+
+/// Set `flag` at the last of `hops`, after a timer at each of them.
+fn set_via(w: &World, flag: &Flag, hops: &[Time]) {
+    let (sim, flag, hops) = (w.sim.clone(), flag.clone(), hops.to_vec());
+    w.sim.spawn("setter", async move {
+        for at in hops {
+            sim.delay(at - sim.now()).await;
+        }
+        flag.set();
+    });
+}
+
+/// The costs of a two-segment pass of one 64-bit load and 2 instructions
+/// each: `(period, load, segment)`, the segment being a load and its
+/// instructions.
+fn two_segment_pass(idle: Time) -> (Time, Time, Time) {
+    let cfg = CpuConfig::default();
+    let seg = cfg.dram + 2 * cfg.instr;
+    (2 * seg + idle, cfg.dram, seg)
+}
+
+/// A two-segment idle spinner on words `a` and `b` with a 60 ns idle
+/// delay, accepting twice: `b` is raised through `b_hops` (its last hop
+/// the store) and, in the second spin, `a` through `a_hops`.
+fn two_segment_idler(mode: Mode, b_hops: &[Time], a_hops: &[Time]) -> (Outcome, bool) {
+    let w = world();
+    let (a, b) = (layout::host_dram(0) + 0x100, layout::host_dram(0) + 0x200);
+    let log = Log::default();
+    let segs = vec![
+        (vec![load(a, LoadKind::U64)], 2),
+        (vec![load(b, LoadKind::U64)], 2),
+    ];
+    let spins = 2;
+    let idle = time::ns(60);
+    let (exit, want) = (None, 1);
+    let spec = Idler {
+        segs,
+        exit,
+        idle,
+        want,
+        spins,
+    };
+    idler(&w, mode, &log, (0, 0), spec);
+    store_via(&w, b, 1, b_hops);
+    store_via(&w, a, 2, a_hops);
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn a_two_segment_idle_pass_matches_the_plain_loop() {
+    let (period, dram, seg) = two_segment_pass(time::ns(60));
+    // Pass 300 samples `b` one segment and one load after it starts.
+    let issued = 300 * period + seg;
+    let sample = issued + dram;
+    // The store's timer inserted long before the sample, at the instant
+    // the skipped load issued, just before it, and just before the
+    // sample: its place among the skipped steps decides which pass sees
+    // it.
+    for inserted_at in [1, issued - 1, issued, sample - 1] {
+        let hops = [inserted_at, sample];
+        let (first, _) = two_segment_idler(Mode::Native, &hops, &[sample + time::ms(1)]);
+        let pass = first.spun[0].1.failed;
+        // The second spin starts at the retire that accepted `b`; `a` is
+        // raised while its pass 400 loads `b`.
+        let raise = pass * period + 2 * seg + 400 * period + seg + dram / 2;
+        let (native, parked) = two_segment_idler(Mode::Native, &hops, &[raise]);
+        let (plain, _) = two_segment_idler(Mode::Plain, &hops, &[raise]);
+        assert!(parked, "{inserted_at}");
+        assert_eq!(native, plain, "{inserted_at}");
+        // `b` accepted at the second retire of pass 300 or 301; `a`,
+        // raised while `b` was loading, one pass later at the first.
+        let got: Vec<_> = native
+            .spun
+            .iter()
+            .map(|(_, s)| (s.bytes.len(), s.failed))
+            .collect();
+        assert!(pass == 300 || pass == 301, "{inserted_at}: {got:?}");
+        assert_eq!(got, [(16, pass), (8, 401)], "{inserted_at}");
+    }
+}
+
+/// A one-segment idle spinner on an unchanging word whose exit flag is set
+/// through `hops` (the last the set), its pass testing it at `exit`.
+fn exit_set_at(mode: Mode, exit: ExitAt, hops: &[Time]) -> (Outcome, bool) {
+    let w = world();
+    let word = layout::host_dram(0) + 0x100;
+    let log = Log::default();
+    let flag = Flag::new("test.exit");
+    let spec = Idler {
+        segs: vec![(vec![load(word, LoadKind::U64)], 4)],
+        exit: Some((exit, flag.clone())),
+        idle: time::ns(400),
+        want: 1,
+        spins: 1,
+    };
+    idler(&w, mode, &log, (0, 0), spec);
+    set_via(&w, &flag, hops);
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn an_exit_flag_set_at_any_instant_ends_the_spin_where_the_plain_loop_does() {
+    let cfg = CpuConfig::default();
+    let idle = time::ns(400);
+    let probe = cfg.dram + 4 * cfg.instr;
+    let period = probe + idle;
+    for exit in [ExitAt::Top, ExitAt::AfterProbes] {
+        let mut sets = Vec::new();
+        for pass in [0, 1, 2, 300] {
+            let start = pass * period;
+            // Inside the idle delay, at its first instant, at the instant
+            // the next pass starts (the proxy's stop test), and just
+            // before it.
+            for at in [
+                start + probe + idle / 2,
+                start + probe,
+                start + period,
+                start + period - 1,
+            ] {
+                sets.extend([vec![at], vec![1, at], vec![at - 1, at], vec![start, at]]);
+            }
+        }
+        for hops in &sets {
+            let (native, parked) = exit_set_at(Mode::Native, exit, hops);
+            let (plain, _) = exit_set_at(Mode::Plain, exit, hops);
+            assert_eq!(native, plain, "{exit:?} {hops:?}");
+            // Passes 0 and 1 repeat, so pass 2 parks at its first load
+            // unless the flag is set by then.
+            let last = *hops.last().unwrap();
+            assert_eq!(parked, last > 2 * period, "{exit:?} {hops:?}");
+            assert!(
+                native.spun.iter().all(|(_, s)| s.exited),
+                "{exit:?} {hops:?}"
+            );
+        }
+    }
+}
+
+/// A seeded scenario: 1–3 idle spinners with random passes (1–3 segments
+/// of 1–2 loads, an exit flag at either place or none, an idle delay),
+/// among 1–3 plain pollers, on three words each stored 1, 2 and 3 at
+/// random instants; every exit flag is set at a random instant. Every
+/// instant is a multiple of the instruction time, so steps, stores and
+/// sets often tie.
+fn random_idlers(mode: Mode, seed: u64) -> (Outcome, bool) {
+    let mut rng = XorShift64::new(seed);
+    let w = world();
+    let grain = CpuConfig::default().instr;
+    let words = [0x100, 0x200, 0x300].map(|off| layout::host_dram(0) + off);
+    let log = Log::default();
+    let pick = |rng: &mut XorShift64| words[rng.below(3) as usize];
+    for tag in 0..rng.range(1, 4) as usize {
+        let segs = (0..rng.range(1, 4))
+            .map(|_| {
+                let first = [LoadKind::U32, LoadKind::U64, LoadKind::State][rng.below(3) as usize];
+                let mut loads = vec![load(pick(&mut rng), first)];
+                if rng.chance(1, 3) {
+                    let kind = [LoadKind::U64, LoadKind::Bytes(16)][rng.below(2) as usize];
+                    loads.push(load(pick(&mut rng), kind));
+                }
+                (loads, rng.range(1, 50))
+            })
+            .collect();
+        let flag = Flag::new(&format!("test.idler{tag}.exit"));
+        let exit = match rng.below(3) {
+            0 => ExitAt::Top,
+            1 => ExitAt::AfterProbes,
+            _ => {
+                // No flag: the spinner stops after its spins.
+                let spins = rng.range(1, 3) as usize;
+                let spec = Idler {
+                    segs,
+                    exit: None,
+                    idle: rng.range(1, 500) * grain,
+                    want: rng.range(1, 4 - spins as u64 + 1),
+                    spins,
+                };
+                idler(&w, mode, &log, (tag, rng.below(2_000) * grain), spec);
+                continue;
+            }
+        };
+        set_via(&w, &flag, &[rng.range(1, 120_000) * grain]);
+        let spec = Idler {
+            segs,
+            exit: Some((exit, flag)),
+            idle: rng.range(1, 500) * grain,
+            want: rng.range(1, 4),
+            spins: 4,
+        };
+        idler(&w, mode, &log, (tag, rng.below(2_000) * grain), spec);
+    }
+    for tag in 10..10 + rng.range(1, 4) as usize {
+        let start = rng.below(2_000) * grain;
+        let loads = vec![load(pick(&mut rng), LoadKind::U64)];
+        tagged(
+            &w,
+            mode,
+            &log,
+            (tag, start, rng.range(1, 4)),
+            loads,
+            rng.range(1, 200),
+        );
+    }
+    for addr in words {
+        let mut at: Vec<Time> = (0..3).map(|_| rng.range(1, 100_000) * grain).collect();
+        at.sort_unstable();
+        let writes: Vec<_> = at
+            .into_iter()
+            .zip(1..)
+            .map(|(t, v)| (t, 0, word(v)))
+            .collect();
+        writer(&w, addr, &writes);
+    }
+    finish(&w, &[log], &RefCell::default())
+}
+
+#[test]
+fn random_idle_spinners_among_pollers_match_the_plain_loop() {
+    let mut parked = 0;
+    for seed in 1..=48 {
+        let (native, native_parked) = random_idlers(Mode::Native, seed);
+        let (plain, plain_parked) = random_idlers(Mode::Plain, seed);
+        assert!(!plain_parked);
+        assert_eq!(native, plain, "seed {seed}");
+        parked += usize::from(native_parked);
+    }
+    assert!(parked >= 40, "only {parked} of 48 seeds parked a spinner");
+}
+
+#[test]
+fn a_parked_idle_spinner_names_its_exit_flag() {
+    let w = world();
+    let word = layout::host_dram(0) + 0x100;
+    let flag = Flag::new("proxy.stop");
+    let spec = Idler {
+        segs: vec![(vec![load(word, LoadKind::U64)], 2)],
+        exit: Some((ExitAt::Top, flag)),
+        idle: time::ns(60),
+        want: 1,
+        spins: 1,
+    };
+    idler(&w, Mode::Native, &Log::default(), (0, 0), spec);
+    w.sim.run();
+    let stuck = w.sim.stuck_processes();
+    let want = format!("idler (parked: spin on {word:#x}=0x0 exit proxy.stop=unset)");
+    assert!(w.sim.stuck_dump().contains(&want));
+    assert_eq!(stuck, [want]);
 }

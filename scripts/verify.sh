@@ -39,11 +39,20 @@ cargo test -q -p tc-mem --test proptest_mem indexed_bus_matches_a_linear_scan
 echo "== spin-wait fast-forward goldens (parked spinners match the plain loop) =="
 # tc-pcie's spin_ff also pins the executor's run merge to the plain loop:
 # tied pollers, a fast poller between a slow one's steps, a store inside a
-# whole-period jump, and seeded random pollers.
+# whole-period jump, and seeded random pollers. Its idle-pass scenarios
+# pin multi-segment passes with an idle delay and exit flags:
+# a_two_segment_idle_pass_matches_the_plain_loop,
+# an_exit_flag_set_at_any_instant_ends_the_spin_where_the_plain_loop_does,
+# random_idle_spinners_among_pollers_match_the_plain_loop and
+# a_parked_idle_spinner_names_its_exit_flag.
 cargo test -q -p tc-pcie --test spin_ff
 cargo test -q -p tc-gpu --test spin_ff
 cargo test -q -p tc-extoll --test velo_end_to_end \
     mailbox_recv_matches_a_try_recv_loop_on_both_processors
+# The assisted proxy and the raw-mix workload server park exactly as they
+# poll (recorded runs take the plain loop), on both fabrics.
+cargo test -q -p tc-putget --lib -- \
+    an_idle_proxy_parks_exactly_as_it_polls idle_servers_park_exactly_as_they_poll
 
 echo "== parallel runner golden (--jobs N output byte-identical to serial) =="
 cargo test -q --test parallel_golden
