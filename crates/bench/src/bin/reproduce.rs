@@ -27,8 +27,9 @@
 //! the five slowest tasks and, where `/proc/self/status` is readable, the
 //! process peak resident set (`VmHWM`).
 //!
-//! If an experiment whose registry row sets `fail_exits` (`check`,
-//! `profile`) reports `[FAIL]`, the process exits with status 1 so CI can
+//! If any selected experiment prints a `[FAIL]` line (a paper claim, a
+//! latency attribution or a checked result that did not hold), the
+//! process exits with status 1, naming each such experiment, so CI can
 //! gate on it.
 
 use std::io::Write as _;
@@ -38,7 +39,7 @@ use std::time::Instant;
 use tc_bench::cli::{parse, usage, Options};
 use tc_bench::pool::Pool;
 use tc_bench::{
-    desimbench, experiment, metrics, metrics_report, run_all, trace_report, Scale, WorkloadKnobs,
+    desimbench, failed, metrics, metrics_report, run_all, trace_report, Scale, WorkloadKnobs,
     EXPERIMENTS,
 };
 
@@ -196,7 +197,6 @@ fn main() {
     let (outputs, stats) = run_all(&pool, &ids, scale, &knobs);
     let elapsed = t0.elapsed();
 
-    let mut check_failed = false;
     for (id, out) in ids.iter().zip(&outputs) {
         println!("{}", out.text);
         if let Some(dir) = &opts.out_dir {
@@ -210,9 +210,6 @@ fn main() {
             if let Some(series) = &out.series {
                 write_file(&format!("{dir}/{id}.timeseries.json"), series);
             }
-        }
-        if experiment(id).fail_exits && out.text.contains("[FAIL]") {
-            check_failed = true;
         }
     }
 
@@ -237,8 +234,10 @@ fn main() {
         elapsed.as_secs_f64(),
         pool.jobs()
     );
-    if check_failed {
-        eprintln!("error: at least one claim reported [FAIL]");
+    let texts = outputs.iter().map(|out| out.text.as_str());
+    let failed = failed(ids.iter().copied().zip(texts));
+    if !failed.is_empty() {
+        eprintln!("error: [FAIL] printed by {}", failed.join(", "));
         exit(1);
     }
 }

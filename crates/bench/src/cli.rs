@@ -219,11 +219,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
             }
             "--ids" => {
                 let list = args.next().ok_or("--ids needs a comma-separated list")?;
-                opts.ids.extend(
-                    list.split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string),
-                );
+                let ids = list.split(',').filter(|s| !s.is_empty());
+                let before = opts.ids.len();
+                opts.ids.extend(ids.map(str::to_string));
+                if opts.ids.len() == before {
+                    return Err(format!("--ids needs at least one id, got {list:?}"));
+                }
             }
             "--validate-metrics" => {
                 opts.validate_metrics = Some(args.next().ok_or("--validate-metrics needs a file")?);
@@ -372,8 +373,11 @@ mod tests {
         assert_eq!(o.ids, vec!["pingpong", "check", "fig1a"]);
         assert!(p(&["--ids", "pingpong,talbe2"]).is_err());
         assert!(p(&["--ids"]).is_err());
-        // Empty segments (trailing comma) are tolerated.
+        // Empty segments (trailing comma) are tolerated, but a list with
+        // no id is a usage error rather than "run everything".
         assert_eq!(p(&["--ids", "check,"]).unwrap().ids, vec!["check"]);
+        assert!(p(&["--ids", ""]).is_err());
+        assert!(p(&["--ids", ","]).is_err());
     }
 
     #[test]

@@ -136,13 +136,19 @@ pub struct ExperimentOutput {
     pub series: Option<String>,
 }
 
+/// The texts the experiments of one batch printed, by id.
+type Printed<'a> = [(&'a str, &'a str)];
+
 /// One experiment, decomposed for scheduling: independent sweep-point
 /// tasks plus a render step over the results in index order. Build one
 /// with [`plan`], run it with [`ExperimentPlan::run`], or flatten many
 /// into one task list with [`run_all`].
 pub struct ExperimentPlan {
     tasks: Vec<Task>,
-    render: Box<dyn FnOnce() -> ExperimentOutput + Send>,
+    /// The experiments whose printed text the render reads, by id
+    /// (`check`'s figures); [`run_all`] runs them too.
+    reads: &'static [&'static str],
+    render: Box<dyn FnOnce(&Printed) -> ExperimentOutput + Send>,
 }
 
 impl ExperimentPlan {
@@ -152,10 +158,12 @@ impl ExperimentPlan {
     }
 
     /// Run every task on `pool` and render the report. The output is
-    /// byte-identical for every pool width.
+    /// byte-identical for every pool width. A plan that reads other
+    /// experiments (`check`) runs through [`run_all`] instead.
     pub fn run(self, pool: &Pool) -> ExperimentOutput {
+        assert!(self.reads.is_empty(), "this plan runs through run_all");
         pool.run_tasks(self.tasks);
-        (self.render)()
+        (self.render)(&[])
     }
 }
 
@@ -194,7 +202,7 @@ where
             }) as Task
         })
         .collect();
-    let render = Box::new(move || {
+    let render = Box::new(move |_: &Printed| {
         let results: Vec<P> = slots
             .iter()
             .map(|m| m.lock().unwrap().take().expect("sweep point was not run"))
@@ -210,7 +218,11 @@ where
         let (text, series) = render(results);
         ExperimentOutput { text, sim, series }
     });
-    ExperimentPlan { tasks, render }
+    ExperimentPlan {
+        tasks,
+        reads: &[],
+        render,
+    }
 }
 
 /// [`plan_points_sim`] for experiments whose points carry no registry
@@ -222,15 +234,6 @@ where
     R: FnOnce(Vec<P>) -> String + Send + 'static,
 {
     plan_points_sim(n, point, |_| None, render)
-}
-
-/// A plan with exactly one task (experiments that are a single simulation
-/// or whose driver is not decomposed further).
-fn single_plan<F>(f: F) -> ExperimentPlan
-where
-    F: Fn() -> String + Send + Sync + 'static,
-{
-    plan_points(1, move |_| f(), |mut v| v.pop().unwrap())
 }
 
 /// Assemble one [`Series`] per label from a flat `label-major` result grid
@@ -273,7 +276,7 @@ fn figure_plan<M>(
     x_name: &'static str,
     y_name: &'static str,
     modes: Vec<M>,
-    labels: Vec<&'static str>,
+    label: fn(M) -> &'static str,
     xs: Vec<u64>,
     point: impl Fn(M, u64) -> FigPoint + Send + Sync + 'static,
 ) -> ExperimentPlan
@@ -281,6 +284,7 @@ where
     M: Copy + Send + Sync + 'static,
 {
     let n = modes.len() * xs.len();
+    let labels: Vec<&str> = modes.iter().map(|&m| label(m)).collect();
     let xs_point = xs.clone();
     plan_points_sim(
         n,
@@ -309,13 +313,12 @@ fn plan_fig1a(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
         ExtollMode::Dev2DevAssisted,
         ExtollMode::HostControlled,
     ];
-    let labels = modes.iter().map(|m| m.label()).collect();
     figure_plan(
         "Fig. 1a: EXTOLL RMA ping-pong latency",
         "bytes",
         "latency us",
         modes,
-        labels,
+        ExtollMode::label,
         latency_sizes(),
         move |mode, size| {
             let r = extoll_pingpong(mode, size, scale.iters, scale.warmup);
@@ -330,13 +333,12 @@ fn plan_fig1b(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
         ExtollMode::Dev2DevAssisted,
         ExtollMode::HostControlled,
     ];
-    let labels = modes.iter().map(|m| m.label()).collect();
     figure_plan(
         "Fig. 1b: EXTOLL RMA streaming bandwidth",
         "bytes",
         "MB/s",
         modes,
-        labels,
+        ExtollMode::label,
         bandwidth_sizes(),
         move |mode, size| {
             let r = extoll_bandwidth(mode, size, bw_msgs(scale, size));
@@ -356,13 +358,12 @@ fn rate_plan(
         RateMode::Dev2DevAssisted,
         RateMode::HostControlled,
     ];
-    let labels = modes.iter().map(|m| m.label()).collect();
     figure_plan(
         title,
         "pairs",
         "MSGs/s",
         modes,
-        labels,
+        RateMode::label,
         pair_counts(),
         move |mode, pairs| {
             let r = run(mode, pairs as u32, scale.rate_msgs);
@@ -399,25 +400,22 @@ fn plan_fig3(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     )
 }
 
-fn ib_modes() -> (Vec<IbMode>, Vec<&'static str>) {
-    let modes = vec![
+fn ib_modes() -> Vec<IbMode> {
+    vec![
         IbMode::Dev2DevBufOnGpu,
         IbMode::Dev2DevBufOnHost,
         IbMode::Dev2DevAssisted,
         IbMode::HostControlled,
-    ];
-    let labels = modes.iter().map(|m| m.label()).collect();
-    (modes, labels)
+    ]
 }
 
 fn plan_fig4a(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
-    let (modes, labels) = ib_modes();
     figure_plan(
         "Fig. 4a: Infiniband Verbs ping-pong latency",
         "bytes",
         "latency us",
-        modes,
-        labels,
+        ib_modes(),
+        IbMode::label,
         latency_sizes(),
         move |mode, size| {
             let r = ib_pingpong(mode, size, scale.iters, scale.warmup);
@@ -427,13 +425,12 @@ fn plan_fig4a(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
 }
 
 fn plan_fig4b(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
-    let (modes, labels) = ib_modes();
     figure_plan(
         "Fig. 4b: Infiniband Verbs streaming bandwidth",
         "bytes",
         "MB/s",
-        modes,
-        labels,
+        ib_modes(),
+        IbMode::label,
         bandwidth_sizes(),
         move |mode, size| {
             let r = ib_bandwidth(mode, size, bw_msgs(scale, size));
@@ -602,23 +599,17 @@ fn plan_profile(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
 }
 
 fn plan_table1(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
-    plan_points(
-        2,
-        |i| table1_case(i == 1),
-        |cs| render_table1(&cs[0], &cs[1]),
-    )
+    let title = "Table I: EXTOLL polling approaches (100-iteration 1 KiB ping-pong, node-0 GPU)";
+    counter_plan(title, ["sysmem", "devmem"], table1_case, &TABLE1)
 }
 
 fn plan_table2(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
-    plan_points(
-        2,
-        |i| table2_case(i == 1),
-        |cs| render_table2(&cs[0], &cs[1]),
-    )
+    let title = "Table II: Infiniband buffer placement (100-iteration 1 KiB ping-pong, node-0 GPU)";
+    counter_plan(title, ["host", "gpu"], table2_case, &TABLE2)
 }
 
 fn plan_verbs_instr(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
-    single_plan(verbs_instr_report)
+    plan_points(1, |_| verbs_instr_report(), |mut v| v.pop().unwrap())
 }
 
 fn plan_ablations(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
@@ -674,128 +665,110 @@ fn plan_sensitivity(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     )
 }
 
-fn plan_check(scale: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+/// `check` runs no task of its own: it reads the tables its figures
+/// printed in the same batch.
+fn plan_check(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
+    ExperimentPlan {
+        tasks: Vec::new(),
+        reads: &claims::READS,
+        render: Box::new(|printed| ExperimentOutput {
+            text: claims::render(&claims::evaluate(printed)),
+            sim: None,
+            series: None,
+        }),
+    }
+}
+
+/// One counter row of Table I or II: its label, its counter and the
+/// paper's value in each of the table's two columns.
+type CounterRow = (&'static str, fn(&CounterSnapshot) -> u64, [u64; 2]);
+
+/// Table I: the paper's system- and device-memory polling values.
+const TABLE1: [CounterRow; 9] = [
+    ("sysmem reads (32B accesses)", |c| c.sysmem_reads, [4368, 0]),
+    (
+        "sysmem writes (32B accesses)",
+        |c| c.sysmem_writes,
+        [2908, 303],
+    ),
+    (
+        "globmem64 reads (accesses)",
+        |c| c.globmem64_reads,
+        [0, 1314],
+    ),
+    (
+        "globmem64 writes (accesses)",
+        |c| c.globmem64_writes,
+        [500, 400],
+    ),
+    ("l2 read hits", |c| c.l2_read_hits, [0, 3143]),
+    ("l2 read requests", |c| c.l2_read_requests, [4822, 2970]),
+    ("l2 write requests", |c| c.l2_write_requests, [5268, 404]),
+    ("memory accesses (r/w)", |c| c.mem_accesses, [6788, 1714]),
+    ("instructions executed", |c| c.instructions, [46413, 22491]),
+];
+
+/// Table II: the paper's buffers-on-host and buffers-on-GPU values.
+const TABLE2: [CounterRow; 8] = [
+    ("sysmem reads (32B accesses)", |c| c.sysmem_reads, [772, 80]),
+    (
+        "sysmem writes (32B accesses)",
+        |c| c.sysmem_writes,
+        [670, 316],
+    ),
+    ("l2 read misses", |c| c.l2_read_misses, [999, 1405]),
+    ("l2 read hits", |c| c.l2_read_hits, [16647, 14575]),
+    ("l2 read requests", |c| c.l2_read_requests, [16657, 15110]),
+    ("l2 write requests", |c| c.l2_write_requests, [1990, 1885]),
+    ("memory accesses (r/w)", |c| c.mem_accesses, [59937, 58905]),
+    (
+        "instructions executed",
+        |c| c.instructions,
+        [123297, 110463],
+    ),
+];
+
+/// A counter table: `case(false)` and `case(true)`, two independent
+/// runs (columns `names`), each next to the paper's value in every row.
+fn counter_plan(
+    title: &'static str,
+    names: [&'static str; 2],
+    case: fn(bool) -> CounterSnapshot,
+    rows: &'static [CounterRow],
+) -> ExperimentPlan {
     plan_points(
-        claims::PROBES,
-        move |i| claims::probe(i, scale.iters.min(20)),
-        |probes| {
-            let all: Vec<claims::Claim> = probes.into_iter().flatten().collect();
-            claims::render_claims(&all).0
+        2,
+        move |i| case(i == 1),
+        move |runs| {
+            let mut out = format!("# {title}\n{:30}", "metric");
+            for name in names {
+                let (sim, paper) = (format!("{name}(sim)"), format!("{name}(paper)"));
+                out.push_str(&format!(" {sim:>13} {paper:>13}"));
+            }
+            out.push('\n');
+            for (label, counter, [a, b]) in rows {
+                let (sim_a, sim_b) = (counter(&runs[0]), counter(&runs[1]));
+                out.push_str(&format!(
+                    "{label:30} {sim_a:>13} {a:>13} {sim_b:>13} {b:>13}\n"
+                ));
+            }
+            out
         },
     )
-}
-
-/// Reference values from the paper's Table I (system-memory polling).
-pub const PAPER_TABLE1_SYSMEM: [u64; 9] = [4368, 2908, 0, 500, 0, 4822, 5268, 6788, 46413];
-/// Reference values from the paper's Table I (device-memory polling).
-pub const PAPER_TABLE1_DEVMEM: [u64; 9] = [0, 303, 1314, 400, 3143, 2970, 404, 1714, 22491];
-/// Reference values from the paper's Table II (buffers on host).
-pub const PAPER_TABLE2_HOST: [u64; 8] = [772, 670, 999, 16647, 16657, 1990, 59937, 123297];
-/// Reference values from the paper's Table II (buffers on GPU).
-pub const PAPER_TABLE2_GPU: [u64; 8] = [80, 316, 1405, 14575, 15110, 1885, 58905, 110463];
-
-fn counter_rows_t1(c: &CounterSnapshot) -> [u64; 9] {
-    [
-        c.sysmem_reads,
-        c.sysmem_writes,
-        c.globmem64_reads,
-        c.globmem64_writes,
-        c.l2_read_hits,
-        c.l2_read_requests,
-        c.l2_write_requests,
-        c.mem_accesses,
-        c.instructions,
-    ]
-}
-
-fn counter_rows_t2(c: &CounterSnapshot) -> [u64; 8] {
-    [
-        c.sysmem_reads,
-        c.sysmem_writes,
-        c.l2_read_misses,
-        c.l2_read_hits,
-        c.l2_read_requests,
-        c.l2_write_requests,
-        c.mem_accesses,
-        c.instructions,
-    ]
-}
-
-fn render_table1(sys: &CounterSnapshot, dev: &CounterSnapshot) -> String {
-    let metrics = [
-        "sysmem reads (32B accesses)",
-        "sysmem writes (32B accesses)",
-        "globmem64 reads (accesses)",
-        "globmem64 writes (accesses)",
-        "l2 read hits",
-        "l2 read requests",
-        "l2 write requests",
-        "memory accesses (r/w)",
-        "instructions executed",
-    ];
-    let (s, d) = (counter_rows_t1(sys), counter_rows_t1(dev));
-    let mut out = String::from(
-        "# Table I: EXTOLL polling approaches (100-iteration 1 KiB ping-pong, node-0 GPU)\n",
-    );
-    out.push_str(&format!(
-        "{:30} {:>13} {:>13} {:>13} {:>13}\n",
-        "metric", "sysmem(sim)", "sysmem(paper)", "devmem(sim)", "devmem(paper)"
-    ));
-    for i in 0..metrics.len() {
-        out.push_str(&format!(
-            "{:30} {:>13} {:>13} {:>13} {:>13}\n",
-            metrics[i], s[i], PAPER_TABLE1_SYSMEM[i], d[i], PAPER_TABLE1_DEVMEM[i]
-        ));
-    }
-    out
-}
-
-fn render_table2(host: &CounterSnapshot, gpu: &CounterSnapshot) -> String {
-    let metrics = [
-        "sysmem reads (32B accesses)",
-        "sysmem writes (32B accesses)",
-        "l2 read misses",
-        "l2 read hits",
-        "l2 read requests",
-        "l2 write requests",
-        "memory accesses (r/w)",
-        "instructions executed",
-    ];
-    let (h, g) = (counter_rows_t2(host), counter_rows_t2(gpu));
-    let mut out = String::from(
-        "# Table II: Infiniband buffer placement (100-iteration 1 KiB ping-pong, node-0 GPU)\n",
-    );
-    out.push_str(&format!(
-        "{:30} {:>13} {:>13} {:>13} {:>13}\n",
-        "metric", "host(sim)", "host(paper)", "gpu(sim)", "gpu(paper)"
-    ));
-    for i in 0..metrics.len() {
-        out.push_str(&format!(
-            "{:30} {:>13} {:>13} {:>13} {:>13}\n",
-            metrics[i], h[i], PAPER_TABLE2_HOST[i], g[i], PAPER_TABLE2_GPU[i]
-        ));
-    }
-    out
 }
 
 /// §V-B.3 — verbs instruction micro-counts vs. the paper's 442/283.
 pub fn verbs_instr_report() -> String {
     let (post, poll) = verbs_instruction_counts();
-    format!(
-        "# SV-B.3: GPU verbs instruction counts\n\
-         {:30} {:>10} {:>10}\n\
-         {:30} {:>10} {:>10}\n\
-         {:30} {:>10} {:>10}\n",
-        "operation",
-        "simulated",
-        "paper",
-        "ibv_post_send",
-        post,
-        442,
-        "ibv_poll_cq (success)",
-        poll,
-        283
-    )
+    let mut out = String::from("# SV-B.3: GPU verbs instruction counts\n");
+    for (op, sim, paper) in [
+        ("operation", "simulated".to_string(), "paper"),
+        ("ibv_post_send", post.to_string(), "442"),
+        ("ibv_poll_cq (success)", poll.to_string(), "283"),
+    ] {
+        out.push_str(&format!("{op:30} {sim:>10} {paper:>10}\n"));
+    }
+    out
 }
 
 /// The fixed smoke scenario behind the `--metrics` fallback of
@@ -885,49 +858,41 @@ pub struct Experiment {
     /// The fabric of the id's representative run: the `--trace` ping-pong
     /// and the `--metrics` fallback scenario.
     fabric: Backend,
-    /// A `[FAIL]` in the experiment's output makes `reproduce` exit 1.
-    pub fail_exits: bool,
 }
 
 const fn row(
     id: &'static str,
     plan: fn(Scale, &WorkloadKnobs) -> ExperimentPlan,
     fabric: Backend,
-    fail_exits: bool,
 ) -> Experiment {
-    Experiment {
-        id,
-        plan,
-        fabric,
-        fail_exits,
-    }
+    Experiment { id, plan, fabric }
 }
 
 /// Every experiment `reproduce` accepts, in the order it runs them all.
-/// Dispatch, CLI id validation, the `--help` list, the `--metrics` and
-/// `--trace` fabric and the exit gate all read this table.
+/// Dispatch, CLI id validation, the `--help` list and the `--metrics` and
+/// `--trace` fabric all read this table.
 pub static EXPERIMENTS: [Experiment; 21] = [
-    row("pingpong", plan_pingpong, Extoll, false),
-    row("workload", plan_workload, Extoll, false),
-    row("crossover", plan_crossover, Extoll, false),
-    row("profile", plan_profile, Extoll, true),
-    row("fig1a", plan_fig1a, Extoll, false),
-    row("fig1b", plan_fig1b, Extoll, false),
-    row("fig2", plan_fig2, Extoll, false),
-    row("fig3", plan_fig3, Extoll, false),
-    row("fig4a", plan_fig4a, Infiniband, false),
-    row("fig4b", plan_fig4b, Infiniband, false),
-    row("fig5", plan_fig5, Infiniband, false),
-    row("table1", plan_table1, Extoll, false),
-    row("table2", plan_table2, Infiniband, false),
-    row("verbs-instr", plan_verbs_instr, Infiniband, false),
-    row("ablations", plan_ablations, Extoll, false),
-    row("staging", plan_staging, Extoll, false),
-    row("twosided", plan_twosided, Extoll, false),
-    row("velo", plan_velo, Extoll, false),
-    row("scaling", plan_scaling, Extoll, false),
-    row("sensitivity", plan_sensitivity, Extoll, false),
-    row("check", plan_check, Extoll, true),
+    row("pingpong", plan_pingpong, Extoll),
+    row("workload", plan_workload, Extoll),
+    row("crossover", plan_crossover, Extoll),
+    row("profile", plan_profile, Extoll),
+    row("fig1a", plan_fig1a, Extoll),
+    row("fig1b", plan_fig1b, Extoll),
+    row("fig2", plan_fig2, Extoll),
+    row("fig3", plan_fig3, Extoll),
+    row("fig4a", plan_fig4a, Infiniband),
+    row("fig4b", plan_fig4b, Infiniband),
+    row("fig5", plan_fig5, Infiniband),
+    row("table1", plan_table1, Extoll),
+    row("table2", plan_table2, Infiniband),
+    row("verbs-instr", plan_verbs_instr, Infiniband),
+    row("ablations", plan_ablations, Extoll),
+    row("staging", plan_staging, Extoll),
+    row("twosided", plan_twosided, Extoll),
+    row("velo", plan_velo, Extoll),
+    row("scaling", plan_scaling, Extoll),
+    row("sensitivity", plan_sensitivity, Extoll),
+    row("check", plan_check, Extoll),
 ];
 
 /// Every experiment id, in table order, joined by `sep`.
@@ -956,7 +921,8 @@ pub fn plan(id: &str, scale: Scale, knobs: &WorkloadKnobs) -> ExperimentPlan {
 /// text report. The output is byte-identical for every pool width — the
 /// golden test (`tests/parallel_golden.rs`) enforces this.
 pub fn run_experiment(pool: &Pool, id: &str, scale: Scale) -> String {
-    plan(id, scale, &WorkloadKnobs::default()).run(pool).text
+    let (mut outputs, _) = run_all(pool, &[id], scale, &WorkloadKnobs::default());
+    outputs.remove(0).text
 }
 
 /// Run many experiments as **one** flattened task list: the pool schedules
@@ -965,24 +931,58 @@ pub fn run_experiment(pool: &Pool, id: &str, scale: Scale) -> String {
 /// contribution) are returned in `ids` order, together with the pool's
 /// self-profile of the batch (host wall-clock; the reports themselves
 /// never depend on it).
+///
+/// An experiment that a selected one reads (`check` reads its figures)
+/// but that `ids` leaves out runs too, after the selected ones; its
+/// report is not returned. Each plan is built once, so `check` inside a
+/// batch reads the same texts it reads alone.
 pub fn run_all(
     pool: &Pool,
     ids: &[&str],
     scale: Scale,
     knobs: &WorkloadKnobs,
 ) -> (Vec<ExperimentOutput>, PoolStats) {
+    let mut run = ids.to_vec();
+    let mut plans: Vec<ExperimentPlan> = ids.iter().map(|id| plan(id, scale, knobs)).collect();
+    let reads: Vec<&str> = plans.iter().flat_map(|p| p.reads).copied().collect();
+    for id in reads {
+        if !run.contains(&id) {
+            run.push(id);
+            plans.push(plan(id, scale, knobs));
+        }
+    }
     let mut tasks: Vec<Task> = Vec::new();
     let mut labels = Vec::new();
-    let mut renders: Vec<Box<dyn FnOnce() -> ExperimentOutput + Send>> = Vec::new();
-    for id in ids {
-        let ExperimentPlan { tasks: t, render } = plan(id, scale, knobs);
-        labels.extend((0..t.len()).map(|i| format!("{id}[{i}]")));
-        tasks.extend(t);
-        renders.push(render);
+    let mut renders = Vec::new();
+    for (id, p) in run.iter().zip(plans) {
+        labels.extend((0..p.tasks.len()).map(|i| format!("{id}[{i}]")));
+        tasks.extend(p.tasks);
+        renders.push((p.reads, p.render));
     }
     let mut stats = pool.run_tasks(tasks);
     stats.task_labels = labels;
-    (renders.into_iter().map(|r| r()).collect(), stats)
+    // Plans that read nothing render first; the readers then read them.
+    let (readers, plain): (Vec<_>, Vec<_>) =
+        (renders.into_iter().enumerate()).partition(|(_, (reads, _))| !reads.is_empty());
+    let mut outputs: Vec<Option<ExperimentOutput>> = run.iter().map(|_| None).collect();
+    for (k, (_, render)) in plain.into_iter().chain(readers) {
+        let printed: Vec<(&str, &str)> = (run.iter().zip(&outputs))
+            .filter_map(|(id, out)| Some((*id, out.as_ref()?.text.as_str())))
+            .collect();
+        outputs[k] = Some(render(&printed));
+    }
+    outputs.truncate(ids.len());
+    (outputs.into_iter().map(Option::unwrap).collect(), stats)
+}
+
+/// The ids of the `(id, report)` pairs whose report prints a `[FAIL]`
+/// line: a paper claim, a latency attribution or a checked result that
+/// did not hold. `reproduce` exits 1 when there is any.
+pub fn failed<'a>(reports: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<&'a str> {
+    let failing = reports
+        .into_iter()
+        .filter(|(_, text)| text.contains("[FAIL]"));
+    failing.map(|(id, _)| id).collect()
 }
 
 /// Human-friendly formatting of a simulated duration.
@@ -1015,8 +1015,9 @@ mod tests {
 
     #[test]
     fn every_experiment_has_a_plan_with_tasks() {
+        // `check` alone reads what its figures print instead.
         for e in &EXPERIMENTS {
-            assert!(tasks(e.id) >= 1, "{} has no tasks", e.id);
+            assert_eq!(tasks(e.id) == 0, e.id == "check", "{}", e.id);
         }
         // The figures decompose point-wise, not mode-wise.
         assert_eq!(tasks("fig1a"), 4 * 9);
@@ -1171,11 +1172,16 @@ mod tests {
             .map(|e| e.id)
             .collect();
         assert_eq!(ib, ["fig4a", "fig4b", "fig5", "table2", "verbs-instr"]);
-        let gated: Vec<&str> = EXPERIMENTS
-            .iter()
-            .filter(|e| e.fail_exits)
-            .map(|e| e.id)
-            .collect();
-        assert_eq!(gated, ["profile", "check"]);
+        // One exit rule for every experiment: any `[FAIL]` line, such as
+        // a wrong all-reduce sum, fails the run.
+        let mut wrong = scaling_mod::point(2, 64);
+        wrong.verified = false;
+        let scaling = scaling_mod::render(64, &[wrong]);
+        let verbs = verbs_instr_report();
+        let reports = [
+            ("verbs-instr", verbs.as_str()),
+            ("scaling", scaling.as_str()),
+        ];
+        assert_eq!(failed(reports), ["scaling"]);
     }
 }

@@ -30,12 +30,6 @@ pub fn table1_case(devmem: bool) -> CounterSnapshot {
     extoll_pingpong(mode, COUNTER_PAYLOAD, COUNTER_ITERS, 0).counters
 }
 
-/// Table I: node-0 GPU counters of a 100-iteration, 1 KiB EXTOLL
-/// ping-pong. Returns `(system_memory_polling, device_memory_polling)`.
-pub fn table1() -> (CounterSnapshot, CounterSnapshot) {
-    (table1_case(false), table1_case(true))
-}
-
 /// One column of Table II: the node-0 GPU counters of a 100-iteration
 /// Infiniband ping-pong with the queue buffers on the GPU (`true`) or the
 /// host (`false`). Each column is an independent simulation.
@@ -46,12 +40,6 @@ pub fn table2_case(gpu: bool) -> CounterSnapshot {
         IbMode::Dev2DevBufOnHost
     };
     ib_pingpong(mode, COUNTER_PAYLOAD, COUNTER_ITERS, 0).counters
-}
-
-/// Table II: node-0 GPU counters of a 100-iteration Infiniband ping-pong.
-/// Returns `(buffers_on_host, buffers_on_gpu)`.
-pub fn table2() -> (CounterSnapshot, CounterSnapshot) {
-    (table2_case(false), table2_case(true))
 }
 
 /// One point of Fig. 3: per-iteration WR-generation time and polling time
@@ -158,7 +146,7 @@ mod tests {
 
     #[test]
     fn table1_contrast_sysmem_vs_devmem() {
-        let (sys, dev) = table1();
+        let (sys, dev) = (table1_case(false), table1_case(true));
         // The defining contrast of Table I: system-memory polling does
         // thousands of sysmem reads; device-memory polling does none.
         assert!(sys.sysmem_reads > 1000, "sys reads = {}", sys.sysmem_reads);

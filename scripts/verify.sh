@@ -75,7 +75,7 @@ run_example ring_allreduce
 run_example ring_allreduce -- --ib 2
 run_example pingpong_scan
 
-echo "== paper-claims self-check (reproduce check --quick; fails on any [FAIL]) =="
+echo "== paper-claims self-check (reproduce check --quick runs the quick figures; fails on any [FAIL]) =="
 cargo run --release -p tc-bench --bin reproduce -- check --quick > /dev/null
 
 echo "== metrics export + strict schema self-check (tc-metrics-v1) =="

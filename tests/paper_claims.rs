@@ -1,172 +1,64 @@
-//! Integration tests that pin the paper's headline claims — the *shape*
-//! results EXPERIMENTS.md reports. Each test names the claim and the paper
-//! section it comes from.
+//! The paper's headline claims — the *shape* results EXPERIMENTS.md
+//! reports — asserted on the figures and tables `reproduce --quick`
+//! prints. Each claim is written once, as a predicate in
+//! `tc_putget::bench::check`; each test names the claims of one paper
+//! statement (§V and Table I).
 
-use tc_repro::putget::bench::bandwidth::{extoll_bandwidth, ib_bandwidth};
-use tc_repro::putget::bench::counters::{table1, verbs_instruction_counts};
-use tc_repro::putget::bench::msgrate::{extoll_msgrate, ib_msgrate};
-use tc_repro::putget::bench::pingpong::{extoll_pingpong, ib_pingpong};
-use tc_repro::putget::bench::{ExtollMode, IbMode, RateMode};
+use std::sync::OnceLock;
 
-const ITERS: u32 = 25;
-const WARMUP: u32 = 3;
+use tc_repro::bench::pool::Pool;
+use tc_repro::bench::{run_all, Scale, WorkloadKnobs};
+use tc_repro::putget::bench::check::{evaluate, Claim, READS};
 
-/// §V-A.1: "The latency for put operations that are executed on the GPU is
-/// almost twice as much as for host-controlled transfers."
-#[test]
-fn extoll_gpu_direct_latency_is_about_twice_host() {
-    let direct = extoll_pingpong(ExtollMode::Dev2DevDirect, 16, ITERS, WARMUP);
-    let host = extoll_pingpong(ExtollMode::HostControlled, 16, ITERS, WARMUP);
-    let ratio = direct.half_rtt as f64 / host.half_rtt as f64;
-    assert!(
-        (1.5..3.5).contains(&ratio),
-        "direct/host latency ratio {ratio:.2} (paper: ~2)"
-    );
+/// Every claim, evaluated once over the quick-scale figures.
+fn claims() -> &'static [Claim] {
+    static CLAIMS: OnceLock<Vec<Claim>> = OnceLock::new();
+    CLAIMS.get_or_init(|| {
+        let knobs = WorkloadKnobs::default();
+        let (outputs, _) = run_all(&Pool::new(2), &READS, Scale::quick(), &knobs);
+        let texts = outputs.iter().map(|o| o.text.as_str());
+        evaluate(&READS.into_iter().zip(texts).collect::<Vec<_>>())
+    })
 }
 
-/// §V-A.1: "The resulting latency [pollOnGPU] drops significantly and is
-/// even lower than host-assisted put operations."
-#[test]
-fn extoll_pollongpu_beats_assisted() {
-    let poll = extoll_pingpong(ExtollMode::Dev2DevPollOnGpu, 16, ITERS, WARMUP);
-    let assisted = extoll_pingpong(ExtollMode::Dev2DevAssisted, 16, ITERS, WARMUP);
-    assert!(
-        poll.half_rtt < assisted.half_rtt,
-        "pollOnGPU {:.2}us should beat assisted {:.2}us",
-        poll.latency_us(),
-        assisted.latency_us()
-    );
-}
-
-/// §V-A.1 / §V-B.1: streaming bandwidth drops for messages larger than
-/// 1 MiB — the PCIe peer-to-peer read issue.
-#[test]
-fn bandwidth_drops_past_one_mib_on_both_backends() {
-    for (label, at_1mib, at_4mib) in [
-        (
-            "extoll",
-            extoll_bandwidth(ExtollMode::HostControlled, 1 << 20, 10).mbytes_per_s(),
-            extoll_bandwidth(ExtollMode::HostControlled, 4 << 20, 8).mbytes_per_s(),
-        ),
-        (
-            "ib",
-            ib_bandwidth(IbMode::HostControlled, 1 << 20, 10).mbytes_per_s(),
-            ib_bandwidth(IbMode::HostControlled, 4 << 20, 8).mbytes_per_s(),
-        ),
-    ] {
-        assert!(
-            at_4mib < 0.8 * at_1mib,
-            "{label}: expected >20% bandwidth drop past 1 MiB ({at_1mib:.0} -> {at_4mib:.0} MB/s)"
-        );
+/// Assert the claims with these statements.
+fn holds(statements: &[&str]) {
+    for s in statements {
+        let c = claims().iter().find(|c| c.statement == *s);
+        let c = c.unwrap_or_else(|| panic!("no claim {s:?}"));
+        assert!(c.holds, "[{}] {}: {}", c.source, c.statement, c.verdict);
     }
 }
 
-/// §V-A.2: "both CPU-controlled data transfers are still faster" — the
-/// EXTOLL message-rate ordering is host > assisted > GPU-direct.
-#[test]
-fn extoll_message_rate_ordering() {
-    let host = extoll_msgrate(RateMode::HostControlled, 8, 50);
-    let assisted = extoll_msgrate(RateMode::Dev2DevAssisted, 8, 50);
-    let blocks = extoll_msgrate(RateMode::Dev2DevBlocks, 8, 50);
-    assert!(host.msgs_per_s() > assisted.msgs_per_s());
-    assert!(assisted.msgs_per_s() > blocks.msgs_per_s());
+/// One test per paper statement, asserting the claims that make it up.
+macro_rules! statements {
+    ($($test:ident: $($claim:literal),+;)+) => {$(
+        #[test]
+        fn $test() {
+            holds(&[$($claim),+]);
+        }
+    )+};
 }
 
-/// §V-A.2: "posting descriptors with multiple CUDA blocks performs similar
-/// as launching CUDA kernels with different streams."
-#[test]
-fn blocks_equal_kernels_on_both_backends() {
-    for (blocks, kernels) in [
-        (
-            extoll_msgrate(RateMode::Dev2DevBlocks, 8, 50).msgs_per_s(),
-            extoll_msgrate(RateMode::Dev2DevKernels, 8, 50).msgs_per_s(),
-        ),
-        (
-            ib_msgrate(RateMode::Dev2DevBlocks, 8, 50).msgs_per_s(),
-            ib_msgrate(RateMode::Dev2DevKernels, 8, 50).msgs_per_s(),
-        ),
-    ] {
-        let ratio = blocks / kernels;
-        assert!((0.8..1.25).contains(&ratio), "blocks/kernels ratio {ratio}");
-    }
-}
-
-/// §V-B.1: "the latency for a GPU-initiated data transfer is much higher
-/// than for a CPU-initiated data transfer, in particular for small
-/// messages" (Infiniband).
-#[test]
-fn ib_gpu_latency_much_higher_for_small_messages() {
-    let gpu = ib_pingpong(IbMode::Dev2DevBufOnGpu, 4, ITERS, WARMUP);
-    let host = ib_pingpong(IbMode::HostControlled, 4, ITERS, WARMUP);
-    let small_ratio = gpu.half_rtt as f64 / host.half_rtt as f64;
-    assert!(small_ratio > 3.0, "small-message ratio {small_ratio:.1}");
-    // ... and the gap closes for large messages.
-    let gpu_big = ib_pingpong(IbMode::Dev2DevBufOnGpu, 262_144, 10, 2);
-    let host_big = ib_pingpong(IbMode::HostControlled, 262_144, 10, 2);
-    let big_ratio = gpu_big.half_rtt as f64 / host_big.half_rtt as f64;
-    assert!(
-        big_ratio < small_ratio / 2.0,
-        "large-message ratio {big_ratio:.2} should be far below {small_ratio:.1}"
-    );
-}
-
-/// §V-B.1: "for Infiniband the location of the communication resources,
-/// here the queues, makes only a small difference."
-#[test]
-fn ib_buffer_placement_small_difference() {
-    let on_gpu = ib_pingpong(IbMode::Dev2DevBufOnGpu, 1024, ITERS, WARMUP);
-    let on_host = ib_pingpong(IbMode::Dev2DevBufOnHost, 1024, ITERS, WARMUP);
-    let ratio = on_gpu.half_rtt as f64 / on_host.half_rtt as f64;
-    assert!((0.7..1.3).contains(&ratio), "ratio {ratio}");
-}
-
-/// §V-B.2: "The message rate of the host-assisted version remains constant
-/// for more than four connection pairs" (single proxy thread).
-#[test]
-fn ib_assisted_rate_flat_beyond_four_pairs() {
-    let four = ib_msgrate(RateMode::Dev2DevAssisted, 4, 40);
-    let thirty_two = ib_msgrate(RateMode::Dev2DevAssisted, 32, 40);
-    let ratio = thirty_two.msgs_per_s() / four.msgs_per_s();
-    assert!(
-        (0.6..1.4).contains(&ratio),
-        "assisted kept scaling: {ratio}"
-    );
-}
-
-/// §V-B.2: "for 32 connections almost the same message rate can be reached
-/// as for host-initiated data transfers."
-#[test]
-fn ib_blocks_approach_host_rate_at_32_pairs() {
-    let gpu = ib_msgrate(RateMode::Dev2DevBlocks, 32, 50);
-    let host = ib_msgrate(RateMode::HostControlled, 32, 50);
-    let ratio = gpu.msgs_per_s() / host.msgs_per_s();
-    assert!((0.6..1.5).contains(&ratio), "gpu/host at 32 pairs: {ratio}");
-    // ... while at 1 pair the GPU is far behind.
-    let gpu1 = ib_msgrate(RateMode::Dev2DevBlocks, 1, 50);
-    let host1 = ib_msgrate(RateMode::HostControlled, 1, 50);
-    assert!(gpu1.msgs_per_s() < 0.3 * host1.msgs_per_s());
-}
-
-/// §V-A.3 / Table I: polling device memory uses the L2 and no sysmem
-/// reads; polling notifications cannot use the L2 at all.
-#[test]
-fn table1_polling_contrast_holds() {
-    let (sys, dev) = table1();
-    assert_eq!(sys.l2_read_hits, 0);
-    assert_eq!(dev.sysmem_reads, 0);
-    assert!(sys.sysmem_reads > 500);
-    assert!(dev.l2_read_hits > 1000);
-    // ~3 sysmem writes per iteration for the WR in the devmem variant.
-    assert!((250..=450).contains(&dev.sysmem_writes));
-    // More instructions when polling notifications (paper: ~2x).
-    assert!(sys.instructions > dev.instructions);
-}
-
-/// §V-B.3: 442 instructions to post a work request, 283 to poll one
-/// completion.
-#[test]
-fn verbs_micro_instruction_counts() {
-    let (post, poll) = verbs_instruction_counts();
-    assert!((400..=480).contains(&post), "post = {post}");
-    assert!((255..=315).contains(&poll), "poll = {poll}");
+statements! {
+    extoll_gpu_direct_latency_is_about_twice_host: "EXTOLL GPU-direct latency is ~2x host-controlled";
+    extoll_pollongpu_beats_assisted: "pollOnGPU drops below host-assisted";
+    bandwidth_drops_past_one_mib_on_both_backends:
+        "EXTOLL bandwidth drops past 1 MiB (PCIe P2P reads)", "IB bandwidth drops past 1 MiB";
+    extoll_message_rate_ordering: "EXTOLL rate ordering: host > assisted > GPU blocks";
+    blocks_equal_kernels_on_both_backends:
+        "EXTOLL blocks and kernels post at similar rates",
+        "IB blocks and kernels post at similar rates";
+    ib_gpu_latency_much_higher_for_small_messages:
+        "IB GPU latency far above host for small messages";
+    ib_buffer_placement_small_difference: "IB buffer placement makes only a small difference";
+    ib_assisted_rate_flat_beyond_four_pairs:
+        "assisted rate flat beyond 4 pairs (one proxy)";
+    ib_blocks_approach_host_rate_at_32_pairs:
+        "GPU blocks trail the host at 1 QP, near it at 32";
+    table1_polling_contrast_holds:
+        "devmem polling: L2 hits, no sysmem reads, ~3 WR/iter",
+        "notification polling: sysmem reads, no L2 hits",
+        "notification polling executes more instructions";
+    verbs_micro_instruction_counts: "~442 instructions per post_send, ~283 per poll_cq";
 }

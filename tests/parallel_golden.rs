@@ -4,7 +4,10 @@
 //! any divergence means shared state leaked between points.
 
 use tc_repro::bench::pool::{Pool, PoolStats};
-use tc_repro::bench::{metrics_report, plan, run_all, run_experiment, Scale, WorkloadKnobs};
+use tc_repro::bench::{
+    metrics_report, plan, run_all, run_experiment, ExperimentOutput, Scale, WorkloadKnobs,
+};
+use tc_repro::putget::bench::check::READS;
 
 #[test]
 fn parallel_output_is_byte_identical_to_serial() {
@@ -92,4 +95,17 @@ fn run_all_returns_reports_in_input_order() {
         let serial = run_experiment(&Pool::serial(), id, scale);
         assert_eq!(serial, out.text, "{id} diverged inside run_all");
     }
+    // Among its figures, `check` reads their tables; alone, it runs them
+    // without returning them. Its report and metrics are the same.
+    let batch = [&["check"][..], &READS].concat();
+    let (inside, _) = run_all(&Pool::new(4), &batch, scale, &WorkloadKnobs::default());
+    let (alone, _) = run_all(&Pool::new(4), &["check"], scale, &WorkloadKnobs::default());
+    assert_eq!((inside.len(), alone.len()), (batch.len(), 1));
+    assert_eq!(
+        inside[0].text, alone[0].text,
+        "check diverged inside run_all"
+    );
+    let stats = PoolStats::default();
+    let json = |out: &ExperimentOutput| metrics_report("check", "quick", out.sim.as_ref(), &stats);
+    assert_eq!(json(&inside[0]), json(&alone[0]));
 }
