@@ -24,7 +24,7 @@ use tc_desim::{QueueKind, Sim};
 use tc_trace::rng::XorShift64;
 
 use crate::harness::Harness;
-use crate::metrics::{parse_json, Json};
+use crate::metrics::{exact_keys, num, obj, parse_json, Json};
 
 /// Schema identifier stamped into (and required from) the JSON report.
 pub const SCHEMA: &str = "tc-desim-bench-v1";
@@ -394,41 +394,6 @@ pub fn render(samples: u32, results: &[BenchResult], shard_ring: &[ShardRingResu
     out
 }
 
-fn obj<'a>(
-    v: &'a Json,
-    what: &str,
-) -> Result<&'a std::collections::BTreeMap<String, Json>, String> {
-    match v {
-        Json::Obj(m) => Ok(m),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
-fn num(v: &Json, what: &str) -> Result<f64, String> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        _ => Err(format!("{what}: expected a number")),
-    }
-}
-
-fn exact_keys(
-    m: &std::collections::BTreeMap<String, Json>,
-    keys: &[&str],
-    what: &str,
-) -> Result<(), String> {
-    for k in keys {
-        if !m.contains_key(*k) {
-            return Err(format!("{what}: missing key {k:?}"));
-        }
-    }
-    for k in m.keys() {
-        if !keys.contains(&k.as_str()) {
-            return Err(format!("{what}: unexpected key {k:?}"));
-        }
-    }
-    Ok(())
-}
-
 /// Strict schema check for a `tc-desim-bench-v1` document. Every level
 /// must have exactly the expected keys; throughputs must be positive.
 /// `shard_ring` is the one optional section (older reports predate it),
@@ -446,7 +411,7 @@ pub fn validate(text: &str) -> Result<(), String> {
         Json::Str(s) => return Err(format!("schema: expected {SCHEMA:?}, found {s:?}")),
         _ => return Err("schema: expected a string".into()),
     }
-    let samples = num(&m["samples"], "samples")?;
+    let samples = num(m, "samples", "root")?;
     if samples < 1.0 || samples.fract() != 0.0 {
         return Err(format!(
             "samples: expected a positive integer, found {samples}"
@@ -460,12 +425,12 @@ pub fn validate(text: &str) -> Result<(), String> {
         let what = format!("benches.{name}");
         let b = obj(v, &what)?;
         exact_keys(b, &["events", "wheel_eps", "heap_eps", "speedup"], &what)?;
-        let events = num(&b["events"], &format!("{what}.events"))?;
+        let events = num(b, "events", &what)?;
         if events < 1.0 || events.fract() != 0.0 {
             return Err(format!("{what}.events: expected a positive integer"));
         }
         for k in ["wheel_eps", "heap_eps", "speedup"] {
-            let x = num(&b[k], &format!("{what}.{k}"))?;
+            let x = num(b, k, &what)?;
             if x <= 0.0 || !x.is_finite() {
                 return Err(format!("{what}.{k}: expected a positive finite number"));
             }
@@ -474,7 +439,7 @@ pub fn validate(text: &str) -> Result<(), String> {
     if let Some(v) = m.get("shard_ring") {
         let sr = obj(v, "shard_ring")?;
         exact_keys(sr, &["events", "series"], "shard_ring")?;
-        let events = num(&sr["events"], "shard_ring.events")?;
+        let events = num(sr, "events", "shard_ring")?;
         if events < 1.0 || events.fract() != 0.0 {
             return Err("shard_ring.events: expected a positive integer".into());
         }
@@ -482,13 +447,13 @@ pub fn validate(text: &str) -> Result<(), String> {
         if series.is_empty() {
             return Err("shard_ring.series: expected at least one shard count".into());
         }
-        for (shards, eps) in series {
+        for shards in series.keys() {
             let what = format!("shard_ring.series.{shards}");
             match shards.parse::<usize>() {
                 Ok(n) if n >= 1 => {}
                 _ => return Err(format!("{what}: key must be a positive shard count")),
             }
-            let x = num(eps, &what)?;
+            let x = num(series, shards, "shard_ring.series")?;
             if x <= 0.0 || !x.is_finite() {
                 return Err(format!("{what}: expected a positive finite number"));
             }
@@ -508,18 +473,15 @@ fn bench_map(text: &str, what: &str) -> Result<Report, String> {
     let benches = obj(&m["benches"], "benches")?;
     let wheel = benches
         .iter()
-        .map(|(name, v)| {
-            let b = obj(v, name)?;
-            Ok((name.clone(), num(&b["wheel_eps"], name)?))
-        })
+        .map(|(name, v)| Ok((name.clone(), num(obj(v, name)?, "wheel_eps", name)?)))
         .collect::<Result<Vec<_>, String>>()?;
     let shard_ring = match m.get("shard_ring") {
         None => None,
         Some(v) => {
             let series = obj(&obj(v, "shard_ring")?["series"], "series")?;
             let mut s = series
-                .iter()
-                .map(|(k, v)| Ok((k.parse::<usize>().unwrap_or(0), num(v, k)?)))
+                .keys()
+                .map(|k| Ok((k.parse::<usize>().unwrap_or(0), num(series, k, "series")?)))
                 .collect::<Result<Vec<(usize, f64)>, String>>()?;
             s.sort_unstable_by_key(|&(n, _)| n);
             Some(s)
@@ -675,9 +637,9 @@ mod tests {
         let bad = good.replace(SCHEMA, "tc-desim-bench-v0");
         assert!(validate(&bad).unwrap_err().contains("schema"));
         let bad = good.replace("\"samples\": 10,", "\"samples\": 10, \"extra\": 1,");
-        assert!(validate(&bad).unwrap_err().contains("unexpected key"));
+        assert!(validate(&bad).unwrap_err().contains("unknown key"));
         let bad = good.replace("\"events\": 1000,", "");
-        assert!(validate(&bad).unwrap_err().contains("missing key"));
+        assert!(validate(&bad).unwrap_err().contains("missing required key"));
         let bad = good.replace("\"1\":", "\"zero\":");
         assert!(validate(&bad).unwrap_err().contains("shard count"));
     }

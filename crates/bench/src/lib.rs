@@ -41,7 +41,6 @@ use tc_putget::bench::{
 use tc_putget::time;
 use tc_putget::AppKind;
 use tc_putget::Backend::{self, Extoll, Infiniband};
-use tc_putget::CounterSnapshot;
 use tc_trace::Snapshot;
 
 /// Workload scale: `quick` for CI-speed runs, `full` for the paper's
@@ -122,9 +121,9 @@ impl SimContribution {
 }
 
 /// The rendered outcome of one experiment: the text report plus the
-/// experiment's own metrics `sim` section (when its sweep points carry
-/// registry deltas; experiments that only produce bare counters fall back
-/// to the representative scenario in [`metrics_report`]).
+/// experiment's own metrics `sim` section (when its plan contributes
+/// registry deltas; the others fall back to the representative scenario
+/// in [`metrics_report`]).
 pub struct ExperimentOutput {
     /// The aligned text report.
     pub text: String,
@@ -679,61 +678,70 @@ fn plan_check(_: Scale, _: &WorkloadKnobs) -> ExperimentPlan {
     }
 }
 
-/// One counter row of Table I or II: its label, its counter and the
-/// paper's value in each of the table's two columns.
-type CounterRow = (&'static str, fn(&CounterSnapshot) -> u64, [u64; 2]);
+/// One counter row of Table I or II: its label, the registry counter it
+/// reads and the paper's value in each of the table's two columns.
+type CounterRow = (&'static str, &'static str, [u64; 2]);
 
 /// Table I: the paper's system- and device-memory polling values.
 const TABLE1: [CounterRow; 9] = [
-    ("sysmem reads (32B accesses)", |c| c.sysmem_reads, [4368, 0]),
+    (
+        "sysmem reads (32B accesses)",
+        "gpu0.sysmem.reads",
+        [4368, 0],
+    ),
     (
         "sysmem writes (32B accesses)",
-        |c| c.sysmem_writes,
+        "gpu0.sysmem.writes",
         [2908, 303],
     ),
     (
         "globmem64 reads (accesses)",
-        |c| c.globmem64_reads,
+        "gpu0.globmem64.reads",
         [0, 1314],
     ),
     (
         "globmem64 writes (accesses)",
-        |c| c.globmem64_writes,
+        "gpu0.globmem64.writes",
         [500, 400],
     ),
-    ("l2 read hits", |c| c.l2_read_hits, [0, 3143]),
-    ("l2 read requests", |c| c.l2_read_requests, [4822, 2970]),
-    ("l2 write requests", |c| c.l2_write_requests, [5268, 404]),
-    ("memory accesses (r/w)", |c| c.mem_accesses, [6788, 1714]),
-    ("instructions executed", |c| c.instructions, [46413, 22491]),
+    ("l2 read hits", "gpu0.l2.read_hits", [0, 3143]),
+    ("l2 read requests", "gpu0.l2.read_requests", [4822, 2970]),
+    ("l2 write requests", "gpu0.l2.write_requests", [5268, 404]),
+    ("memory accesses (r/w)", "gpu0.mem_accesses", [6788, 1714]),
+    ("instructions executed", "gpu0.instructions", [46413, 22491]),
 ];
 
 /// Table II: the paper's buffers-on-host and buffers-on-GPU values.
 const TABLE2: [CounterRow; 8] = [
-    ("sysmem reads (32B accesses)", |c| c.sysmem_reads, [772, 80]),
+    (
+        "sysmem reads (32B accesses)",
+        "gpu0.sysmem.reads",
+        [772, 80],
+    ),
     (
         "sysmem writes (32B accesses)",
-        |c| c.sysmem_writes,
+        "gpu0.sysmem.writes",
         [670, 316],
     ),
-    ("l2 read misses", |c| c.l2_read_misses, [999, 1405]),
-    ("l2 read hits", |c| c.l2_read_hits, [16647, 14575]),
-    ("l2 read requests", |c| c.l2_read_requests, [16657, 15110]),
-    ("l2 write requests", |c| c.l2_write_requests, [1990, 1885]),
-    ("memory accesses (r/w)", |c| c.mem_accesses, [59937, 58905]),
+    ("l2 read misses", "gpu0.l2.read_misses", [999, 1405]),
+    ("l2 read hits", "gpu0.l2.read_hits", [16647, 14575]),
+    ("l2 read requests", "gpu0.l2.read_requests", [16657, 15110]),
+    ("l2 write requests", "gpu0.l2.write_requests", [1990, 1885]),
+    ("memory accesses (r/w)", "gpu0.mem_accesses", [59937, 58905]),
     (
         "instructions executed",
-        |c| c.instructions,
+        "gpu0.instructions",
         [123297, 110463],
     ),
 ];
 
 /// A counter table: `case(false)` and `case(true)`, two independent
-/// runs (columns `names`), each next to the paper's value in every row.
+/// runs' registry deltas (columns `names`), each next to the paper's
+/// value in every row.
 fn counter_plan(
     title: &'static str,
     names: [&'static str; 2],
-    case: fn(bool) -> CounterSnapshot,
+    case: fn(bool) -> Snapshot,
     rows: &'static [CounterRow],
 ) -> ExperimentPlan {
     plan_points(
@@ -746,8 +754,8 @@ fn counter_plan(
                 out.push_str(&format!(" {sim:>13} {paper:>13}"));
             }
             out.push('\n');
-            for (label, counter, [a, b]) in rows {
-                let (sim_a, sim_b) = (counter(&runs[0]), counter(&runs[1]));
+            for (label, key, [a, b]) in rows {
+                let (sim_a, sim_b) = (runs[0].get(key), runs[1].get(key));
                 out.push_str(&format!(
                     "{label:30} {sim_a:>13} {a:>13} {sim_b:>13} {b:>13}\n"
                 ));
@@ -797,7 +805,7 @@ fn render_pingpong(r: &PingPongResult, interconnect: &str) -> String {
         "poll time / iteration",
         fmt_us(r.poll_time),
         "gpu instructions",
-        r.counters.instructions,
+        r.registry.get("gpu0.instructions"),
     )
 }
 
@@ -806,8 +814,8 @@ fn render_pingpong(r: &PingPongResult, interconnect: &str) -> String {
 /// The `sim` section is the experiment's **own** merged sweep-point
 /// registry delta (counters, histograms, gauges across every layer) when
 /// its plan produces one — the figures, the rate sweeps and `workload`
-/// all do. Experiments whose points only carry bare counter snapshots
-/// (the tables, the claims check, ...) fall back to a fixed
+/// all do. Experiments whose plans contribute none (the tables, the
+/// claims check, ...) fall back to a fixed
 /// representative ping-pong (`representative_run`) on their registry
 /// row's fabric. Either way the section is a function of deterministic
 /// simulations only — byte-identical across runs and `--jobs` widths;
@@ -1162,6 +1170,30 @@ mod tests {
         assert!(t.contains("4368")); // paper's headline value
         let t2 = run_experiment(&Pool::serial(), "table2", Scale::quick());
         assert!(t2.contains("123297"));
+    }
+
+    /// `Snapshot::get` reads a name nothing registered as 0, so a
+    /// misspelled row key would print a silent 0 (and pass Table I's
+    /// devmem `sysmem reads = 0` claim): every key the counter rows and the
+    /// smoke report read must be registered in the run they read.
+    #[test]
+    fn counter_rows_read_registered_counters() {
+        let registered = |run: &Snapshot, key: &str| run.iter().any(|(n, _)| n == key);
+        for (run, rows) in [
+            (table1_case(false), &TABLE1[..]),
+            (table1_case(true), &TABLE1[..]),
+            (table2_case(false), &TABLE2[..]),
+            (table2_case(true), &TABLE2[..]),
+        ] {
+            for (label, key, _) in rows {
+                assert!(registered(&run, key), "{label}: {key} is not registered");
+            }
+        }
+        let smoke = plan("pingpong", Scale::quick(), &WorkloadKnobs::default())
+            .run(&Pool::serial())
+            .sim
+            .expect("pingpong contributes its own registry");
+        assert!(registered(&smoke.registry, "gpu0.instructions"));
     }
 
     #[test]

@@ -359,7 +359,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-fn obj<'a>(v: &'a Json, what: &str) -> Result<&'a BTreeMap<String, Json>, String> {
+pub(crate) fn obj<'a>(v: &'a Json, what: &str) -> Result<&'a BTreeMap<String, Json>, String> {
     match v {
         Json::Obj(m) => Ok(m),
         other => Err(format!(
@@ -369,7 +369,7 @@ fn obj<'a>(v: &'a Json, what: &str) -> Result<&'a BTreeMap<String, Json>, String
     }
 }
 
-fn num(m: &BTreeMap<String, Json>, key: &str, what: &str) -> Result<f64, String> {
+pub(crate) fn num(m: &BTreeMap<String, Json>, key: &str, what: &str) -> Result<f64, String> {
     match m.get(key) {
         Some(Json::Num(n)) => Ok(*n),
         Some(other) => Err(format!(
@@ -380,7 +380,11 @@ fn num(m: &BTreeMap<String, Json>, key: &str, what: &str) -> Result<f64, String>
     }
 }
 
-fn exact_keys(m: &BTreeMap<String, Json>, want: &[&str], what: &str) -> Result<(), String> {
+pub(crate) fn exact_keys(
+    m: &BTreeMap<String, Json>,
+    want: &[&str],
+    what: &str,
+) -> Result<(), String> {
     for k in want {
         if !m.contains_key(*k) {
             return Err(format!("{what} is missing required key {k:?}"));

@@ -12,9 +12,9 @@
 //! assembly is always in input-index order regardless of scheduling.
 //!
 //! The workspace is intentionally zero-external-crate, so this is built on
-//! `std` only (`thread::scope` + `Mutex`/`AtomicUsize`).
+//! `std` only (`thread::scope` + `Mutex`/`AtomicU64`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -78,28 +78,6 @@ impl PoolStats {
         } else {
             self.busy_ns as f64 / capacity as f64
         }
-    }
-
-    /// Fold another batch into this one (wall-clock adds; batches that ran
-    /// sequentially sum, which is what the end-of-run summary wants).
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.jobs = self.jobs.max(other.jobs);
-        self.tasks += other.tasks;
-        self.wall_ns += other.wall_ns;
-        self.busy_ns += other.busy_ns;
-        self.queue_wait_ns += other.queue_wait_ns;
-        self.max_task_ns = self.max_task_ns.max(other.max_task_ns);
-        if self.per_worker.len() < other.per_worker.len() {
-            self.per_worker
-                .resize(other.per_worker.len(), WorkerStats::default());
-        }
-        for (mine, theirs) in self.per_worker.iter_mut().zip(&other.per_worker) {
-            mine.tasks += theirs.tasks;
-            mine.busy_ns = mine.busy_ns.saturating_add(theirs.busy_ns);
-        }
-        self.task_ns.extend(&other.task_ns);
-        self.task_labels.extend(other.task_labels.iter().cloned());
-        self.task_work.extend(&other.task_work);
     }
 
     /// Whether task `i` is one of experiment `id`'s own (label `id[i]`).
@@ -296,38 +274,6 @@ impl Pool {
                 .collect(),
         }
     }
-
-    /// Evaluate `f(0..n)` and return the results **in index order**,
-    /// regardless of which worker computed what when. With `jobs == 1`
-    /// this is exactly `(0..n).map(f).collect()`.
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.jobs == 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(n);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let v = f(i);
-                    *slots[i].lock().unwrap() = Some(v);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("pool worker skipped a slot"))
-            .collect()
-    }
 }
 
 /// The machine's available parallelism (1 if it cannot be determined).
@@ -340,14 +286,6 @@ pub fn available_parallelism() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_preserves_index_order() {
-        for jobs in [1, 2, 4, 7] {
-            let v = Pool::new(jobs).map(16, |i| i * i);
-            assert_eq!(v, (0..16).map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
-        }
-    }
 
     #[test]
     fn run_tasks_executes_every_task_exactly_once() {
@@ -419,87 +357,42 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_batches() {
-        let mut a = PoolStats {
-            jobs: 2,
-            tasks: 3,
-            wall_ns: 100,
-            busy_ns: 150,
-            queue_wait_ns: 10,
-            max_task_ns: 80,
-            per_worker: vec![WorkerStats {
-                tasks: 3,
-                busy_ns: 150,
-            }],
-            task_ns: vec![80, 50, 20],
-            task_labels: ["fig1a[0]", "fig1a[1]", "fig1a[2]"]
-                .map(String::from)
-                .to_vec(),
-            task_work: vec![
-                Work {
-                    polls: 7,
-                    skipped: 3,
-                    timers: 5,
-                };
-                3
-            ],
+    fn ledger_names_the_slowest_tasks_and_sums_per_experiment() {
+        let w = |polls, skipped, timers| Work {
+            polls,
+            skipped,
+            timers,
         };
-        let b = PoolStats {
-            jobs: 4,
-            tasks: 1,
-            wall_ns: 50,
-            busy_ns: 40,
-            queue_wait_ns: 5,
-            max_task_ns: 40,
+        let stats = PoolStats {
+            jobs: 2,
+            tasks: 4,
+            wall_ns: 150,
+            busy_ns: 190,
+            queue_wait_ns: 15,
+            max_task_ns: 80,
             per_worker: vec![
                 WorkerStats {
-                    tasks: 1,
-                    busy_ns: 40,
+                    tasks: 4,
+                    busy_ns: 190,
                 },
                 WorkerStats {
                     tasks: 0,
                     busy_ns: 0,
                 },
             ],
-            task_ns: vec![60],
-            task_labels: vec!["fig3[0]".into()],
-            task_work: vec![Work {
-                polls: 1234,
-                skipped: 56,
-                timers: 789,
-            }],
+            task_ns: vec![80, 50, 20, 60],
+            task_labels: ["fig1a[0]", "fig1a[1]", "fig1a[2]", "fig3[0]"]
+                .map(String::from)
+                .to_vec(),
+            task_work: vec![w(7, 3, 5), w(7, 3, 5), w(7, 3, 5), w(1234, 56, 789)],
         };
-        a.merge(&b);
-        assert_eq!(a.tasks, 4);
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.wall_ns, 150);
-        assert_eq!(a.busy_ns, 190);
-        assert_eq!(a.max_task_ns, 80);
-        assert_eq!(
-            a.per_worker,
-            vec![
-                WorkerStats {
-                    tasks: 4,
-                    busy_ns: 190
-                },
-                WorkerStats {
-                    tasks: 0,
-                    busy_ns: 0
-                },
-            ]
-        );
-        let s = a.summary();
+        let s = stats.summary();
         assert!(s.contains("4 task(s)") && s.contains("utilization"), "{s}");
         assert!(s.contains("worker 0") && s.contains("worker 1"), "{s}");
         // The ledger names the slowest tasks, slowest first, with their
         // executor work.
-        let w = |polls, skipped, timers| Work {
-            polls,
-            skipped,
-            timers,
-        };
         assert_eq!(
-            a.slowest(2),
+            stats.slowest(2),
             vec![
                 ("fig1a[0]", 80, w(7, 3, 5)),
                 ("fig3[0]", 60, w(1234, 56, 789))
@@ -515,9 +408,10 @@ mod tests {
             "{s}"
         );
         // Per experiment: the sum over its own tasks only.
-        assert_eq!(a.work_of("fig1a"), w(21, 9, 15));
-        assert_eq!(a.work_of("fig3"), w(1234, 56, 789));
-        assert_eq!(a.work_of("fig1"), w(0, 0, 0));
+        assert_eq!(stats.work_of("fig1a"), w(21, 9, 15));
+        assert_eq!(stats.time_of("fig1a"), 150);
+        assert_eq!(stats.work_of("fig3"), w(1234, 56, 789));
+        assert_eq!(stats.work_of("fig1"), w(0, 0, 0));
     }
 
     #[test]

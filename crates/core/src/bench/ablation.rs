@@ -151,10 +151,10 @@ pub fn ablation_endian() -> EndianAblation {
         let sim = c.sim.clone();
         c.sim.spawn("endian", async move {
             let t = gpu.thread();
-            let before = gpu.counters().snapshot();
+            let before = gpu.counters().instructions.get();
             let t0 = sim.now();
             qp0.post_send(&t, &wr).await;
-            let instr = gpu.counters().snapshot().delta(&before).instructions;
+            let instr = gpu.counters().instructions.get() - before;
             out2.set((instr, sim.now() - t0));
         });
         c.sim.run();
@@ -325,9 +325,9 @@ fn section_notify(size: u64, iters: u32) -> String {
          notification queues in GPU memory  : {:8.2} us latency, {:5} sysmem reads\n\
          speedup: {:.2}x — supports claim 3 of the paper's SVI.\n\n",
         host_q.latency_us(),
-        host_q.counters.sysmem_reads,
+        host_q.registry.get("gpu0.sysmem.reads"),
         gpu_q.latency_us(),
-        gpu_q.counters.sysmem_reads,
+        gpu_q.registry.get("gpu0.sysmem.reads"),
         host_q.latency_us() / gpu_q.latency_us(),
     ));
     out
@@ -431,7 +431,8 @@ mod tests {
             gpu_q.latency_us(),
             host_q.latency_us()
         );
-        assert!(gpu_q.counters.sysmem_reads < host_q.counters.sysmem_reads / 2);
+        let reads = |r: &PingPongResult| r.registry.get("gpu0.sysmem.reads");
+        assert!(reads(&gpu_q) < reads(&host_q) / 2);
     }
 
     #[test]

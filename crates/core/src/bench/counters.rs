@@ -5,8 +5,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tc_desim::time::Time;
-use tc_gpu::CounterSnapshot;
 use tc_ib::{Access, BufLoc, IbvContext, IbvCq, IbvQp, SendOpcode, SendWr, VerbsTuning};
+use tc_trace::Snapshot;
 
 use crate::cluster::{Backend, Cluster};
 
@@ -18,28 +18,30 @@ pub const COUNTER_ITERS: u32 = 100;
 /// Payload of the counter experiments (the paper uses 1 KiB).
 pub const COUNTER_PAYLOAD: u64 = 1024;
 
-/// One column of Table I: the node-0 GPU counters of a 100-iteration,
-/// 1 KiB EXTOLL ping-pong, polling device memory (`true`) or system
-/// memory (`false`). Each column is an independent simulation.
-pub fn table1_case(devmem: bool) -> CounterSnapshot {
+/// One column of Table I: the registry delta of a 100-iteration, 1 KiB
+/// EXTOLL ping-pong, polling device memory (`true`) or system memory
+/// (`false`); the rows read node 0's GPU counters (`gpu0.*`). Each column
+/// is an independent simulation.
+pub fn table1_case(devmem: bool) -> Snapshot {
     let mode = if devmem {
         ExtollMode::Dev2DevPollOnGpu
     } else {
         ExtollMode::Dev2DevDirect
     };
-    extoll_pingpong(mode, COUNTER_PAYLOAD, COUNTER_ITERS, 0).counters
+    extoll_pingpong(mode, COUNTER_PAYLOAD, COUNTER_ITERS, 0).registry
 }
 
-/// One column of Table II: the node-0 GPU counters of a 100-iteration
+/// One column of Table II: the registry delta of a 100-iteration
 /// Infiniband ping-pong with the queue buffers on the GPU (`true`) or the
-/// host (`false`). Each column is an independent simulation.
-pub fn table2_case(gpu: bool) -> CounterSnapshot {
+/// host (`false`); the rows read node 0's GPU counters (`gpu0.*`). Each
+/// column is an independent simulation.
+pub fn table2_case(gpu: bool) -> Snapshot {
     let mode = if gpu {
         IbMode::Dev2DevBufOnGpu
     } else {
         IbMode::Dev2DevBufOnHost
     };
-    ib_pingpong(mode, COUNTER_PAYLOAD, COUNTER_ITERS, 0).counters
+    ib_pingpong(mode, COUNTER_PAYLOAD, COUNTER_ITERS, 0).registry
 }
 
 /// One point of Fig. 3: per-iteration WR-generation time and polling time
@@ -114,17 +116,18 @@ pub fn verbs_instruction_counts() -> (u64, u64) {
     let (post2, poll2) = (post.clone(), poll.clone());
     let t = gpu.thread();
     c.sim.spawn("micro", async move {
-        let before = gpu.counters().snapshot();
+        let instr = &gpu.counters().instructions;
+        let before = instr.get();
         qp0.post_send(&t, &wr).await;
-        post2.set(gpu.counters().snapshot().delta(&before).instructions);
+        post2.set(instr.get() - before);
         // Wait until the CQE is certainly there, then measure exactly one
         // successful poll.
         let sim_h = t.gpu().sim().clone();
         loop {
             sim_h.delay(tc_desim::time::us(1)).await;
-            let probe = gpu.counters().snapshot();
+            let probe = instr.get();
             if let Some(_wc) = cq0.poll(&t).await {
-                poll2.set(gpu.counters().snapshot().delta(&probe).instructions);
+                poll2.set(instr.get() - probe);
                 break;
             }
         }
@@ -147,20 +150,22 @@ mod tests {
     #[test]
     fn table1_contrast_sysmem_vs_devmem() {
         let (sys, dev) = (table1_case(false), table1_case(true));
+        let sys_reads = sys.get("gpu0.sysmem.reads");
+        let dev_reads = dev.get("gpu0.sysmem.reads");
+        let dev_writes = dev.get("gpu0.sysmem.writes");
         // The defining contrast of Table I: system-memory polling does
         // thousands of sysmem reads; device-memory polling does none.
-        assert!(sys.sysmem_reads > 1000, "sys reads = {}", sys.sysmem_reads);
-        assert_eq!(dev.sysmem_reads, 0, "dev reads = {}", dev.sysmem_reads);
+        assert!(sys_reads > 1000, "sys reads = {sys_reads}");
+        assert_eq!(dev_reads, 0, "dev reads = {dev_reads}");
         // Device-memory polling posts WRs only: ~3 sysmem writes/iteration.
         assert!(
-            dev.sysmem_writes >= 300 && dev.sysmem_writes <= 450,
-            "dev writes = {}",
-            dev.sysmem_writes
+            (300..=450).contains(&dev_writes),
+            "dev writes = {dev_writes}"
         );
         // Device-memory polling hits the L2; system-memory polling cannot.
-        assert_eq!(sys.l2_read_hits, 0);
-        assert!(dev.l2_read_hits > 1000);
+        assert_eq!(sys.get("gpu0.l2.read_hits"), 0);
+        assert!(dev.get("gpu0.l2.read_hits") > 1000);
         // Far fewer instructions when polling device memory.
-        assert!(dev.instructions < sys.instructions);
+        assert!(dev.get("gpu0.instructions") < sys.get("gpu0.instructions"));
     }
 }

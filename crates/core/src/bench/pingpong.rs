@@ -17,7 +17,7 @@ use std::rc::Rc;
 use tc_desim::sync::Flag;
 use tc_desim::time::{self, Time};
 use tc_extoll::{RmaPort, WrFlags};
-use tc_gpu::{CounterSnapshot, Gpu, GpuThread};
+use tc_gpu::GpuThread;
 use tc_ib::{
     Access, BufLoc, CqeStatus, IbvContext, IbvCq, IbvQp, MemoryRegion, SendOpcode, SendWr,
 };
@@ -41,10 +41,9 @@ pub struct PingPongResult {
     pub iters: u32,
     /// Half round-trip time (the paper's "latency").
     pub half_rtt: Time,
-    /// Node-0 GPU counters over the timed region.
-    pub counters: CounterSnapshot,
     /// Delta of *every* registry counter (all layers, all nodes) over the
-    /// timed region — the cross-layer view behind the Table I/II rows.
+    /// timed region: the Table I/II rows read node 0's GPU counters here
+    /// (`gpu0.sysmem.reads`, `gpu0.instructions`, …).
     pub registry: Snapshot,
     /// Average time node 0 spent generating/posting work requests per
     /// iteration.
@@ -81,15 +80,13 @@ pub(crate) async fn poll_marker<P: Processor>(p: &P, buf: Addr, len: u64, i: u32
 }
 
 /// Node 0's measurement of the timed region, shared by every ping-pong:
-/// the window opened at the first timed iteration with a snapshot of node
-/// 0's GPU counters, and the per-iteration put and poll sums.
+/// the window opened at the first timed iteration, and the per-iteration
+/// put and poll sums.
 pub(crate) struct Timing {
     window: Window,
-    gpu: Gpu,
     warmup: u32,
     put_sum: Cell<Time>,
     poll_sum: Cell<Time>,
-    counters_at_start: Cell<CounterSnapshot>,
 }
 
 impl Timing {
@@ -97,11 +94,9 @@ impl Timing {
     pub(crate) fn new(c: &Cluster, warmup: u32) -> Rc<Self> {
         Rc::new(Timing {
             window: Window::new(&c.sim),
-            gpu: c.nodes[0].gpu.clone(),
             warmup,
             put_sum: Cell::new(0),
             poll_sum: Cell::new(0),
-            counters_at_start: Cell::default(),
         })
     }
 
@@ -114,7 +109,6 @@ impl Timing {
     fn begin(&self, i: u32) -> Time {
         if i == self.warmup {
             self.window.open();
-            self.counters_at_start.set(self.gpu.counters().snapshot());
         }
         self.now()
     }
@@ -137,11 +131,6 @@ impl Timing {
             size,
             iters,
             half_rtt: span / (iters as u64) / 2,
-            counters: self
-                .gpu
-                .counters()
-                .snapshot()
-                .delta(&self.counters_at_start.get()),
             registry,
             put_time: self.put_sum.get() / iters as u64,
             poll_time: self.poll_sum.get() / iters as u64,
@@ -599,7 +588,7 @@ mod tests {
             "{}",
             r.latency_us()
         );
-        assert!(r.counters.sysmem_writes > 0);
+        assert!(r.registry.get("gpu0.sysmem.writes") > 0);
     }
 
     #[test]

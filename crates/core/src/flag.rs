@@ -412,9 +412,10 @@ mod tests {
             }
         });
         c.sim.run();
-        let s = c.nodes[0].gpu.counters().snapshot();
+        let s = c.nodes[0].gpu.counters();
+        let (writes, reads) = (s.sysmem_writes.get(), s.sysmem_reads.get());
         // Request = 2 stores; wait = at least one flag read + arg read.
-        assert!(s.sysmem_writes >= 3, "writes = {}", s.sysmem_writes);
-        assert!(s.sysmem_reads >= 2, "reads = {}", s.sysmem_reads);
+        assert!(writes >= 3, "writes = {writes}");
+        assert!(reads >= 2, "reads = {reads}");
     }
 }

@@ -77,5 +77,5 @@ pub use transport::{AnyTransport, ExtollTransport, IbTransport, Transport, Trans
 
 // Re-export the pieces users need to drive the library.
 pub use tc_desim::{time, Sim};
-pub use tc_gpu::{CounterSnapshot, Gpu, GpuThread};
+pub use tc_gpu::{Gpu, GpuThread};
 pub use tc_pcie::{CpuThread, Processor};

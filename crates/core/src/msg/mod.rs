@@ -106,10 +106,10 @@ impl MsgConfig {
 /// RTS/CTS/FIN/Credit frames can never be starved by eager fragments.
 const CTRL_RESERVE: usize = 8;
 
-/// Protocol metrics of one messenger pair (a thin typed view over the
+/// Protocol metrics of one messenger pair (a bundle of handles into the
 /// simulation's registry, like `NicStats`; both sides of a pair share one
 /// scope, so the counts are pair totals).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MsgStats {
     /// Messages sent through the eager path.
     pub eager_sends: Counter,

@@ -5,8 +5,7 @@
 //! [`Backend`] in every driver. This module concentrates the dispatch in
 //! one place: a [`Transport`] trait covering the operations every fabric
 //! of the paper's class offers — one-sided `put`/`get`, two-sided
-//! small-message `send`/`recv`, a native small-message fast path
-//! (`velo_send`), and completion retrieval (`quiet`/`flush`/
+//! small-message `send`/`recv` and completion retrieval (`quiet`/`flush`/
 //! `poll_completions`) — plus a [`TransportCaps`] capability descriptor so
 //! drivers can query *what a backend can do* instead of *which backend it
 //! is*.
@@ -105,10 +104,6 @@ fn check_ranges(local_off: u64, remote_off: u64, len: u32, local_len: u64, remot
 pub struct TransportCaps {
     /// Human-readable backend name (stable, used in reports).
     pub name: &'static str,
-    /// The fabric has a dedicated small-message engine ([`Transport::velo_send`]
-    /// is cheaper than a put); without one, `velo_send` falls back to the
-    /// generic two-sided send.
-    pub native_small_messages: bool,
     /// Largest two-sided message payload in bytes.
     pub max_small_message: usize,
     /// Receive-side buffering for two-sided messages, in messages. Senders
@@ -133,7 +128,6 @@ pub struct TransportCaps {
 /// EXTOLL capability descriptor.
 pub const EXTOLL_CAPS: TransportCaps = TransportCaps {
     name: "extoll",
-    native_small_messages: true,
     max_small_message: VELO_MAX_PAYLOAD,
     msg_window: 64,
     remote_notify_needs_arming: false,
@@ -147,7 +141,6 @@ pub const EXTOLL_CAPS: TransportCaps = TransportCaps {
 /// Infiniband capability descriptor.
 pub const IB_CAPS: TransportCaps = TransportCaps {
     name: "infiniband",
-    native_small_messages: false,
     max_small_message: MSG_SLOT_LEN as usize,
     msg_window: MSG_SLOTS as usize,
     remote_notify_needs_arming: true,
@@ -169,14 +162,11 @@ pub const IB_CAPS: TransportCaps = TransportCaps {
 ///   [`poll_completions`](Transport::poll_completions) (non-blocking
 ///   drain). [`get`](Transport::get) blocks until the data arrived. Both
 ///   panic if the local or the remote range passes its buffer's end.
-/// * [`send`](Transport::send) is a two-sided small message (payload ≤
-///   [`TransportCaps::max_small_message`]); it completes locally before
-///   returning and orders after the sender's outstanding puts.
-///   [`recv`](Transport::recv)/[`try_recv`](Transport::try_recv) retrieve
-///   messages in arrival order. [`velo_send`](Transport::velo_send) is the
-///   native small-message fast path where the fabric has one
-///   ([`TransportCaps::native_small_messages`]), otherwise an alias for
-///   `send`.
+/// * [`send`](Transport::send) is a two-sided small message; it panics on
+///   a payload above [`TransportCaps::max_small_message`], completes
+///   locally before returning and orders after the sender's outstanding
+///   puts. [`recv`](Transport::recv)/[`try_recv`](Transport::try_recv)
+///   retrieve messages in arrival order.
 /// * Arrival notifications (`put` with `notify_remote`) are observed with
 ///   [`wait_arrival`](Transport::wait_arrival)/[`try_arrival`](Transport::try_arrival);
 ///   if [`TransportCaps::remote_notify_needs_arming`] the receiver must
@@ -240,15 +230,11 @@ pub trait Transport {
     /// Non-blocking probe for a two-sided message.
     async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>>;
 
-    /// Native small-message fast path; falls back to [`Transport::send`]
-    /// when the backend has no dedicated engine.
-    async fn velo_send<P: Processor>(&self, p: &P, payload: &[u8]) -> Result<(), CommError> {
-        self.send(p, payload).await
-    }
-
     /// Pre-post `n` receive buffers for two-sided messages, so a peer may
     /// send before the first [`Transport::recv`] call. No-op on fabrics
-    /// whose receive mailboxes need no software posting.
+    /// whose receive mailboxes need no software posting; Infiniband panics
+    /// when the posted receives would pass its inbox capacity
+    /// ([`TransportCaps::msg_window`]).
     async fn prime_recv<P: Processor>(&self, p: &P, n: usize);
 
     /// Wait for local completion of the oldest outstanding put.
@@ -816,10 +802,6 @@ impl Transport for AnyTransport {
 
     async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>> {
         delegate!(self, t => t.try_recv(p).await)
-    }
-
-    async fn velo_send<P: Processor>(&self, p: &P, payload: &[u8]) -> Result<(), CommError> {
-        delegate!(self, t => t.velo_send(p, payload).await)
     }
 
     async fn prime_recv<P: Processor>(&self, p: &P, n: usize) {

@@ -99,31 +99,6 @@ impl Freq {
     pub const fn cycles(self, n: u64) -> Time {
         (((n as u128) * (SEC as u128) + (self.hz as u128) / 2) / (self.hz as u128)) as Time
     }
-
-    /// Duration of a single cycle.
-    #[inline]
-    pub const fn cycle(self) -> Time {
-        self.cycles(1)
-    }
-
-    /// Number of whole cycles elapsed in duration `t` (rounding down).
-    #[inline]
-    pub const fn cycles_in(self, t: Time) -> u64 {
-        ((t as u128) * (self.hz as u128) / (SEC as u128)) as u64
-    }
-}
-
-/// Duration to transfer `bytes` at `gbps` *gigabits* per second (decimal).
-#[inline]
-pub fn gbps_transfer(bytes: u64, gbps: u64) -> Time {
-    // bits * ps_per_sec / bits_per_sec
-    ((bytes as u128 * 8 * SEC as u128) / (gbps as u128 * 1_000_000_000)) as Time
-}
-
-/// Duration to transfer `bytes` at `mbps` *megabytes* per second.
-#[inline]
-pub fn mbytes_per_s_transfer(bytes: u64, mbytes_per_s: u64) -> Time {
-    ((bytes as u128 * SEC as u128) / (mbytes_per_s as u128 * 1_000_000)) as Time
 }
 
 #[cfg(test)]
@@ -155,24 +130,6 @@ mod tests {
         assert_eq!(f.cycles(1), 6_369);
         // 157 cycles of 157MHz is exactly 1 us
         assert_eq!(f.cycles(157), US);
-    }
-
-    #[test]
-    fn cycles_in_inverts_cycles_for_round_counts() {
-        let f = Freq::mhz(706);
-        for n in [0u64, 1, 10, 1000, 1_000_000] {
-            let t = f.cycles(n);
-            let back = f.cycles_in(t);
-            assert!(back == n || back + 1 == n, "n={n} back={back}");
-        }
-    }
-
-    #[test]
-    fn bandwidth_helpers() {
-        // 1 GB at 8 Gbit/s takes 1 second.
-        assert_eq!(gbps_transfer(1_000_000_000, 8), SEC);
-        // 1 MB at 1000 MB/s takes 1 ms.
-        assert_eq!(mbytes_per_s_transfer(1_000_000, 1000), MS);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl NotifConsumer {
         // updates.
         p.instr(24).await;
     }
-
-    /// The software read cursor (records consumed so far).
-    pub fn consumed(&self) -> u64 {
-        self.rp.get()
-    }
 }
 
 /// An open VELO port: a send page plus this port's receive mailbox.

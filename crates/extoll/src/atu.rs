@@ -64,11 +64,6 @@ impl Atu {
         }
         panic!("ATU fault: nla {nla:#x} len {len} not registered");
     }
-
-    /// Number of registrations.
-    pub fn registrations(&self) -> usize {
-        self.entries.borrow().len()
-    }
 }
 
 #[cfg(test)]

@@ -133,11 +133,10 @@ pub struct PortQueues {
 
 /// Counters for hardware-visible events.
 ///
-/// A thin typed view over the simulation's counter
+/// A bundle of handles into the simulation's metric
 /// [registry](tc_trace::Registry) (`extoll0.puts`,
-/// `extoll0.notif_overflows`, …); `NicStats::default()` builds a detached
-/// view for unit tests.
-#[derive(Debug, Default)]
+/// `extoll0.notif_overflows`, …).
+#[derive(Debug)]
 pub struct NicStats {
     /// Puts executed by the requester.
     pub puts: Counter,
@@ -356,7 +355,7 @@ impl ExtollNic {
         let rp = inner.bus.read_u32(layout.rp_addr) as u64;
         let level = wp.get().wrapping_sub(rp);
         if level >= layout.ring.capacity() {
-            NicStats::bump(&inner.stats.notif_overflows);
+            inner.stats.notif_overflows.inc();
             return;
         }
         let n = Notification {
@@ -451,7 +450,7 @@ impl ExtollNic {
                     }
                     match wr.command {
                         RmaCommand::Put => {
-                            NicStats::bump(&inner.stats.puts);
+                            inner.stats.puts.inc();
                             let src = inner.atu.translate(wr.local_nla, wr.len as u64);
                             let data = inner.endpoint.dma_read(src, wr.len as u64).await;
                             let rec = inner.sim.recorder();
@@ -476,7 +475,7 @@ impl ExtollNic {
                             .await;
                         }
                         RmaCommand::Get => {
-                            NicStats::bump(&inner.stats.gets);
+                            inner.stats.gets.inc();
                             // Validate the local sink NLA up front.
                             let _ = inner.atu.translate(wr.local_nla, wr.len as u64);
                             tx.send((
@@ -550,13 +549,13 @@ impl ExtollNic {
                             vec![],
                         );
                     }
-                    NicStats::bump(&inner.stats.frames_completed);
+                    inner.stats.frames_completed.inc();
                     match frame {
                         RmaFrame::Velo(msg) => {
                             let (mailbox, wp) = &inner.velo_mailboxes[msg.dst_port as usize];
                             let rp = inner.bus.read_u32(mailbox.rp_addr) as u64;
                             if wp.get().wrapping_sub(rp) >= mailbox.ring.capacity() {
-                                NicStats::bump(&inner.stats.velo_drops);
+                                inner.stats.velo_drops.inc();
                                 continue;
                             }
                             let slot = mailbox.ring.slot(wp.get());
@@ -569,7 +568,7 @@ impl ExtollNic {
                             );
                             bytes.extend_from_slice(&msg.data);
                             inner.endpoint.dma_write(slot, &bytes.into()).await;
-                            NicStats::bump(&inner.stats.velo_delivered);
+                            inner.stats.velo_delivered.inc();
                         }
                         RmaFrame::Put {
                             dst_port,
@@ -654,11 +653,5 @@ impl ExtollNic {
                 }
             });
         }
-    }
-}
-
-impl NicStats {
-    fn bump(c: &Counter) {
-        c.inc();
     }
 }

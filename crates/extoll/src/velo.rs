@@ -237,11 +237,6 @@ impl MailboxConsumer {
         p.instr(6).await;
         (src_node, src_port, data)
     }
-
-    /// Messages consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.rp.get()
-    }
 }
 
 /// Send one VELO message: header + payload PIO'd to the port's send page.

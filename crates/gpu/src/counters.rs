@@ -3,8 +3,6 @@
 //! The metric set mirrors Tables I and II of the paper exactly, so the
 //! reproduction harness can print directly comparable rows.
 
-use std::fmt;
-
 use tc_trace::{Counter, Scope};
 
 /// Hardware event counters, incremented by [`crate::GpuThread`] as device
@@ -12,12 +10,13 @@ use tc_trace::{Counter, Scope};
 /// like the `sysmem_read_transactions`/`sysmem_write_transactions` nvprof
 /// counters the paper uses.
 ///
-/// This is a thin typed view over the simulation's counter
-/// [registry](tc_trace::Registry): each field is a handle to a registry
-/// counter (`gpu0.sysmem.reads`, `gpu0.l2.read_hits`, …), so registry
-/// snapshots and these accessors always agree. `GpuCounters::default()`
-/// builds a detached view (private counters, no registry) for unit tests.
-#[derive(Debug, Default)]
+/// This is a bundle of handles into the simulation's counter
+/// [registry](tc_trace::Registry): each field is the registry counter
+/// named in [`GpuCounters::in_scope`] (`gpu0.sysmem.reads`,
+/// `gpu0.l2.read_hits`, …), so a registry delta and two reads of a field
+/// always agree. Counters only grow: a window of counts is the difference
+/// of two reads.
+#[derive(Debug)]
 pub struct GpuCounters {
     /// 32-byte system-memory read transactions (zero-copy host reads).
     pub sysmem_reads: Counter,
@@ -41,31 +40,6 @@ pub struct GpuCounters {
     pub instructions: Counter,
 }
 
-/// A point-in-time copy of [`GpuCounters`], supporting deltas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterSnapshot {
-    /// 32-byte system-memory read transactions.
-    pub sysmem_reads: u64,
-    /// 32-byte system-memory write transactions.
-    pub sysmem_writes: u64,
-    /// 64-bit device-memory loads.
-    pub globmem64_reads: u64,
-    /// 64-bit device-memory stores.
-    pub globmem64_writes: u64,
-    /// L2 read requests.
-    pub l2_read_requests: u64,
-    /// L2 read hits.
-    pub l2_read_hits: u64,
-    /// L2 read misses.
-    pub l2_read_misses: u64,
-    /// L2 write requests.
-    pub l2_write_requests: u64,
-    /// Load/store instructions executed.
-    pub mem_accesses: u64,
-    /// Total instructions executed.
-    pub instructions: u64,
-}
-
 impl GpuCounters {
     /// A view whose counters are registered under `scope` (e.g. `gpu0`),
     /// with the L2 / sysmem / globmem64 groups as nested scopes:
@@ -85,140 +59,6 @@ impl GpuCounters {
             l2_write_requests: l2.counter("write_requests"),
             mem_accesses: scope.counter("mem_accesses"),
             instructions: scope.counter("instructions"),
-        }
-    }
-
-    /// Copy current values.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            sysmem_reads: self.sysmem_reads.get(),
-            sysmem_writes: self.sysmem_writes.get(),
-            globmem64_reads: self.globmem64_reads.get(),
-            globmem64_writes: self.globmem64_writes.get(),
-            l2_read_requests: self.l2_read_requests.get(),
-            l2_read_hits: self.l2_read_hits.get(),
-            l2_read_misses: self.l2_read_misses.get(),
-            l2_write_requests: self.l2_write_requests.get(),
-            mem_accesses: self.mem_accesses.get(),
-            instructions: self.instructions.get(),
-        }
-    }
-
-    /// Zero all counters.
-    pub fn reset(&self) {
-        self.sysmem_reads.set(0);
-        self.sysmem_writes.set(0);
-        self.globmem64_reads.set(0);
-        self.globmem64_writes.set(0);
-        self.l2_read_requests.set(0);
-        self.l2_read_hits.set(0);
-        self.l2_read_misses.set(0);
-        self.l2_write_requests.set(0);
-        self.mem_accesses.set(0);
-        self.instructions.set(0);
-    }
-
-    #[inline]
-    pub(crate) fn bump(c: &Counter, by: u64) {
-        c.add(by);
-    }
-}
-
-impl CounterSnapshot {
-    /// Element-wise `self - earlier` (counters are monotone).
-    pub fn delta(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            sysmem_reads: self.sysmem_reads - earlier.sysmem_reads,
-            sysmem_writes: self.sysmem_writes - earlier.sysmem_writes,
-            globmem64_reads: self.globmem64_reads - earlier.globmem64_reads,
-            globmem64_writes: self.globmem64_writes - earlier.globmem64_writes,
-            l2_read_requests: self.l2_read_requests - earlier.l2_read_requests,
-            l2_read_hits: self.l2_read_hits - earlier.l2_read_hits,
-            l2_read_misses: self.l2_read_misses - earlier.l2_read_misses,
-            l2_write_requests: self.l2_write_requests - earlier.l2_write_requests,
-            mem_accesses: self.mem_accesses - earlier.mem_accesses,
-            instructions: self.instructions - earlier.instructions,
-        }
-    }
-}
-
-impl fmt::Display for CounterSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "sysmem reads (32B accesses)   {:>10}", self.sysmem_reads)?;
-        writeln!(
-            f,
-            "sysmem writes (32B accesses)  {:>10}",
-            self.sysmem_writes
-        )?;
-        writeln!(
-            f,
-            "globmem64 reads (accesses)    {:>10}",
-            self.globmem64_reads
-        )?;
-        writeln!(
-            f,
-            "globmem64 writes (accesses)   {:>10}",
-            self.globmem64_writes
-        )?;
-        writeln!(f, "l2 read hits                  {:>10}", self.l2_read_hits)?;
-        writeln!(
-            f,
-            "l2 read misses                {:>10}",
-            self.l2_read_misses
-        )?;
-        writeln!(
-            f,
-            "l2 read requests              {:>10}",
-            self.l2_read_requests
-        )?;
-        writeln!(
-            f,
-            "l2 write requests             {:>10}",
-            self.l2_write_requests
-        )?;
-        writeln!(f, "memory accesses (r/w)         {:>10}", self.mem_accesses)?;
-        write!(f, "instructions executed         {:>10}", self.instructions)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_and_delta() {
-        let c = GpuCounters::default();
-        GpuCounters::bump(&c.instructions, 100);
-        GpuCounters::bump(&c.sysmem_reads, 5);
-        let a = c.snapshot();
-        GpuCounters::bump(&c.instructions, 50);
-        let b = c.snapshot();
-        let d = b.delta(&a);
-        assert_eq!(d.instructions, 50);
-        assert_eq!(d.sysmem_reads, 0);
-        assert_eq!(b.instructions, 150);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = GpuCounters::default();
-        GpuCounters::bump(&c.l2_read_hits, 3);
-        GpuCounters::bump(&c.mem_accesses, 9);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
-    }
-
-    #[test]
-    fn display_includes_paper_metric_names() {
-        let c = GpuCounters::default().snapshot();
-        let s = format!("{c}");
-        for key in [
-            "sysmem reads (32B accesses)",
-            "globmem64 reads (accesses)",
-            "l2 read hits",
-            "instructions executed",
-        ] {
-            assert!(s.contains(key), "missing {key}");
         }
     }
 }

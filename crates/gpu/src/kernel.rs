@@ -98,7 +98,8 @@ impl Gpu {
             // Execution-window baseline for the per-kernel histograms
             // (`gpu{n}.kernel.*`): counters now vs. at completion.
             let t_start = sim.now();
-            let c_start = gpu.counters().snapshot();
+            let c = gpu.counters();
+            let (instr_start, mem_start) = (c.instructions.get(), c.mem_accesses.get());
             let remaining = Rc::new(Cell::new(blocks));
             let body = Rc::new(body);
             // Warp spans of this launch group on their own recorder track.
@@ -120,10 +121,11 @@ impl Gpu {
                     remaining.set(remaining.get() - 1);
                     if remaining.get() == 0 {
                         let sim = gpu2.sim();
-                        let delta = gpu2.counters().snapshot().delta(&c_start);
+                        let c = gpu2.counters();
+                        let instructions = c.instructions.get() - instr_start;
                         let m = gpu2.kernel_metrics();
-                        m.instructions.record(delta.instructions);
-                        m.mem_accesses.record(delta.mem_accesses);
+                        m.instructions.record(instructions);
+                        m.mem_accesses.record(c.mem_accesses.get() - mem_start);
                         m.duration_ps.record(sim.now() - t_start);
                         let rec = sim.recorder();
                         if rec.on() {
@@ -135,7 +137,7 @@ impl Gpu {
                                 format!("kernel.{name}"),
                                 vec![
                                     ("blocks", (blocks as u64).into()),
-                                    ("instructions", delta.instructions.into()),
+                                    ("instructions", instructions.into()),
                                 ],
                             );
                         }

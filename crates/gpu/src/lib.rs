@@ -37,7 +37,7 @@ mod spin;
 pub mod thread;
 
 pub use config::GpuConfig;
-pub use counters::{CounterSnapshot, GpuCounters};
+pub use counters::GpuCounters;
 pub use kernel::{KernelHandle, Stream};
 pub use thread::GpuThread;
 

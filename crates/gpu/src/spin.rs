@@ -17,7 +17,6 @@ use tc_mem::Bus;
 use tc_pcie::spin::{Op, Plan, Run, Spinner};
 use tc_pcie::ProbeLoad;
 
-use crate::counters::GpuCounters;
 use crate::thread::{GpuThread, Issued};
 
 impl Spinner for GpuThread {
@@ -64,7 +63,7 @@ impl Spinner for GpuThread {
                 0
             }
             Op::Instr(n) => {
-                GpuCounters::bump(&self.counters().instructions, n);
+                self.counters().instructions.add(n);
                 r.t0 = now;
                 gpu.config().instr_time(n)
             }

@@ -65,7 +65,7 @@ impl GpuThread {
     /// Execute `n` dependent arithmetic/control instructions.
     pub async fn instr(&self, n: u64) {
         let c = self.counters();
-        GpuCounters::bump(&c.instructions, n);
+        c.instructions.add(n);
         let t0 = self.gpu.sim().now();
         self.gpu.sim().delay(self.gpu.config().instr_time(n)).await;
         self.record_exec_span(t0, "instr", n);
@@ -77,7 +77,7 @@ impl GpuThread {
     /// warp as `n`).
     pub async fn instr_parallel(&self, n: u64, width: u64) {
         let c = self.counters();
-        GpuCounters::bump(&c.instructions, n);
+        c.instructions.add(n);
         let serial = n.div_ceil(width.max(1));
         let t0 = self.gpu.sim().now();
         self.gpu
@@ -155,7 +155,7 @@ impl GpuThread {
             self.gpu.l2().read(addr, len)
         };
         for (c, n) in self.issue_charges(sys, len, hits, misses) {
-            GpuCounters::bump(c, n);
+            c.add(n);
         }
         if sys {
             return Issued::Sysmem;
@@ -216,21 +216,21 @@ impl GpuThread {
         let c = self.counters();
         let len = data.len() as u64;
         let t0 = gpu.sim().now();
-        GpuCounters::bump(&c.instructions, 1);
-        GpuCounters::bump(&c.mem_accesses, 1);
+        c.instructions.inc();
+        c.mem_accesses.inc();
         match gpu.bus().classify(addr) {
             RegionKind::GpuDram { node } | RegionKind::GpuBar { node } => {
                 assert_eq!(node, gpu.node(), "GPU store to remote device memory");
-                GpuCounters::bump(&c.globmem64_writes, len.div_ceil(8));
+                c.globmem64_writes.add(len.div_ceil(8));
                 gpu.l2().write(addr, len);
-                GpuCounters::bump(&c.l2_write_requests, len.div_ceil(32).max(1));
+                c.l2_write_requests.add(len.div_ceil(32).max(1));
                 gpu.bus().write(addr, data);
                 gpu.sim().delay(cfg.store_time()).await;
             }
             RegionKind::HostDram { .. } | RegionKind::Mmio { .. } => {
                 let sectors = Self::sectors(len);
-                GpuCounters::bump(&c.sysmem_writes, sectors);
-                GpuCounters::bump(&c.l2_write_requests, sectors);
+                c.sysmem_writes.add(sectors);
+                c.l2_write_requests.add(sectors);
                 // All threads share one store path to PCIe.
                 gpu.store_path().transfer(cfg.pcie_store_issue).await;
                 gpu.endpoint().posted_write(addr, data.to_vec()).await;
@@ -263,7 +263,7 @@ impl GpuThread {
     /// `__threadfence_system()`: order device writes w.r.t. the host/PCIe.
     pub async fn fence_system(&self) {
         let c = self.counters();
-        GpuCounters::bump(&c.instructions, 1);
+        c.instructions.inc();
         let t0 = self.gpu.sim().now();
         self.gpu.sim().delay(self.gpu.config().fence_sys).await;
         self.record_exec_span(t0, "fence", 1);
@@ -318,15 +318,15 @@ mod tests {
             assert_eq!(t.ld_u64(a).await, 7);
         });
         sim.run();
-        let s = gpu.counters().snapshot();
-        assert_eq!(s.globmem64_writes, 1);
-        assert_eq!(s.globmem64_reads, 2);
+        let c = gpu.counters();
+        assert_eq!(c.globmem64_writes.get(), 1);
+        assert_eq!(c.globmem64_reads.get(), 2);
         // Store write-allocates the line, so both reads hit.
-        assert_eq!(s.l2_read_hits, 2);
-        assert_eq!(s.l2_read_misses, 0);
-        assert_eq!(s.sysmem_reads, 0);
-        assert_eq!(s.mem_accesses, 3);
-        assert_eq!(s.instructions, 3);
+        assert_eq!(c.l2_read_hits.get(), 2);
+        assert_eq!(c.l2_read_misses.get(), 0);
+        assert_eq!(c.sysmem_reads.get(), 0);
+        assert_eq!(c.mem_accesses.get(), 3);
+        assert_eq!(c.instructions.get(), 3);
     }
 
     #[test]
@@ -349,10 +349,10 @@ mod tests {
             t.ld_bytes(layout::host_dram(0) + 0x100, &mut buf).await;
         });
         sim.run();
-        let s = gpu.counters().snapshot();
-        assert_eq!(s.sysmem_reads, 1 + 1 + 2);
-        assert_eq!(s.l2_read_hits, 0);
-        assert_eq!(s.globmem64_reads, 0);
+        let c = gpu.counters();
+        assert_eq!(c.sysmem_reads.get(), 1 + 1 + 2);
+        assert_eq!(c.l2_read_hits.get(), 0);
+        assert_eq!(c.globmem64_reads.get(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Edge-case tests of the GPU model: L2 eviction under large working sets,
-//! counter reset, copy-engine guardrails, stream accessors, warp widths.
+//! copy-engine guardrails, stream accessors, warp widths.
 
 use std::rc::Rc;
 use tc_desim::Sim;
@@ -42,25 +42,6 @@ fn l2_evicts_under_a_working_set_larger_than_capacity() {
     });
     sim.run();
     assert_eq!(gpu.l2().resident_lines(), 4);
-}
-
-#[test]
-fn counters_reset_to_zero_between_phases() {
-    let (sim, _bus, gpu) = gpu_with(GpuConfig::kepler_k20());
-    let a = gpu.alloc(64, 64);
-    let g = gpu.clone();
-    sim.spawn("t", async move {
-        let t = g.thread();
-        t.st_u64(a, 1).await;
-        t.instr(10).await;
-        g.counters().reset();
-        let _ = t.ld_u64(a).await;
-    });
-    sim.run();
-    let s = gpu.counters().snapshot();
-    assert_eq!(s.globmem64_writes, 0, "reset must clear the write count");
-    assert_eq!(s.globmem64_reads, 1);
-    assert_eq!(s.instructions, 1);
 }
 
 #[test]

@@ -156,12 +156,11 @@ impl IbFrame {
 
 /// Device statistics.
 ///
-/// A thin typed view over the simulation's counter
-/// [registry](tc_trace::Registry): each field is a handle to a registry
-/// counter (`ib0.doorbells`, `ib0.cqes_written`, …), so registry snapshots
-/// and these accessors always agree. `HcaStats::default()` builds a
-/// detached view (private counters, no registry) for unit tests.
-#[derive(Debug, Default)]
+/// A bundle of handles into the simulation's metric
+/// [registry](tc_trace::Registry): each field is the registry metric
+/// named in [`HcaStats::in_scope`] (`ib0.doorbells`, `ib0.cqes_written`,
+/// …), so a registry delta and two reads of a field always agree.
+#[derive(Debug)]
 pub struct HcaStats {
     /// Doorbell writes observed.
     pub doorbells: Counter,
@@ -203,10 +202,6 @@ impl HcaStats {
             cq_poll_spins: scope.counter("cq_poll_spins"),
             sq_backlog: scope.gauge("sq_backlog"),
         }
-    }
-
-    fn bump(c: &Counter) {
-        c.inc();
     }
 }
 
@@ -370,14 +365,14 @@ impl IbHca {
         let cq = self.cq(cqn);
         let ci = inner.bus.read_u32(cq.ci_db_record) as u64;
         if cq.pi.get().wrapping_sub(ci) >= cq.ring.capacity() {
-            HcaStats::bump(&inner.stats.cq_overflows);
+            inner.stats.cq_overflows.inc();
             return;
         }
         let slot = cq.ring.slot(cq.pi.get());
         cq.pi.set(cq.pi.get() + 1);
         let bytes = cqe.encode().to_vec();
         inner.endpoint.dma_write(slot, &bytes.into()).await;
-        HcaStats::bump(&inner.stats.cqes_written);
+        inner.stats.cqes_written.inc();
         let rec = inner.sim.recorder();
         if rec.on() {
             rec.instant(
@@ -419,7 +414,7 @@ impl IbHca {
             let tx = tx_ch.clone();
             sim.spawn(&format!("ib{}.sq", self.inner.node), async move {
                 while let Some((qpn, new_pi)) = db_ch.recv().await {
-                    HcaStats::bump(&hca.inner.stats.doorbells);
+                    hca.inner.stats.doorbells.inc();
                     let qp = hca.qp(qpn);
                     let backlog = (new_pi as u64).saturating_sub(qp.sq_head.get());
                     hca.inner.stats.sq_backlog.add(backlog);
@@ -449,7 +444,7 @@ impl IbHca {
             let tx = tx_ch;
             sim.spawn(&format!("ib{}.rx", self.inner.node), async move {
                 while let Some(frame) = wire.recv().await {
-                    HcaStats::bump(&hca.inner.stats.frames_rx);
+                    hca.inner.stats.frames_rx.inc();
                     hca.inner.sim.delay(hca.inner.cfg.rx_process).await;
                     hca.handle_rx(frame, &tx).await;
                 }
@@ -478,11 +473,11 @@ impl IbHca {
             );
         }
         let Some(wqe) = SendWqe::decode(&buf.to_vec()) else {
-            HcaStats::bump(&inner.stats.stale_wqe_fetches);
+            inner.stats.stale_wqe_fetches.inc();
             return;
         };
         inner.sim.delay(inner.cfg.wqe_process).await;
-        HcaStats::bump(&inner.stats.wqes_executed);
+        inner.stats.wqes_executed.inc();
         assert!(qp.can_send(), "QP {} not in RTS", qp.qpn);
         let dst_qpn = qp.dest_qpn.get().expect("QP not connected");
         let dst_node = qp.dest_node.get();
@@ -595,7 +590,7 @@ impl IbHca {
                 let back = qp.dest_node.get();
                 let check = inner.mrs.check_remote_write(rkey, raddr, data.len() as u64);
                 if check.is_err() {
-                    HcaStats::bump(&inner.stats.remote_access_errors);
+                    inner.stats.remote_access_errors.inc();
                     tx.send((
                         back,
                         IbFrame::Nak {
@@ -626,7 +621,7 @@ impl IbHca {
                             self.write_cqe(qp.recv_cqn, cqe).await;
                         }
                         None => {
-                            HcaStats::bump(&inner.stats.rnr_events);
+                            inner.stats.rnr_events.inc();
                             tx.send((
                                 back,
                                 IbFrame::Nak {
@@ -717,7 +712,7 @@ impl IbHca {
                         .await;
                     }
                     None => {
-                        HcaStats::bump(&inner.stats.rnr_events);
+                        inner.stats.rnr_events.inc();
                         tx.send((
                             back,
                             IbFrame::Nak {
@@ -763,7 +758,7 @@ impl IbHca {
                         .await;
                     }
                     Err(_) => {
-                        HcaStats::bump(&inner.stats.remote_access_errors);
+                        inner.stats.remote_access_errors.inc();
                         tx.send((
                             back,
                             IbFrame::Nak {

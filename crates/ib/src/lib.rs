@@ -369,10 +369,10 @@ mod tests {
         assert_eq!(got, payload);
         // The doorbell store and WQE writes happened; with buffers on GPU
         // the only sysmem store is the doorbell itself.
-        let c = n0.gpu.counters().snapshot();
-        assert!(c.sysmem_writes >= 1, "doorbell must cross PCIe");
+        let c = n0.gpu.counters();
+        assert!(c.sysmem_writes.get() >= 1, "doorbell must cross PCIe");
         assert!(
-            c.globmem64_writes > 0,
+            c.globmem64_writes.get() > 0,
             "WQE writes should hit device memory"
         );
     }
@@ -401,7 +401,8 @@ mod tests {
         let t = n0.gpu.thread();
         let gpu = n0.gpu.clone();
         sim.spawn("gpu", async move {
-            let before = gpu.counters().snapshot();
+            let instr = &gpu.counters().instructions;
+            let before = instr.get();
             qp0.post_send(
                 &t,
                 &SendWr {
@@ -416,26 +417,24 @@ mod tests {
                 },
             )
             .await;
-            let post = gpu.counters().snapshot().delta(&before);
+            let post = instr.get() - before;
             // Paper §V-B.3: 442 instructions to post a work request.
             assert!(
-                (420..=465).contains(&post.instructions),
-                "post_send instructions = {}",
-                post.instructions
+                (420..=465).contains(&post),
+                "post_send instructions = {post}"
             );
             // ... and 283 for a successful poll.
-            let before = gpu.counters().snapshot();
+            let before = instr.get();
             let wc = cq0.wait(&t).await;
             assert_eq!(wc.status, CqeStatus::Success);
-            let polls_done = gpu.counters().snapshot().delta(&before);
+            let polls_done = instr.get() - before;
             // The wait may include empty probes (17 instructions each);
             // subtract them to isolate the successful poll.
-            let empty = polls_done.instructions.saturating_sub(283) / 17;
-            let success_instr = polls_done.instructions - empty * 17;
+            let empty = polls_done.saturating_sub(283) / 17;
+            let success_instr = polls_done - empty * 17;
             assert!(
                 (260..=310).contains(&success_instr),
-                "poll_cq instructions = {success_instr} (total {})",
-                polls_done.instructions
+                "poll_cq instructions = {success_instr} (total {polls_done})"
             );
         });
         sim.run();

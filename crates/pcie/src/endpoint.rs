@@ -77,8 +77,8 @@ impl Endpoint {
     /// draws a larger sequence number, which breaks an equal-instant tie
     /// its way.
     pub async fn posted_write(&self, addr: Addr, data: Vec<u8>) {
-        PcieStats::bump(&self.stats.posted_writes, 1);
-        PcieStats::bump(&self.stats.posted_write_bytes, data.len() as u64);
+        self.stats.posted_writes.inc();
+        self.stats.posted_write_bytes.add(data.len() as u64);
         let rec = self.sim.recorder();
         if rec.on() {
             rec.instant(
@@ -113,8 +113,8 @@ impl Endpoint {
     /// link. Returns the instant the data arrives. [`Endpoint::read`] is
     /// this, a delay until then, and [`Endpoint::read_complete`].
     pub fn read_issue(&self, len: u64) -> Time {
-        PcieStats::bump(&self.stats.reads, 1);
-        PcieStats::bump(&self.stats.read_bytes, len);
+        self.stats.reads.inc();
+        self.stats.read_bytes.add(len);
         let wire = self.cfg.wire_time(len, self.cfg.dma_bw);
         self.link.reserve(wire) + self.cfg.read_rtt
     }
@@ -140,8 +140,8 @@ impl Endpoint {
     /// counters and link occupancy of [`Endpoint::read_issue`], the last
     /// read issued at `last_issue` on an idle link.
     pub fn charge_skipped_reads(&self, n: u64, len: u64, last_issue: Time) {
-        PcieStats::bump(&self.stats.reads, n);
-        PcieStats::bump(&self.stats.read_bytes, n * len);
+        self.stats.reads.add(n);
+        self.stats.read_bytes.add(n * len);
         let wire = self.cfg.wire_time(len, self.cfg.dma_bw);
         self.link.skip(n * wire, last_issue + wire);
     }
@@ -162,12 +162,12 @@ impl Endpoint {
     /// when the source is a GPU BAR aperture. Data is sampled at
     /// completion time.
     pub async fn dma_read(&self, addr: Addr, len: u64) -> Payload {
-        PcieStats::bump(&self.stats.dma_reads, 1);
-        PcieStats::bump(&self.stats.dma_read_bytes, len);
+        self.stats.dma_reads.inc();
+        self.stats.dma_read_bytes.add(len);
         let kind = self.bus.classify(addr);
         let p2p = matches!(kind, RegionKind::GpuBar { .. });
         let dur = if p2p {
-            PcieStats::bump(&self.stats.p2p_reads, 1);
+            self.stats.p2p_reads.inc();
             self.cfg.p2p_read_time(len)
         } else {
             self.cfg.dma_time(len)
@@ -185,12 +185,12 @@ impl Endpoint {
     /// Bulk DMA write of `data` to `addr`. Data lands at completion time.
     pub async fn dma_write(&self, addr: Addr, data: &Payload) {
         let len = data.len() as u64;
-        PcieStats::bump(&self.stats.dma_writes, 1);
-        PcieStats::bump(&self.stats.dma_write_bytes, len);
+        self.stats.dma_writes.inc();
+        self.stats.dma_write_bytes.add(len);
         let kind = self.bus.classify(addr);
         let p2p = matches!(kind, RegionKind::GpuBar { .. });
         let dur = if p2p {
-            PcieStats::bump(&self.stats.p2p_writes, 1);
+            self.stats.p2p_writes.inc();
             self.cfg.p2p_write_time(len)
         } else {
             self.cfg.dma_time(len)

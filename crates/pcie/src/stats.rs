@@ -5,12 +5,12 @@ use tc_trace::{Counter, Gauge, Histogram, Scope};
 /// Fabric-wide transaction counters (data-plane truth, used by tests and to
 /// cross-check the GPU performance-counter model).
 ///
-/// This is a thin typed view over the simulation's counter
-/// [registry](tc_trace::Registry): each field is a handle to a registry
-/// counter (`pcie0.reads`, `pcie0.dma_read_bytes`, …), so registry
-/// snapshots and these accessors always agree. `PcieStats::default()`
-/// builds a detached view (private counters, no registry) for unit tests.
-#[derive(Debug, Default)]
+/// A bundle of handles into the simulation's metric
+/// [registry](tc_trace::Registry): each field is the registry metric
+/// named in [`PcieStats::in_scope`] (`pcie0.reads`,
+/// `pcie0.dma_read_bytes`, …), so a registry delta and two reads of a
+/// field always agree.
+#[derive(Debug)]
 pub struct PcieStats {
     /// Small non-posted reads completed.
     pub reads: Counter,
@@ -64,28 +64,5 @@ impl PcieStats {
             dma_write_ps: scope.histogram("dma_write_ps"),
             dma_in_flight: scope.gauge("dma_in_flight"),
         }
-    }
-
-    /// Reset every metric to zero.
-    pub fn reset(&self) {
-        self.reads.set(0);
-        self.read_bytes.set(0);
-        self.posted_writes.set(0);
-        self.posted_write_bytes.set(0);
-        self.dma_reads.set(0);
-        self.dma_read_bytes.set(0);
-        self.p2p_reads.set(0);
-        self.dma_writes.set(0);
-        self.dma_write_bytes.set(0);
-        self.p2p_writes.set(0);
-        self.np_read_ps.reset();
-        self.mmio_write_ps.reset();
-        self.dma_read_ps.reset();
-        self.dma_write_ps.reset();
-        self.dma_in_flight.reset();
-    }
-
-    pub(crate) fn bump(c: &Counter, by: u64) {
-        c.add(by);
     }
 }

@@ -17,7 +17,7 @@ fn fabric() -> (Sim, Bus, Pcie) {
 }
 
 #[test]
-fn stats_reset_clears_every_counter() {
+fn stats_count_every_transaction_kind() {
     let (sim, _bus, pcie) = fabric();
     let ep = pcie.endpoint("dev");
     sim.spawn("t", async move {
@@ -32,11 +32,6 @@ fn stats_reset_clears_every_counter() {
     assert!(pcie.stats().reads.get() > 0);
     assert!(pcie.stats().dma_reads.get() > 0);
     assert!(pcie.stats().dma_writes.get() > 0);
-    pcie.stats().reset();
-    assert_eq!(pcie.stats().posted_writes.get(), 0);
-    assert_eq!(pcie.stats().reads.get(), 0);
-    assert_eq!(pcie.stats().dma_read_bytes.get(), 0);
-    assert_eq!(pcie.stats().dma_write_bytes.get(), 0);
 }
 
 #[test]

@@ -4,18 +4,14 @@ use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
-/// A handle to one named `u64` counter.
-///
-/// `Counter` deliberately mirrors the `Cell<u64>` API (`get`/`set`) that the
-/// legacy per-crate stats structs exposed, so refactoring those structs into
-/// registry views leaves every existing call site — `stats().puts.get()`,
-/// `counters.l2_read_hits.get()`, … — compiling unchanged.
+/// A handle to one named `u64` counter that only grows.
 ///
 /// Counters are cheap `Rc` clones: a [`crate::Registry`] and all typed views
-/// built over it share the same cells, so a registry snapshot and a legacy
-/// struct accessor always agree. A `Counter::default()` is *detached*: it
-/// owns a private cell and belongs to no registry, which keeps unit tests
-/// that build a bare stats struct working.
+/// built over it share the same cells, so a registry delta and two reads of
+/// a view's field always agree. A window of counts is the difference of two
+/// reads (or of two registry snapshots); nothing ever lowers a counter. A
+/// [`Counter::detached`] counter owns a private cell and belongs to no
+/// registry.
 #[derive(Clone)]
 pub struct Counter {
     cell: Rc<Cell<u64>>,
@@ -39,12 +35,6 @@ impl Counter {
         self.cell.get()
     }
 
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.cell.set(v)
-    }
-
     /// Add `by` to the value.
     #[inline]
     pub fn add(&self, by: u64) {
@@ -55,12 +45,6 @@ impl Counter {
     #[inline]
     pub fn inc(&self) {
         self.add(1)
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::detached()
     }
 }
 

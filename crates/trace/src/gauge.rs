@@ -3,13 +3,13 @@
 //! Counters answer "how many ever happened"; a [`Gauge`] answers "how many
 //! are in flight *right now*, and how bad did it get" — WR-queue depth,
 //! outstanding DMA operations, notification-queue occupancy. A gauge holds
-//! a non-negative current value (`sub` saturates at 0) and the high-water
-//! mark it ever reached since the last reset.
+//! a non-negative current value (`sub` saturates at 0) and the highest
+//! value it ever reached.
 //!
 //! Like [`crate::Counter`], a `Gauge` is a cheap `Rc` handle shared between
-//! a [`crate::Registry`] and the typed stats views; `Gauge::default()` is
-//! *detached*. Updates only mutate plain cells, so instrumentation cannot
-//! perturb simulated time.
+//! a [`crate::Registry`] and the typed stats views; [`Gauge::detached`]
+//! belongs to no registry. Updates only mutate plain cells, so
+//! instrumentation cannot perturb simulated time.
 
 use std::cell::Cell;
 use std::fmt;
@@ -53,7 +53,7 @@ impl Gauge {
         self.cell.current.get()
     }
 
-    /// High-water mark since the last reset.
+    /// The highest value the gauge ever reached.
     #[inline]
     pub fn high_water(&self) -> u64 {
         self.cell.high.get()
@@ -99,18 +99,6 @@ impl Gauge {
             high_water: self.high_water(),
         }
     }
-
-    /// Zero the current value and the high-water mark.
-    pub fn reset(&self) {
-        self.cell.current.set(0);
-        self.cell.high.set(0);
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::detached()
-    }
 }
 
 impl fmt::Debug for Gauge {
@@ -124,8 +112,8 @@ impl fmt::Debug for Gauge {
 pub struct GaugeSnapshot {
     /// Value at snapshot time.
     pub current: u64,
-    /// High-water mark since the last reset. A gauge is a level, not a
-    /// flow: a snapshot *delta* keeps the later `current` and reports a
+    /// The highest value ever reached. A gauge is a level, not a flow: a
+    /// snapshot *delta* keeps the later `current` and reports a
     /// window-tight `high_water` bound (see [`GaugeSnapshot::delta`]).
     pub high_water: u64,
 }

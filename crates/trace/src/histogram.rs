@@ -11,7 +11,7 @@
 //!
 //! Like [`crate::Counter`], a `Histogram` is a cheap `Rc` handle: a
 //! [`crate::Registry`] and every typed stats view built over it share the
-//! same cells, and `Histogram::default()` is *detached* (no registry).
+//! same cells, and [`Histogram::detached`] belongs to no registry.
 //! Recording only mutates plain cells — it never allocates, awaits or
 //! schedules — so instrumented simulations stay bit-identical whether the
 //! data is exported or not.
@@ -120,22 +120,6 @@ impl Histogram {
             buckets: self.cell.buckets.iter().map(Cell::get).collect(),
         }
     }
-
-    /// Zero all buckets, the count, sum and max.
-    pub fn reset(&self) {
-        self.cell.count.set(0);
-        self.cell.sum.set(0);
-        self.cell.max.set(0);
-        for b in &self.cell.buckets {
-            b.set(0);
-        }
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::detached()
-    }
 }
 
 impl fmt::Debug for Histogram {
@@ -158,7 +142,7 @@ pub struct HistogramSnapshot {
     /// Sum of samples (saturating).
     pub sum: u64,
     /// Largest recorded sample. In a snapshot taken directly off a
-    /// histogram this is the exact high-water mark since the last reset;
+    /// histogram this is the exact largest sample ever recorded;
     /// in a [`HistogramSnapshot::delta`] it is the tightest windowed bound
     /// the buckets allow (see there).
     pub max: u64,

@@ -8,12 +8,13 @@
 //! hand-rolled per-crate stats structs:
 //!
 //! * [`Registry`] — named, hierarchical metrics (`pcie0.dma_reads`,
-//!   `gpu0.l2.read_hits`, …) with one shared snapshot/delta/reset
-//!   implementation and three metric kinds: monotone [`Counter`]s,
+//!   `gpu0.l2.read_hits`, …) in three kinds: monotone [`Counter`]s,
 //!   log2-bucket [`Histogram`]s (p50/p95/p99/max) and current/high-water
-//!   [`Gauge`]s (queue depths, in-flight operations). The legacy typed
-//!   stats structs (`PcieStats`, `GpuCounters`, `NicStats`, `HcaStats`)
-//!   are thin views whose fields are handles into a registry.
+//!   [`Gauge`]s (queue depths, in-flight operations). A window of counts
+//!   is the [`Snapshot::delta`] of two registry snapshots, and nothing
+//!   resets a metric. The per-layer stats views (`PcieStats`,
+//!   `GpuCounters`, `NicStats`, `HcaStats`) are bundles of handles into a
+//!   registry.
 //! * [`Recorder`] — a structured event recorder capturing timestamped
 //!   spans and instants from every layer (DES executor, PCIe, GPU, NIC),
 //!   exportable as Chrome trace-event JSON ([`chrome::to_chrome_json`])

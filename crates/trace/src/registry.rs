@@ -2,11 +2,10 @@
 //!
 //! Every instrumented component registers its metrics under a dotted
 //! hierarchical name (`pcie0.dma_reads`, `gpu0.l2.read_hits`,
-//! `extoll0.notif_overflows`, …). The registry owns the one shared
-//! snapshot / delta / reset implementation that used to be copy-pasted
-//! across four per-crate stats structs. Three metric kinds share the
-//! namespace: monotone [`Counter`]s, log2-bucket [`Histogram`]s and
-//! current/high-water [`Gauge`]s.
+//! `extoll0.notif_overflows`, …). A window of any metric is the
+//! [`Snapshot::delta`] of two registry snapshots; nothing resets a metric.
+//! Three metric kinds share the namespace: monotone [`Counter`]s,
+//! log2-bucket [`Histogram`]s and current/high-water [`Gauge`]s.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -134,21 +133,6 @@ impl Registry {
         }
     }
 
-    /// Zero every metric (counters, histograms and gauges, including
-    /// high-water marks).
-    pub fn reset_all(&self) {
-        let inner = self.inner.borrow();
-        for (_, c) in &inner.order {
-            c.set(0);
-        }
-        for (_, h) in &inner.hist_order {
-            Histogram::from_cell(h.clone()).reset();
-        }
-        for (_, g) in &inner.gauge_order {
-            Gauge::from_cell(g.clone()).reset();
-        }
-    }
-
     /// Number of registered counters.
     pub fn len(&self) -> usize {
         self.inner.borrow().order.len()
@@ -226,8 +210,9 @@ impl Snapshot {
         self.gauges.get(name)
     }
 
-    /// Per-metric difference `self - earlier` (saturating, so a counter
-    /// reset between snapshots reads as 0 rather than wrapping).
+    /// Per-metric difference `self - earlier` (saturating, so a metric
+    /// that `earlier` read higher, as in a snapshot of another registry,
+    /// reads as 0 rather than wrapping).
     /// Histogram counts/sums/buckets subtract; histogram maxima and gauge
     /// high-water marks are levels, not flows, and report window-tight
     /// bounds (the all-time high does not leak into a window that never
@@ -372,10 +357,6 @@ mod tests {
         c.add(5);
         let s1 = reg.snapshot();
         assert_eq!(s1.delta(&s0).get("n.puts"), 5);
-        reg.reset_all();
-        assert_eq!(reg.snapshot().get("n.puts"), 0);
-        // Saturating delta across a reset.
-        assert_eq!(reg.snapshot().delta(&s1).get("n.puts"), 0);
     }
 
     #[test]
@@ -391,7 +372,7 @@ mod tests {
     #[test]
     fn detached_counter_not_in_registry() {
         let reg = Registry::new();
-        let d = Counter::default();
+        let d = Counter::detached();
         d.add(9);
         assert!(reg.is_empty());
         assert_eq!(d.get(), 9);
@@ -459,20 +440,6 @@ mod tests {
         let d2 = reg.snapshot().delta(&s0);
         assert_eq!(d2.gauge("n.depth").unwrap().current, 53);
         assert_eq!(d2.gauge("n.depth").unwrap().high_water, 203);
-    }
-
-    #[test]
-    fn reset_all_clears_histograms_and_gauges() {
-        let reg = Registry::new();
-        let h = reg.histogram("h");
-        let g = reg.gauge("g");
-        h.record(9);
-        g.add(9);
-        reg.reset_all();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(g.high_water(), 0);
     }
 
     #[test]

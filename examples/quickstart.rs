@@ -62,9 +62,10 @@ fn main() {
     println!("payload verified: {LEN} bytes identical on node 1");
 
     // The GPU posted the work request itself: 3 BAR stores crossed PCIe.
-    let c = cluster.nodes[0].gpu.counters().snapshot();
+    let c = cluster.nodes[0].gpu.counters();
     println!(
         "node0 GPU did {} sysmem writes (the 192-bit work request) and {} sysmem reads (notification polls)",
-        c.sysmem_writes, c.sysmem_reads
+        c.sysmem_writes.get(),
+        c.sysmem_reads.get()
     );
 }

@@ -19,7 +19,7 @@ fn extoll_pingpong_runs_are_identical() {
     let a = extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, 20, 2);
     let b = extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, 20, 2);
     assert_eq!(a.half_rtt, b.half_rtt);
-    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.registry, b.registry);
     assert_eq!(a.put_time, b.put_time);
     assert_eq!(a.poll_time, b.poll_time);
 }
@@ -29,7 +29,7 @@ fn ib_pingpong_runs_are_identical() {
     let a = ib_pingpong(IbMode::Dev2DevBufOnGpu, 256, 15, 2);
     let b = ib_pingpong(IbMode::Dev2DevBufOnGpu, 256, 15, 2);
     assert_eq!(a.half_rtt, b.half_rtt);
-    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.registry, b.registry);
 }
 
 #[test]
@@ -46,7 +46,7 @@ fn assisted_mode_with_proxy_races_is_deterministic() {
     let a = extoll_pingpong(ExtollMode::Dev2DevAssisted, 64, 15, 2);
     let b = extoll_pingpong(ExtollMode::Dev2DevAssisted, 64, 15, 2);
     assert_eq!(a.half_rtt, b.half_rtt);
-    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.registry, b.registry);
 
     // Golden values of every driver that spawns a CPU proxy: a reordered
     // proxy step moves the simulated time, the proxy CPU's loads or the

@@ -1,15 +1,14 @@
 //! Golden determinism tests for the instrumentation layer: the exported
 //! Chrome trace of a fixed ping-pong run must be byte-identical across
-//! runs, recording must not perturb the simulation, and registry snapshots
-//! must agree with the legacy typed counter structs for the paper's
-//! Table I and Table II scenarios.
+//! runs, and neither recording nor exporting metrics may perturb the
+//! simulation.
 
 use tc_repro::bench::pool::{Pool, PoolStats};
 use tc_repro::bench::{metrics, metrics_report, run_all, trace_report, Scale, WorkloadKnobs};
 use tc_repro::desim::Work;
-use tc_repro::putget::bench::pingpong::{extoll_pingpong, ib_pingpong};
+use tc_repro::putget::bench::pingpong::extoll_pingpong;
 use tc_repro::putget::bench::profile::{direct_pingpong, PP_ROUNDS};
-use tc_repro::putget::bench::{ExtollMode, IbMode};
+use tc_repro::putget::bench::ExtollMode;
 use tc_repro::putget::cluster::Backend;
 use tc_repro::trace::{chrome, Snapshot};
 
@@ -166,25 +165,7 @@ fn metrics_export_does_not_perturb_the_simulation() {
         with_export.registry, without.registry,
         "export changed metric values"
     );
-    assert_counters_match(&without.counters, &with_export.registry);
     assert!(json.contains(&format!("\"simulated_ps\": {}", without.half_rtt)));
-}
-
-/// Table I scenario (EXTOLL 1 KiB ping-pong, GPU polling): the registry
-/// delta for `gpu0.*` must equal the legacy `CounterSnapshot` the report
-/// generators consume.
-#[test]
-fn registry_matches_legacy_counters_for_table1_scenario() {
-    let r = extoll_pingpong(ExtollMode::Dev2DevDirect, 1024, 10, 2);
-    assert_counters_match(&r.counters, &r.registry);
-}
-
-/// Table II scenario (Infiniband 1 KiB ping-pong, buffers on GPU): same
-/// agreement on the verbs path.
-#[test]
-fn registry_matches_legacy_counters_for_table2_scenario() {
-    let r = ib_pingpong(IbMode::Dev2DevBufOnGpu, 1024, 10, 2);
-    assert_counters_match(&r.counters, &r.registry);
 }
 
 /// Windowed histogram deltas (what every sweep point exports) must not
@@ -218,26 +199,4 @@ fn histogram_delta_max_reflects_the_window_not_the_high_water_mark() {
     // Delta against an empty baseline is exact.
     let full = reg.snapshot().delta(&Snapshot::default());
     assert_eq!(full.histogram("pin.lat_ps").unwrap().max, 1_000_000);
-}
-
-fn assert_counters_match(c: &tc_repro::gpu::CounterSnapshot, reg: &Snapshot) {
-    let pairs = [
-        ("gpu0.sysmem.reads", c.sysmem_reads),
-        ("gpu0.sysmem.writes", c.sysmem_writes),
-        ("gpu0.globmem64.reads", c.globmem64_reads),
-        ("gpu0.globmem64.writes", c.globmem64_writes),
-        ("gpu0.l2.read_requests", c.l2_read_requests),
-        ("gpu0.l2.read_hits", c.l2_read_hits),
-        ("gpu0.l2.read_misses", c.l2_read_misses),
-        ("gpu0.l2.write_requests", c.l2_write_requests),
-        ("gpu0.mem_accesses", c.mem_accesses),
-        ("gpu0.instructions", c.instructions),
-    ];
-    for (name, legacy) in pairs {
-        assert_eq!(
-            reg.get(name),
-            legacy,
-            "registry counter {name} disagrees with the legacy struct"
-        );
-    }
 }
