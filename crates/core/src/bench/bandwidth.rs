@@ -200,18 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn extoll_bandwidth_drops_past_one_mib() {
-        let peak = extoll_bandwidth(ExtollMode::HostControlled, 1 << 20, 12);
-        let big = extoll_bandwidth(ExtollMode::HostControlled, 4 << 20, 8);
-        assert!(
-            big.mbytes_per_s() < peak.mbytes_per_s(),
-            "expected P2P-read degradation: {} vs {}",
-            big.mbytes_per_s(),
-            peak.mbytes_per_s()
-        );
-    }
-
-    #[test]
     fn ib_bandwidth_capped_near_1gb_per_s() {
         let r = ib_bandwidth(IbMode::HostControlled, 262_144, 24);
         let bw = r.mbytes_per_s();

@@ -135,37 +135,3 @@ pub fn verbs_instruction_counts() -> (u64, u64) {
     c.sim.run();
     (post.get(), poll.get())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn verbs_micro_counts_match_paper() {
-        let (post, poll) = verbs_instruction_counts();
-        assert!((420..=465).contains(&post), "post = {post}");
-        assert!((260..=310).contains(&poll), "poll = {poll}");
-    }
-
-    #[test]
-    fn table1_contrast_sysmem_vs_devmem() {
-        let (sys, dev) = (table1_case(false), table1_case(true));
-        let sys_reads = sys.get("gpu0.sysmem.reads");
-        let dev_reads = dev.get("gpu0.sysmem.reads");
-        let dev_writes = dev.get("gpu0.sysmem.writes");
-        // The defining contrast of Table I: system-memory polling does
-        // thousands of sysmem reads; device-memory polling does none.
-        assert!(sys_reads > 1000, "sys reads = {sys_reads}");
-        assert_eq!(dev_reads, 0, "dev reads = {dev_reads}");
-        // Device-memory polling posts WRs only: ~3 sysmem writes/iteration.
-        assert!(
-            (300..=450).contains(&dev_writes),
-            "dev writes = {dev_writes}"
-        );
-        // Device-memory polling hits the L2; system-memory polling cannot.
-        assert_eq!(sys.get("gpu0.l2.read_hits"), 0);
-        assert!(dev.get("gpu0.l2.read_hits") > 1000);
-        // Far fewer instructions when polling device memory.
-        assert!(dev.get("gpu0.instructions") < sys.get("gpu0.instructions"));
-    }
-}

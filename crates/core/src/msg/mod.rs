@@ -102,6 +102,18 @@ impl MsgConfig {
     }
 }
 
+/// How a pump waits for the next inbound frame.
+#[derive(Clone, Copy)]
+enum Wait<'a> {
+    /// Until one arrives ([`Transport::recv`]).
+    Block,
+    /// One probe ([`Transport::try_recv`]).
+    Poll,
+    /// Idle passes until one arrives or the flag is set
+    /// ([`Transport::idle_recv`]).
+    Idle(&'a Flag, Time),
+}
+
 /// Control-frame slots reserved out of the transport's receive window so
 /// RTS/CTS/FIN/Credit frames can never be starved by eager fragments.
 const CTRL_RESERVE: usize = 8;
@@ -390,7 +402,7 @@ impl<T: Transport> Messenger<T> {
                     // Block on inbound traffic: the next credit return can
                     // only arrive as a frame (and pumping keeps serving
                     // grants for the peer, so this cannot deadlock).
-                    self.pump(p, true).await?;
+                    self.pump(p, Wait::Block).await?;
                 }
                 self.stats.stalled.sub(1);
             }
@@ -420,7 +432,7 @@ impl<T: Transport> Messenger<T> {
                         self.cts_seen.set(None);
                         break off;
                     }
-                    self.pump(p, true).await?;
+                    self.pump(p, Wait::Block).await?;
                 };
                 self.stats.handshake_ps.record(self.sim.now() - t0);
                 if len > 0 {
@@ -439,7 +451,7 @@ impl<T: Transport> Messenger<T> {
                         self.fin_seen.set(None);
                         break;
                     }
-                    self.pump(p, true).await?;
+                    self.pump(p, Wait::Block).await?;
                 }
                 self.stats.handshake_ps.record(self.sim.now() - t0);
                 Ok(())
@@ -486,28 +498,13 @@ impl<T: Transport> Messenger<T> {
 
     /// Receive the next message as an owned copy, in arrival order.
     pub async fn recv<P: Processor>(&self, p: &P) -> Result<Vec<u8>, CommError> {
-        self.init(p).await;
+        let desc = self.recv_desc(p).await?;
+        // Zero-copy handoff: the app reads a rendezvous payload in place
+        // (the RDMA transfer already paid the timed cost), then the
+        // landing zone is released at once.
+        let data = self.read_payload(&desc);
         self.flush_release(p).await?;
-        let desc = loop {
-            if let Some(d) = self.state.borrow_mut().ready.pop_front() {
-                break d;
-            }
-            self.pump(p, true).await?;
-        };
-        match desc {
-            MsgDesc::Eager(v) => Ok(v),
-            MsgDesc::Rendezvous { off, len } => {
-                let mut v = vec![0u8; len as usize];
-                if len > 0 {
-                    // Zero-copy handoff: the app reads in place (untimed
-                    // mirror read; the RDMA transfer already paid the
-                    // timed cost).
-                    self.bus.read(self.local_buf + off, &mut v);
-                }
-                self.release_landing(p).await?;
-                Ok(v)
-            }
-        }
+        Ok(data)
     }
 
     /// Receive the next message as a descriptor, in arrival order. A
@@ -515,81 +512,65 @@ impl<T: Transport> Messenger<T> {
     /// payload stays valid until the next send or receive call, which
     /// releases the zone for the next rendezvous message.
     pub async fn recv_desc<P: Processor>(&self, p: &P) -> Result<MsgDesc, CommError> {
-        self.init(p).await;
-        self.flush_release(p).await?;
-        let desc = loop {
-            if let Some(d) = self.state.borrow_mut().ready.pop_front() {
-                break d;
-            }
-            self.pump(p, true).await?;
-        };
-        if desc.is_rendezvous() {
-            self.pending_release.set(true);
-        }
-        Ok(desc)
+        let desc = self.next_desc(p, Wait::Block).await?;
+        Ok(desc.expect("a blocking receive pumps until a message is ready"))
     }
 
     /// Non-blocking [`Messenger::recv_desc`]: drain whatever frames are
     /// pending, return the next message if one is complete.
     pub async fn try_recv_desc<P: Processor>(&self, p: &P) -> Result<Option<MsgDesc>, CommError> {
-        self.init(p).await;
-        self.flush_release(p).await?;
-        loop {
-            if let Some(d) = self.state.borrow_mut().ready.pop_front() {
-                if d.is_rendezvous() {
-                    self.pending_release.set(true);
-                }
-                return Ok(Some(d));
-            }
-            if !self.pump(p, false).await? {
-                return Ok(None);
-            }
-        }
+        self.next_desc(p, Wait::Poll).await
     }
 
-    /// [`Messenger::try_recv_desc`] for a server loop that idles `idle`
-    /// after every empty probe: `Ok(None)` after an empty probe once
-    /// `exit` is set. Where the call would only probe the transport, it
-    /// receives through [`Transport::idle_recv`], whose idle passes park;
-    /// a call with work to do first runs plain.
+    /// [`Messenger::recv_desc`] for a server loop that idles `idle` after
+    /// every empty probe: `Ok(None)` after an empty probe once `exit` is
+    /// set. It waits for frames through [`Transport::idle_recv`], whose
+    /// idle passes park.
     pub async fn idle_recv_desc<P: Processor>(
         &self,
         p: &P,
         exit: &Flag,
         idle: Time,
     ) -> Result<Option<MsgDesc>, CommError> {
+        self.next_desc(p, Wait::Idle(exit, idle)).await
+    }
+
+    /// The receive methods' one loop: the next delivered message, pumping
+    /// frames as `wait` says until one is ready; `None` once a pump finds
+    /// no frame. A rendezvous message holds its landing zone until the
+    /// next send or receive call.
+    async fn next_desc<P: Processor>(
+        &self,
+        p: &P,
+        wait: Wait<'_>,
+    ) -> Result<Option<MsgDesc>, CommError> {
+        self.init(p).await;
+        self.flush_release(p).await?;
         loop {
-            let bare = self.primed.get() && !self.pending_release.get();
-            if bare && self.state.borrow().ready.is_empty() {
-                match self.tp.idle_recv(p, exit, idle).await {
-                    Some(frame) => self.dispatch(p, frame?).await?,
-                    None => return Ok(None),
-                }
-                continue;
+            let next = self.state.borrow_mut().ready.pop_front();
+            if let Some(desc) = next {
+                self.pending_release.set(desc.is_rendezvous());
+                return Ok(Some(desc));
             }
-            match self.try_recv_desc(p).await? {
-                None if !exit.is_set() => p.sim().delay(idle).await,
-                got => return Ok(got),
+            if !self.pump(p, wait).await? {
+                return Ok(None);
             }
         }
     }
 
     // --- progress engine -------------------------------------------------
 
-    /// Pull one inbound frame (blocking or not) and react to it. Returns
+    /// Pull one inbound frame as `wait` says and react to it. Returns
     /// whether a frame was processed.
-    async fn pump<P: Processor>(&self, p: &P, block: bool) -> Result<bool, CommError> {
-        let frame = if block {
-            Some(self.tp.recv(p).await?)
-        } else {
-            match self.tp.try_recv(p).await {
-                None => None,
-                Some(r) => Some(r?),
-            }
+    async fn pump<P: Processor>(&self, p: &P, wait: Wait<'_>) -> Result<bool, CommError> {
+        let frame = match wait {
+            Wait::Block => Some(self.tp.recv(p).await),
+            Wait::Poll => self.tp.try_recv(p).await,
+            Wait::Idle(exit, idle) => self.tp.idle_recv(p, exit, idle).await,
         };
         match frame {
             Some(f) => {
-                self.dispatch(p, f).await?;
+                self.dispatch(p, f?).await?;
                 Ok(true)
             }
             None => Ok(false),

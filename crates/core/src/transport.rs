@@ -20,10 +20,18 @@
 //! [`crate::api::create_pair`], the `bench/*` drivers, the collectives, the
 //! message layer — goes through the trait.
 //!
-//! A new backend plugs in by implementing [`Transport`], adding an
-//! [`AnyTransport`] variant, and extending the factory; the generic
-//! conformance checklist in `crates/core/tests/conformance.rs` then
-//! covers it for free.
+//! The fabrics differ in *where* a status lives, not in how a processor
+//! waits for it. A backend supplies the posting operations plus three
+//! queue probes — local completions, arrival notifications and two-sided
+//! receives — each a probe/take pair: the probe is one pass of the poll
+//! loop over the queue head (EXTOLL's requester and completer notification
+//! queues and VELO mailbox, Infiniband's send and receive CQs), the take
+//! retires what it found. The trait provides every wait over them, so
+//! blocking, non-blocking and idle waits are written once and spin through
+//! [`Processor::spin_until`]. A new backend plugs in by implementing the
+//! posting operations and the three probes, adding an [`AnyTransport`]
+//! variant and extending the factory; the generic conformance checklist
+//! in `crates/core/tests/conformance.rs` then covers it for free.
 //!
 //! All operations run in simulated time: every method takes the executing
 //! [`Processor`], exactly like the rest of the crate.
@@ -35,9 +43,7 @@ use tc_desim::sync::Flag;
 use tc_desim::time::Time;
 use tc_extoll::api::VeloPort;
 use tc_extoll::{MailboxConsumer, NotifConsumer, NotifyUnit, RmaPort, WrFlags, VELO_MAX_PAYLOAD};
-use tc_ib::{
-    Access, BufLoc, CqeStatus, IbvContext, IbvCq, IbvQp, MemoryRegion, SendOpcode, SendWr,
-};
+use tc_ib::{Access, CqeStatus, IbvContext, IbvCq, IbvQp, MemoryRegion, SendOpcode, SendWr};
 use tc_mem::Addr;
 use tc_pcie::{probe_bytes, probe_once, Processor, Step};
 
@@ -65,22 +71,7 @@ pub(crate) fn status_to_result(s: CqeStatus) -> Result<(), CommError> {
 
 /// Placement of the communication queues (Infiniband only; EXTOLL's
 /// notification queues are pinned in host kernel memory by the driver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueLoc {
-    /// Queue buffers in host memory.
-    Host,
-    /// Queue buffers in GPU device memory (GPUDirect driver patch).
-    Gpu,
-}
-
-impl From<QueueLoc> for BufLoc {
-    fn from(q: QueueLoc) -> BufLoc {
-        match q {
-            QueueLoc::Host => BufLoc::Host,
-            QueueLoc::Gpu => BufLoc::Gpu,
-        }
-    }
-}
+pub use tc_ib::BufLoc as QueueLoc;
 
 /// Panics unless a put or get of `len` bytes stays inside both buffers:
 /// `[local_off, +len)` in the `local_len`-byte local one and
@@ -151,6 +142,27 @@ pub const IB_CAPS: TransportCaps = TransportCaps {
     default_eager_threshold: 256,
 };
 
+/// A queue probe of a `T` ([`Transport::completion_probe`],
+/// [`Transport::arrival_probe`] or [`Transport::recv_probe`]).
+type QueueProbe<T> = for<'a> fn(&'a T, &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool;
+
+/// Spin on `probe` of `t` until its retire accepts: the accepted bytes.
+async fn wait_on<T: ?Sized, P: Processor>(t: &T, p: &P, probe: QueueProbe<T>) -> Vec<u8> {
+    let mut steps = Vec::new();
+    let ready = probe(t, &mut steps);
+    p.spin_until(&steps, ready).await.bytes
+}
+
+/// Run `probe` of `t` once: its bytes if its retire accepted.
+async fn poll_on<T: ?Sized, P: Processor>(t: &T, p: &P, probe: QueueProbe<T>) -> Option<Vec<u8>> {
+    let mut steps = Vec::new();
+    let ready = probe(t, &mut steps);
+    let mut bytes = vec![0; probe_bytes(&steps)];
+    probe_once(p, &steps, &mut bytes, ready)
+        .await
+        .then_some(bytes)
+}
+
 /// One connected side of a communication channel, independent of the
 /// fabric behind it.
 ///
@@ -176,6 +188,12 @@ pub const IB_CAPS: TransportCaps = TransportCaps {
 ///   notifications and two-sided receives (Infiniband) require the
 ///   application not to interleave the two waits concurrently on one
 ///   transport — drain one kind before switching to the other.
+///
+/// An implementation supplies the posting operations and three queue
+/// probes, each a probe/take pair: the probe pushes one pass of the poll
+/// loop over its queue's head onto a step list and returns the test its
+/// retire applies to the loaded bytes; the take retires what an accepted
+/// probe found. Every wait is a provided method over them.
 #[allow(async_fn_in_trait)] // single-threaded simulation: futures need not be Send
 pub trait Transport {
     /// The capability descriptor.
@@ -224,12 +242,6 @@ pub trait Transport {
     /// Two-sided small message; completes locally before returning.
     async fn send<P: Processor>(&self, p: &P, payload: &[u8]) -> Result<(), CommError>;
 
-    /// Blocking receive of the next two-sided message.
-    async fn recv<P: Processor>(&self, p: &P) -> Result<Vec<u8>, CommError>;
-
-    /// Non-blocking probe for a two-sided message.
-    async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>>;
-
     /// Pre-post `n` receive buffers for two-sided messages, so a peer may
     /// send before the first [`Transport::recv`] call. No-op on fabrics
     /// whose receive mailboxes need no software posting; Infiniband panics
@@ -237,8 +249,39 @@ pub trait Transport {
     /// ([`TransportCaps::msg_window`]).
     async fn prime_recv<P: Processor>(&self, p: &P, n: usize);
 
+    /// Arm one arrival slot (required before the peer's notifying put when
+    /// [`TransportCaps::remote_notify_needs_arming`]).
+    async fn arm_arrival<P: Processor>(&self, p: &P);
+
+    /// The probe of the local put completions: pushes its steps onto
+    /// `steps` and returns the test its retire applies to the probe's
+    /// bytes.
+    fn completion_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool;
+
+    /// Retire the put completion a completion probe found in `bytes`.
+    async fn take_completion<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<(), CommError>;
+
+    /// The probe of the arrival notifications, as
+    /// [`Transport::completion_probe`]; a loop that puts several probes
+    /// into one idle pass (`flag::Proxy`) builds its pass from it.
+    fn arrival_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool;
+
+    /// Take the arrival an arrival probe found in `bytes`.
+    async fn take_arrival<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<u32, CommError>;
+
+    /// The probe of the two-sided receives, as
+    /// [`Transport::completion_probe`]. It finds a message only over a
+    /// posted receive: the receives below prime one first.
+    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool;
+
+    /// Take the message a receive probe found in `bytes`.
+    async fn take_recv<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<Vec<u8>, CommError>;
+
     /// Wait for local completion of the oldest outstanding put.
-    async fn quiet<P: Processor>(&self, p: &P) -> Result<(), CommError>;
+    async fn quiet<P: Processor>(&self, p: &P) -> Result<(), CommError> {
+        let bytes = wait_on(self, p, Self::completion_probe).await;
+        self.take_completion(p, &bytes).await
+    }
 
     /// Wait for local completion of *all* outstanding puts.
     async fn flush<P: Processor>(&self, p: &P) -> Result<(), CommError> {
@@ -249,76 +292,62 @@ pub trait Transport {
     }
 
     /// Drain already-available local put completions without blocking;
-    /// returns how many were retired.
-    async fn poll_completions<P: Processor>(&self, p: &P) -> u64;
-
-    /// Arm one arrival slot (required before the peer's notifying put when
-    /// [`TransportCaps::remote_notify_needs_arming`]).
-    async fn arm_arrival<P: Processor>(&self, p: &P);
+    /// returns how many were retired, failed ones included.
+    async fn poll_completions<P: Processor>(&self, p: &P) -> u64 {
+        let mut drained = 0;
+        while let Some(bytes) = poll_on(self, p, Self::completion_probe).await {
+            let _ = self.take_completion(p, &bytes).await;
+            drained += 1;
+        }
+        drained
+    }
 
     /// Wait for one arrival notification; returns the notified byte count.
     async fn wait_arrival<P: Processor>(&self, p: &P) -> Result<u32, CommError> {
-        let mut steps = Vec::new();
-        let ready = self.arrival_probe(&mut steps);
-        let got = p.spin_until(&steps, ready).await;
-        self.take_arrival(p, &got.bytes).await
+        let bytes = wait_on(self, p, Self::arrival_probe).await;
+        self.take_arrival(p, &bytes).await
     }
 
     /// Probe for an arrival without blocking.
     async fn try_arrival<P: Processor>(&self, p: &P) -> Option<Result<u32, CommError>> {
-        let mut steps = Vec::new();
-        let ready = self.arrival_probe(&mut steps);
-        let mut bytes = vec![0; probe_bytes(&steps)];
-        if !probe_once(p, &steps, &mut bytes, ready).await {
-            return None;
-        }
+        let bytes = poll_on(self, p, Self::arrival_probe).await?;
         Some(self.take_arrival(p, &bytes).await)
     }
 
-    /// The probe of [`Transport::try_arrival`] and
-    /// [`Transport::wait_arrival`], also for a loop that puts several
-    /// probes into one idle pass (`flag::Proxy`): pushes its steps onto
-    /// `steps` and returns the test its retire applies to the probe's
-    /// bytes.
-    fn arrival_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool;
+    /// Blocking receive of the next two-sided message.
+    async fn recv<P: Processor>(&self, p: &P) -> Result<Vec<u8>, CommError> {
+        self.prime_recv(p, 1).await;
+        let bytes = wait_on(self, p, Self::recv_probe).await;
+        self.take_recv(p, &bytes).await
+    }
 
-    /// Take the arrival an arrival probe found in `bytes`.
-    async fn take_arrival<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<u32, CommError>;
-
-    /// The probe of [`Transport::try_recv`], as
-    /// [`Transport::arrival_probe`]; `None` when a receive must do work
-    /// before it probes (an Infiniband queue pair with no receive posted).
-    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> Option<fn(&[u8]) -> bool>;
-
-    /// Take the message a receive probe found in `bytes`.
-    async fn take_recv<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<Vec<u8>, CommError>;
+    /// Non-blocking probe for a two-sided message.
+    async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>> {
+        self.prime_recv(p, 1).await;
+        let bytes = poll_on(self, p, Self::recv_probe).await?;
+        Some(self.take_recv(p, &bytes).await)
+    }
 
     /// The next two-sided message for a server loop that idles `idle`
     /// after every empty probe: `None` after an empty probe once `exit` is
     /// set. An idle pass (the receive probe, the test of `exit`, the
     /// delay) runs through [`Processor::spin_until`], so an idle server
-    /// parks; a receive that must do work before it probes runs plain.
+    /// parks.
     async fn idle_recv<P: Processor>(
         &self,
         p: &P,
         exit: &Flag,
         idle: Time,
     ) -> Option<Result<Vec<u8>, CommError>> {
-        loop {
-            let mut pass = Vec::new();
-            if let Some(ready) = self.recv_probe(&mut pass) {
-                pass.extend([Step::Exit(exit), Step::Idle(idle)]);
-                let got = p.spin_until(&pass, ready).await;
-                return match got.exited {
-                    true => None,
-                    false => Some(self.take_recv(p, &got.bytes).await),
-                };
-            }
-            match self.try_recv(p).await {
-                None if !exit.is_set() => p.sim().delay(idle).await,
-                got => return got,
-            }
+        self.prime_recv(p, 1).await;
+        let mut pass = Vec::new();
+        let ready = self.recv_probe(&mut pass);
+        pass.extend([Step::Exit(exit), Step::Idle(idle)]);
+        let got = p.spin_until(&pass, ready).await;
+        if got.exited {
+            return None;
         }
+        Some(self.take_recv(p, &got.bytes).await)
     }
 }
 
@@ -421,42 +450,26 @@ impl Transport for ExtollTransport {
         Ok(())
     }
 
-    async fn recv<P: Processor>(&self, p: &P) -> Result<Vec<u8>, CommError> {
-        let (_src, data) = self.velo.recv(p).await;
-        Ok(data)
-    }
-
-    async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>> {
-        let (_src, data) = self.velo.try_recv(p).await?;
-        Some(Ok(data))
-    }
-
     async fn prime_recv<P: Processor>(&self, _p: &P, _n: usize) {
         // The mailbox ring is hardware-managed; nothing to post.
     }
 
-    async fn quiet<P: Processor>(&self, p: &P) -> Result<(), CommError> {
-        let n = self.port.requester.wait(p).await;
+    async fn arm_arrival<P: Processor>(&self, _p: &P) {
+        // Completer notifications need no receiver action.
+    }
+
+    fn completion_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
+        steps.extend(self.port.requester.probe());
+        NotifConsumer::ready
+    }
+
+    async fn take_completion<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<(), CommError> {
+        let n = NotifConsumer::record(bytes).expect("the accepted probe holds a record");
         debug_assert_eq!(n.unit, NotifyUnit::Requester);
         self.port.requester.free(p).await;
         self.outstanding
             .set(self.outstanding.get().saturating_sub(1));
         Ok(())
-    }
-
-    async fn poll_completions<P: Processor>(&self, p: &P) -> u64 {
-        let mut drained = 0;
-        while self.port.requester.try_poll(p).await.is_some() {
-            self.port.requester.free(p).await;
-            self.outstanding
-                .set(self.outstanding.get().saturating_sub(1));
-            drained += 1;
-        }
-        drained
-    }
-
-    async fn arm_arrival<P: Processor>(&self, _p: &P) {
-        // Completer notifications need no receiver action.
     }
 
     fn arrival_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
@@ -471,9 +484,9 @@ impl Transport for ExtollTransport {
         Ok(n.len)
     }
 
-    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> Option<fn(&[u8]) -> bool> {
+    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
         steps.extend(self.velo.mailbox.probe());
-        Some(MailboxConsumer::ready)
+        MailboxConsumer::ready
     }
 
     async fn take_recv<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<Vec<u8>, CommError> {
@@ -652,45 +665,10 @@ impl Transport for IbTransport {
         status_to_result(wc.status)
     }
 
-    async fn recv<P: Processor>(&self, p: &P) -> Result<Vec<u8>, CommError> {
-        if self.rx_posted.get() == 0 {
-            self.post_one_rx(p).await;
-        }
-        let wc = self.recv_cq.wait(p).await;
-        self.consume_rx(p, wc.status, wc.byte_count).await
-    }
-
-    async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>> {
-        if self.rx_posted.get() == 0 {
-            self.post_one_rx(p).await;
-        }
-        let wc = self.recv_cq.poll(p).await?;
-        Some(self.consume_rx(p, wc.status, wc.byte_count).await)
-    }
-
     async fn prime_recv<P: Processor>(&self, p: &P, n: usize) {
         while self.rx_posted.get() < (n as u64).min(MSG_SLOTS) {
             self.post_one_rx(p).await;
         }
-    }
-
-    async fn quiet<P: Processor>(&self, p: &P) -> Result<(), CommError> {
-        let wc = self.send_cq.wait(p).await;
-        debug_assert_eq!(wc.opcode, tc_ib::CqeOpcode::SendComplete);
-        self.outstanding
-            .set(self.outstanding.get().saturating_sub(1));
-        status_to_result(wc.status)
-    }
-
-    async fn poll_completions<P: Processor>(&self, p: &P) -> u64 {
-        let mut drained = 0;
-        while let Some(wc) = self.send_cq.poll(p).await {
-            self.outstanding
-                .set(self.outstanding.get().saturating_sub(1));
-            drained += 1;
-            debug_assert_eq!(wc.opcode, tc_ib::CqeOpcode::SendComplete);
-        }
-        drained
     }
 
     async fn arm_arrival<P: Processor>(&self, p: &P) {
@@ -698,6 +676,19 @@ impl Transport for IbTransport {
         // ignored); post an inbox slot so arrivals and two-sided receives
         // share one uniform ring.
         self.post_one_rx(p).await;
+    }
+
+    fn completion_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
+        steps.extend(self.send_cq.probe());
+        IbvCq::ready
+    }
+
+    async fn take_completion<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<(), CommError> {
+        let wc = self.send_cq.finish(p, bytes).await;
+        debug_assert_eq!(wc.opcode, tc_ib::CqeOpcode::SendComplete);
+        self.outstanding
+            .set(self.outstanding.get().saturating_sub(1));
+        status_to_result(wc.status)
     }
 
     fn arrival_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
@@ -714,11 +705,9 @@ impl Transport for IbTransport {
         status_to_result(wc.status).map(|()| wc.imm)
     }
 
-    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> Option<fn(&[u8]) -> bool> {
-        (self.rx_posted.get() > 0).then(|| {
-            steps.extend(self.recv_cq.probe());
-            IbvCq::ready as fn(&[u8]) -> bool
-        })
+    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
+        steps.extend(self.recv_cq.probe());
+        IbvCq::ready
     }
 
     async fn take_recv<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<Vec<u8>, CommError> {
@@ -796,32 +785,20 @@ impl Transport for AnyTransport {
         delegate!(self, t => t.send(p, payload).await)
     }
 
-    async fn recv<P: Processor>(&self, p: &P) -> Result<Vec<u8>, CommError> {
-        delegate!(self, t => t.recv(p).await)
-    }
-
-    async fn try_recv<P: Processor>(&self, p: &P) -> Option<Result<Vec<u8>, CommError>> {
-        delegate!(self, t => t.try_recv(p).await)
-    }
-
     async fn prime_recv<P: Processor>(&self, p: &P, n: usize) {
         delegate!(self, t => t.prime_recv(p, n).await)
     }
 
-    async fn quiet<P: Processor>(&self, p: &P) -> Result<(), CommError> {
-        delegate!(self, t => t.quiet(p).await)
-    }
-
-    async fn flush<P: Processor>(&self, p: &P) -> Result<(), CommError> {
-        delegate!(self, t => t.flush(p).await)
-    }
-
-    async fn poll_completions<P: Processor>(&self, p: &P) -> u64 {
-        delegate!(self, t => t.poll_completions(p).await)
-    }
-
     async fn arm_arrival<P: Processor>(&self, p: &P) {
         delegate!(self, t => t.arm_arrival(p).await)
+    }
+
+    fn completion_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
+        delegate!(self, t => t.completion_probe(steps))
+    }
+
+    async fn take_completion<P: Processor>(&self, p: &P, bytes: &[u8]) -> Result<(), CommError> {
+        delegate!(self, t => t.take_completion(p, bytes).await)
     }
 
     fn arrival_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
@@ -832,7 +809,7 @@ impl Transport for AnyTransport {
         delegate!(self, t => t.take_arrival(p, bytes).await)
     }
 
-    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> Option<fn(&[u8]) -> bool> {
+    fn recv_probe<'a>(&'a self, steps: &mut Vec<Step<'a>>) -> fn(&[u8]) -> bool {
         delegate!(self, t => t.recv_probe(steps))
     }
 
@@ -977,17 +954,16 @@ impl Backend {
                 )
             }
             Backend::Infiniband => {
-                let loc: BufLoc = queue_loc.into();
                 let n = cluster.node(node);
                 let ctx = IbvContext::new(
                     n.ib().clone(),
                     n.host_heap.clone(),
                     Some(n.gpu.clone()),
-                    loc,
+                    queue_loc,
                 );
-                let send_cq = ctx.create_cq(loc);
-                let recv_cq = ctx.create_cq(loc);
-                let qp = Rc::new(ctx.create_qp(send_cq.clone(), recv_cq.clone(), loc));
+                let send_cq = ctx.create_cq(queue_loc);
+                let recv_cq = ctx.create_cq(queue_loc);
+                let qp = Rc::new(ctx.create_qp(send_cq.clone(), recv_cq.clone(), queue_loc));
                 let mr_local = ctx.reg_mr(buf, buf_len, Access::full());
                 // Two-sided message slots (send staging + receive inbox),
                 // allocated last so existing experiments see unchanged

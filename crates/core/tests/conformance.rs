@@ -1,6 +1,7 @@
 //! Backend-conformance checklist: every [`Transport`] implementation must
-//! pass the same generic battery — put visibility, get round-trip,
-//! zero-length messages, flush ordering, completion counts. A new backend
+//! pass the same generic battery — a receive side with nothing posted, put
+//! visibility, get round-trip, zero-length messages, flush ordering,
+//! completion counts. A new backend
 //! plugs into [`Backend::instantiate`] and inherits this suite unchanged.
 //!
 //! The checks are written against the trait (`T: Transport`), not against
@@ -10,6 +11,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use tc_desim::sync::Flag;
 use tc_mem::Bus;
 use tc_putget::api::QueueLoc;
 use tc_putget::cluster::{Backend, Cluster};
@@ -25,6 +27,21 @@ struct Harness {
     bus: Bus,
     cpu0: CpuThread,
     cpu1: CpuThread,
+}
+
+/// A receive side that has posted nothing: every receive primes one
+/// receive before it probes, so an empty probe finds nothing, a peer's
+/// send right after it lands (Infiniband would answer it with RNR), and an
+/// idle receive whose exit flag is already set returns at once.
+async fn check_unposted_receive<T: Transport>(h: &Harness, t0: &T, t1: &T) {
+    assert!(t1.try_recv(&h.cpu1).await.is_none(), "nothing sent yet");
+    let payload: Vec<u8> = (0u8..16).collect();
+    t0.send(&h.cpu0, &payload).await.unwrap();
+    assert_eq!(t1.recv(&h.cpu1).await.unwrap(), payload);
+    let exit = Flag::new("exit");
+    exit.set();
+    let idle = t1.idle_recv(&h.cpu1, &exit, time::ns(200)).await;
+    assert!(idle.is_none(), "an idle receive with its exit set returns");
 }
 
 /// Put with remote notification: the notified byte count matches and the
@@ -140,6 +157,8 @@ fn run_conformance(backend: Backend) {
         };
         let (t0, t1, done) = (t0.clone(), t1.clone(), done.clone());
         c.sim.spawn("conformance", async move {
+            // First, while the pair is fresh: nothing is posted yet.
+            check_unposted_receive(&h, &*t0, &*t1).await;
             check_put_visibility(&h, &*t0, &*t1, buf_b).await;
             check_get_round_trip(&h, &*t0, buf_a).await;
             check_messages(&h, &*t0, &*t1).await;

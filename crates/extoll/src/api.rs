@@ -6,7 +6,7 @@ use std::cell::Cell;
 
 use tc_gpu::GpuThread;
 use tc_mem::{layout, Addr, RegionKind};
-use tc_pcie::{le, probe_once, LoadKind, Processor, Step};
+use tc_pcie::{le, LoadKind, Processor, Step};
 
 use crate::engine::ExtollNic;
 use crate::notif::{NotifQueueLayout, Notification};
@@ -32,8 +32,8 @@ impl NotifConsumer {
         }
     }
 
-    /// The head probe [`NotifConsumer::try_poll`] and
-    /// [`NotifConsumer::wait`] share: the 128-bit record as two 64-bit loads
+    /// The head probe of [`NotifConsumer::wait`] and of a transport's
+    /// completion and arrival waits: the 128-bit record as two 64-bit loads
     /// (the compiled librma code does not use vector loads here), then
     /// `rma_notification_get`'s library call (queue bounds checks, 128-bit
     /// decode, unit dispatch, loop bookkeeping). An empty head bumps
@@ -56,14 +56,6 @@ impl NotifConsumer {
     /// Whether a head probe's bytes hold a record.
     pub fn ready(bytes: &[u8]) -> bool {
         Self::record(bytes).is_some()
-    }
-
-    /// Probe the queue head once. Returns the record if one is pending.
-    /// Does **not** free it — call [`NotifConsumer::free`].
-    pub async fn try_poll<P: Processor>(&self, p: &P) -> Option<Notification> {
-        let mut b = [0; 16];
-        probe_once(p, &self.probe(), &mut b, Self::ready).await;
-        Self::record(&b)
     }
 
     /// Spin until a record is pending, then return it (still not freed).

@@ -27,16 +27,10 @@ pub struct RequesterBar {
 }
 
 impl RequesterBar {
-    /// A BAR with `ports` requester pages, emitting descriptors on `wr_out`.
-    /// The WR-queue depth gauge is detached (use
-    /// [`RequesterBar::instrumented`] to register it).
-    pub fn new(ports: u16, wr_out: Channel<(u16, WorkRequest)>) -> Self {
-        RequesterBar::instrumented(ports, wr_out, Gauge::detached())
-    }
-
-    /// [`RequesterBar::new`] with an explicit WR-queue depth gauge (a
-    /// registry handle such as `extoll0.wr_queue_depth`).
-    pub fn instrumented(ports: u16, wr_out: Channel<(u16, WorkRequest)>, wr_queue: Gauge) -> Self {
+    /// A BAR with `ports` requester pages, emitting descriptors on `wr_out`
+    /// and tracking the WR-queue depth in `wr_queue` (a registry handle such
+    /// as `extoll0.wr_queue_depth`).
+    pub fn new(ports: u16, wr_out: Channel<(u16, WorkRequest)>, wr_queue: Gauge) -> Self {
         RequesterBar {
             assembly: RefCell::new(vec![[None; 3]; ports as usize]),
             wr_out,
@@ -110,6 +104,11 @@ mod tests {
     use crate::wr::{RmaCommand, WrFlags};
     use tc_desim::Sim;
 
+    /// The WR-queue depth gauge of a test BAR.
+    fn depth(sim: &Sim) -> Gauge {
+        sim.registry().gauge("extoll0.wr_queue_depth")
+    }
+
     fn wr() -> WorkRequest {
         WorkRequest {
             command: RmaCommand::Put,
@@ -126,7 +125,7 @@ mod tests {
     fn three_stores_complete_a_descriptor() {
         let sim = Sim::new();
         let ch = Channel::new(&sim, 0);
-        let bar = RequesterBar::new(4, ch.clone());
+        let bar = RequesterBar::new(4, ch.clone(), depth(&sim));
         let words = wr().encode();
         for (i, w) in words.iter().enumerate() {
             assert!(ch.is_empty());
@@ -140,7 +139,7 @@ mod tests {
     fn ports_assemble_independently() {
         let sim = Sim::new();
         let ch = Channel::new(&sim, 0);
-        let bar = RequesterBar::new(4, ch.clone());
+        let bar = RequesterBar::new(4, ch.clone(), depth(&sim));
         let words = wr().encode();
         // Interleave two ports' stores.
         for i in 0..3u64 {
@@ -155,7 +154,7 @@ mod tests {
     fn descriptor_can_be_reposted() {
         let sim = Sim::new();
         let ch = Channel::new(&sim, 0);
-        let bar = RequesterBar::new(1, ch.clone());
+        let bar = RequesterBar::new(1, ch.clone(), depth(&sim));
         for _ in 0..3 {
             for (i, w) in wr().encode().iter().enumerate() {
                 bar.mmio_write(i as u64 * 8, &w.to_le_bytes());
@@ -169,7 +168,7 @@ mod tests {
     fn malformed_descriptor_counted_not_forwarded() {
         let sim = Sim::new();
         let ch = Channel::new(&sim, 0);
-        let bar = RequesterBar::new(1, ch.clone());
+        let bar = RequesterBar::new(1, ch.clone(), depth(&sim));
         for i in 0..3u64 {
             bar.mmio_write(i * 8, &0u64.to_le_bytes());
         }
@@ -181,7 +180,7 @@ mod tests {
     #[should_panic(expected = "requester page accepts aligned")]
     fn sub_word_store_rejected() {
         let sim = Sim::new();
-        let bar = RequesterBar::new(1, Channel::new(&sim, 0));
+        let bar = RequesterBar::new(1, Channel::new(&sim, 0), depth(&sim));
         bar.mmio_write(0, &[0u8; 4]);
     }
 
@@ -189,7 +188,7 @@ mod tests {
     fn write_combined_store_posts_in_one_transaction() {
         let sim = Sim::new();
         let ch = Channel::new(&sim, 0);
-        let bar = RequesterBar::new(1, ch.clone());
+        let bar = RequesterBar::new(1, ch.clone(), depth(&sim));
         let words = wr().encode();
         let mut bytes = [0u8; 24];
         for (i, w) in words.iter().enumerate() {

@@ -215,7 +215,7 @@ impl ExtollNic {
     ) -> Self {
         let wr_ch: Channel<(u16, WorkRequest)> = Channel::new(sim, 0);
         let stats = NicStats::in_scope(&sim.registry().scope_named(&format!("extoll{node}")));
-        let bar = Rc::new(RequesterBar::instrumented(
+        let bar = Rc::new(RequesterBar::new(
             cfg.ports,
             wr_ch.clone(),
             stats.wr_queue_depth.clone(),

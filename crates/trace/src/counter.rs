@@ -9,22 +9,15 @@ use std::rc::Rc;
 /// Counters are cheap `Rc` clones: a [`crate::Registry`] and all typed views
 /// built over it share the same cells, so a registry delta and two reads of
 /// a view's field always agree. A window of counts is the difference of two
-/// reads (or of two registry snapshots); nothing ever lowers a counter. A
-/// [`Counter::detached`] counter owns a private cell and belongs to no
-/// registry.
+/// reads (or of two registry snapshots); nothing ever lowers a counter.
+/// Every counter is a registry cell: handles come from a [`crate::Registry`]
+/// or a [`crate::Scope`].
 #[derive(Clone)]
 pub struct Counter {
     cell: Rc<Cell<u64>>,
 }
 
 impl Counter {
-    /// A detached counter, not visible in any registry.
-    pub fn detached() -> Self {
-        Counter {
-            cell: Rc::new(Cell::new(0)),
-        }
-    }
-
     pub(crate) fn from_cell(cell: Rc<Cell<u64>>) -> Self {
         Counter { cell }
     }

@@ -6,10 +6,10 @@
 //! a non-negative current value (`sub` saturates at 0) and the highest
 //! value it ever reached.
 //!
-//! Like [`crate::Counter`], a `Gauge` is a cheap `Rc` handle shared between
-//! a [`crate::Registry`] and the typed stats views; [`Gauge::detached`]
-//! belongs to no registry. Updates only mutate plain cells, so
-//! instrumentation cannot perturb simulated time.
+//! Like [`crate::Counter`], a `Gauge` is a cheap `Rc` handle to a registry
+//! cell, shared between a [`crate::Registry`] and the typed stats views.
+//! Updates only mutate plain cells, so instrumentation cannot perturb
+//! simulated time.
 
 use std::cell::Cell;
 use std::fmt;
@@ -36,13 +36,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A detached gauge, not visible in any registry.
-    pub fn detached() -> Self {
-        Gauge {
-            cell: Rc::new(GaugeCell::new()),
-        }
-    }
-
     pub(crate) fn from_cell(cell: Rc<GaugeCell>) -> Self {
         Gauge { cell }
     }
@@ -142,10 +135,11 @@ impl GaugeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn tracks_current_and_high_water() {
-        let g = Gauge::detached();
+        let g = Registry::new().gauge("g");
         g.add(3);
         g.inc();
         g.sub(2);
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn sub_saturates_at_zero() {
-        let g = Gauge::detached();
+        let g = Registry::new().gauge("g");
         g.inc();
         g.sub(5);
         assert_eq!(g.get(), 0);
@@ -168,7 +162,7 @@ mod tests {
 
     #[test]
     fn clones_share_cells() {
-        let a = Gauge::detached();
+        let a = Registry::new().gauge("a");
         let b = a.clone();
         b.add(7);
         assert_eq!(a.get(), 7);

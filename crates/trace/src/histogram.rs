@@ -9,12 +9,11 @@
 //! of the bucket that crosses the requested rank, clamped to the true
 //! maximum — exact enough for trend tracking at a 2× resolution.
 //!
-//! Like [`crate::Counter`], a `Histogram` is a cheap `Rc` handle: a
-//! [`crate::Registry`] and every typed stats view built over it share the
-//! same cells, and [`Histogram::detached`] belongs to no registry.
-//! Recording only mutates plain cells — it never allocates, awaits or
-//! schedules — so instrumented simulations stay bit-identical whether the
-//! data is exported or not.
+//! Like [`crate::Counter`], a `Histogram` is a cheap `Rc` handle to a
+//! registry cell: a [`crate::Registry`] and every typed stats view built
+//! over it share the same cells. Recording only mutates plain cells — it
+//! never allocates, awaits or schedules — so instrumented simulations stay
+//! bit-identical whether the data is exported or not.
 
 use std::cell::Cell;
 use std::fmt;
@@ -62,13 +61,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A detached histogram, not visible in any registry.
-    pub fn detached() -> Self {
-        Histogram {
-            cell: Rc::new(HistCell::new()),
-        }
-    }
-
     pub(crate) fn from_cell(cell: Rc<HistCell>) -> Self {
         Histogram { cell }
     }
@@ -255,6 +247,7 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn buckets_partition_by_bit_length() {
@@ -271,7 +264,7 @@ mod tests {
 
     #[test]
     fn records_accumulate() {
-        let h = Histogram::detached();
+        let h = Registry::new().histogram("h");
         for v in [0, 1, 2, 3, 100] {
             h.record(v);
         }
@@ -287,7 +280,8 @@ mod tests {
 
     #[test]
     fn record_n_equals_repeated_record() {
-        let (a, b) = (Histogram::detached(), Histogram::detached());
+        let reg = Registry::new();
+        let (a, b) = (reg.histogram("a"), reg.histogram("b"));
         for v in [7, u64::MAX / 3] {
             for _ in 0..5 {
                 a.record(v);
@@ -300,7 +294,7 @@ mod tests {
 
     #[test]
     fn percentiles_use_bucket_bounds_clamped_to_max() {
-        let h = Histogram::detached();
+        let h = Registry::new().histogram("h");
         for _ in 0..99 {
             h.record(10); // bucket 4, bound 15
         }
@@ -316,7 +310,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let s = Histogram::detached().snapshot();
+        let s = Registry::new().histogram("h").snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.p50(), 0);
         assert_eq!(s.mean(), 0.0);
@@ -324,7 +318,7 @@ mod tests {
 
     #[test]
     fn delta_subtracts_counts_and_bounds_max_by_window_buckets() {
-        let h = Histogram::detached();
+        let h = Registry::new().histogram("h");
         h.record(7);
         let s0 = h.snapshot();
         h.record(300);
@@ -342,7 +336,7 @@ mod tests {
 
     #[test]
     fn delta_max_ignores_pre_window_outliers() {
-        let h = Histogram::detached();
+        let h = Registry::new().histogram("h");
         h.record(300); // pre-window high-water mark
         let s0 = h.snapshot();
         h.record(2);
@@ -358,8 +352,8 @@ mod tests {
 
     #[test]
     fn merge_adds_samples_and_keeps_larger_max() {
-        let a = Histogram::detached();
-        let b = Histogram::detached();
+        let reg = Registry::new();
+        let (a, b) = (reg.histogram("a"), reg.histogram("b"));
         a.record(7);
         a.record(100);
         b.record(300);
@@ -376,7 +370,7 @@ mod tests {
 
     #[test]
     fn p999_needs_one_in_a_thousand() {
-        let h = Histogram::detached();
+        let h = Registry::new().histogram("h");
         for _ in 0..999 {
             h.record(10);
         }
@@ -389,7 +383,7 @@ mod tests {
 
     #[test]
     fn clones_share_cells() {
-        let a = Histogram::detached();
+        let a = Registry::new().histogram("a");
         let b = a.clone();
         b.record(5);
         assert_eq!(a.count(), 1);

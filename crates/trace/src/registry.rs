@@ -370,15 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn detached_counter_not_in_registry() {
-        let reg = Registry::new();
-        let d = Counter::detached();
-        d.add(9);
-        assert!(reg.is_empty());
-        assert_eq!(d.get(), 9);
-    }
-
-    #[test]
     fn histograms_and_gauges_intern_and_snapshot() {
         let reg = Registry::new();
         let scope = reg.scope_named("pcie0");

@@ -120,6 +120,14 @@ grep -q '"msg0.rts"' "$metrics_dir/crossover.metrics.json"
 cargo run --release -p tc-bench --bin reproduce -- \
     --validate-metrics "$metrics_dir/crossover.metrics.json"
 
+echo "== message-layer server (workload --app rpc + tc-metrics-v1) =="
+# App mode is the only caller of Messenger::idle_recv_desc and is not part
+# of --full, so neither the results/ diff nor the work diff reaches it.
+cargo run --release -p tc-bench --bin reproduce -- \
+    workload --app rpc --metrics "$metrics_dir" > /dev/null
+cargo run --release -p tc-bench --bin reproduce -- \
+    --validate-metrics "$metrics_dir/workload.metrics.json"
+
 echo "== DES-kernel microbenchmarks (tc-desim-bench-v1 -> BENCH_desim.json) =="
 # Wheel-vs-reference-heap events/sec plus the sharded-ring sweep (1/2/4/8
 # worker shards); the committed JSON tracks the trajectory PR over PR.
